@@ -8,12 +8,11 @@ truncation orders for a target accuracy, and validates everything
 against an independent path-level Monte Carlo oracle.
 """
 
-from .basis import LegendreCache, RatPoly, legendre_poly, product_expand
+from .basis import RatPoly, legendre_poly, product_expand
 from .coeffs import (
     CoeffTensor,
     KernelSpec,
     QuadratureError,
-    ScaledCoeff,
     ScaledTensor,
     TensorBudgetError,
     bar_coeff,
@@ -88,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # basis
-    "LegendreCache",
     "RatPoly",
     "legendre_poly",
     "product_expand",
@@ -96,7 +94,6 @@ __all__ = [
     "CoeffTensor",
     "KernelSpec",
     "QuadratureError",
-    "ScaledCoeff",
     "ScaledTensor",
     "TensorBudgetError",
     "bar_coeff",

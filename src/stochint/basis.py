@@ -1,10 +1,10 @@
 r"""Exact rational polynomial arithmetic and Legendre polynomials.
 
 Everything in this module is computed over arbitrary-precision rationals;
-floating point appears nowhere.  The module supplies the substrate for the
-coefficient engine: dense rational polynomials, antiderivatives with zero
-constant term, exact definite integrals, Legendre polynomials :math:`P_n`
-generated by the three-term recurrence
+floating point appears nowhere.  The module supplies dense rational
+polynomials, antiderivatives with zero constant term, exact definite
+integrals, Legendre polynomials :math:`P_n` generated by the three-term
+recurrence
 
 .. math:: x P_j(x) = \frac{(j+1) P_{j+1}(x) + j P_{j-1}(x)}{2j+1},
 
@@ -16,7 +16,9 @@ and the product linearization
           \cdot \frac{2n+2m-4k+1}{2n+2m-2k+1},
           \qquad a_k = \frac{(2k-1)!!}{k!},
 
-with :math:`(-1)!! = 1` so that :math:`a_0 = 1`.
+with :math:`(-1)!! = 1` so that :math:`a_0 = 1`.  The coefficient engine
+works on Legendre-coefficient vectors through the linearization; the
+polynomials serve the kernel norms, the oracle and independent cross-checks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from functools import lru_cache
 __all__ = [
     "Rational",
     "RatPoly",
-    "LegendreCache",
     "legendre_poly",
     "product_expand",
     "antiderivative",
@@ -206,36 +207,3 @@ def product_expand(m: int, n: int) -> tuple[tuple[int, Fraction], ...]:
         out.append((m + n - 2 * k, coeff))
     return tuple(out)
 
-
-class LegendreCache:
-    """Immutable store of Legendre polynomials and product linearizations.
-
-    Construction is single-threaded; afterwards the cache is read-only and
-    safe to share across threads.
-    """
-
-    def __init__(self, max_degree: int) -> None:
-        if max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
-        self._max_degree = max_degree
-        self._polys = tuple(legendre_poly(n) for n in range(max_degree + 1))
-        self._products: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        for m in range(max_degree + 1):
-            for n in range(m, max_degree + 1):
-                self._products[(m, n)] = product_expand(m, n)
-
-    @property
-    def max_degree(self) -> int:
-        return self._max_degree
-
-    @property
-    def polys(self) -> tuple[RatPoly, ...]:
-        return self._polys
-
-    def poly(self, n: int) -> RatPoly:
-        return self._polys[n]
-
-    def product(self, m: int, n: int) -> tuple[tuple[int, Fraction], ...]:
-        if m > n:
-            m, n = n, m
-        return self._products[(m, n)]

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -73,6 +74,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -137,8 +139,15 @@ def _ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
 def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part != ""]
+    return [_positive(part) for part in text.split(",") if part != ""]
 
 
 def _frac_str(value: Fraction) -> str:
@@ -404,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", type=int, help="numbered error table (1,2,3,38,41,42)")
     p.add_argument("--kind", help="error series kind (raw values at --dt)")
     p.add_argument("--q", type=_ints, help="comma-separated truncation orders")
-    p.add_argument("--dt", type=float, default=1.0, help="interval length for --kind mode")
+    p.add_argument("--dt", type=_positive, default=1.0, help="interval length for --kind mode")
     common(p)
     p.set_defaults(func=_cmd_error_table)
 
@@ -421,7 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("--paths", type=int, default=20000)
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dt", type=float, default=0.5)
+    p.add_argument("--dt", type=_positive, default=0.5)
     common(p)
     p.set_defaults(func=_cmd_validate)
 

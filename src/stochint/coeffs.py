@@ -23,10 +23,28 @@ The sign of each weight factor lives inside :math:`\bar C` (so the reference
 coefficient tables for weighted kernels carry explicit signs) and the scale
 factor above is sign-free.
 
-``bar_coeff`` computes single entries, ``coeff_tensor`` dense tensors with
-shared-prefix memoization, ``scale_coeff`` the interval scaling, and
-``trig_coeff`` the analogous coefficient for the trigonometric basis by
-nested high-precision Gauss-Legendre quadrature.
+The nested integral is evaluated on exact Legendre-coefficient vectors.  Let
+:math:`F_0 = 1` and :math:`F_r(x) = \int_{-1}^{x} w_{l_r} P_{j_r} F_{r-1}`,
+the prefix series of the inner indices :math:`(j_1, \ldots, j_r)`.  Each
+level is built from three rules on a series :math:`\sum_n c_n P_n`:
+
+* multiplication by :math:`P_j` uses the product linearization
+  :func:`~stochint.basis.product_expand`;
+* each weight factor :math:`-(1+x)` uses
+  :math:`x P_n = ((n+1) P_{n+1} + n P_{n-1}) / (2n+1)`;
+* integration from :math:`-1` uses
+  :math:`\int_{-1}^{x} P_n = (P_{n+1} - P_{n-1}) / (2n+1)`, and
+  :math:`P_0 + P_1` for :math:`n = 0`.
+
+By orthogonality the outermost level is a lookup: with
+:math:`h = w_{l_k} F_{k-1} = \sum_n h_n P_n`,
+:math:`\bar C_{j_k \ldots j_1} = 2 h_{j_k} / (2 j_k + 1)`.
+
+``bar_coeff`` computes single entries, ``coeff_tensor`` dense tensors (each
+prefix series is built once and fills its whole :math:`j_k` fiber),
+``scale_coeff`` the interval scaling, and ``trig_coeff`` the analogous
+coefficient for the trigonometric basis by nested high-precision
+Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -35,19 +53,17 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import RatPoly, antiderivative, legendre_poly
+from .basis import product_expand
 
 __all__ = [
     "KernelSpec",
     "CoeffTensor",
-    "ScaledCoeff",
     "ScaledTensor",
     "TensorBudgetError",
     "QuadratureError",
@@ -112,31 +128,67 @@ class KernelSpec:
         return self.total_weight + Fraction(self.k, 2)
 
 
-# Weight factor for exponent l, as a polynomial in the integration variable:
-# (-(1+x))**l.
-@lru_cache(maxsize=None)
-def _weight_poly(l: int) -> RatPoly:
-    base = RatPoly.from_coeffs([-1, -1])
-    out = RatPoly.one()
+def _check_interval(dt: float) -> None:
+    """Reject an interval length that is not a positive finite float (NaN too)."""
+    if not 0 < dt < math.inf:
+        raise ValueError("interval length must be positive and finite")
+
+
+# Legendre series are lists ``c`` standing for ``sum(c[n] * P_n)``: nonzero
+# entries are Fractions, absent terms the integer 0.
+
+
+def _times_weight(series: list, l: int) -> list:
+    """Multiply a series by ``(-(1+x))**l``."""
     for _ in range(l):
-        out = out * base
+        out = [0] * (len(series) + 1)
+        for n, c in enumerate(series):
+            if c:
+                out[n] -= c
+                c = c / (2 * n + 1)
+                out[n + 1] -= (n + 1) * c
+                if n:
+                    out[n - 1] -= n * c
+        series = out
+    return series
+
+
+def _times_legendre(series: list, j: int) -> list:
+    """Multiply a series by ``P_j``."""
+    out = [0] * (len(series) + j)
+    for n, c in enumerate(series):
+        if c:
+            for idx, k in product_expand(j, n):
+                out[idx] += c * k
     return out
 
 
-@lru_cache(maxsize=None)
-def _inner_antiderivative(weights: tuple[int, ...], js: tuple[int, ...]) -> RatPoly:
-    """Antiderivative, vanishing at -1, of the innermost ``len(js)`` levels.
+def _integral(series: list) -> list:
+    """Antiderivative of a series that vanishes at -1."""
+    out = [0] * (len(series) + 1)
+    for n, c in enumerate(series):
+        if c:
+            if n == 0:
+                out[0] += c
+                out[1] += c
+            else:
+                c = c / (2 * n + 1)
+                out[n + 1] += c
+                out[n - 1] -= c
+    return out
 
-    The returned polynomial is a function of the next integration variable.
-    Shared prefixes across a tensor hit this cache.
-    """
-    depth = len(js)
-    integrand = _weight_poly(weights[depth - 1]) * legendre_poly(js[depth - 1])
-    if depth > 1:
-        integrand = integrand * _inner_antiderivative(weights[: depth - 1], js[: depth - 1])
-    anti = antiderivative(integrand)
-    # shift so the antiderivative vanishes at the lower limit -1
-    return anti - RatPoly.from_coeffs([anti(Fraction(-1))])
+
+def _outer_series(spec: KernelSpec, prefix: tuple[int, ...]) -> list:
+    """Series ``h = w_{l_k} F_{k-1}`` of the inner indices ``(j_1..j_{k-1})``."""
+    series = [Fraction(1)]
+    for l, j in zip(spec.weights, prefix):
+        series = _integral(_times_legendre(_times_weight(series, l), j))
+    return _times_weight(series, spec.weights[-1])
+
+
+def _outer_coeff(h: list, j: int) -> Fraction:
+    """Orthogonality lookup ``int_{-1}^{1} P_j h = 2 h_j / (2j+1)``."""
+    return h[j] * Fraction(2, 2 * j + 1) if j < len(h) else Fraction(0)
 
 
 def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
@@ -154,8 +206,7 @@ def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
         raise ValueError("multi-index length must equal multiplicity")
     if any(x < 0 for x in j):
         raise ValueError("basis indices must be nonnegative")
-    full = _inner_antiderivative(spec.weights, j)
-    return full(Fraction(1))
+    return _outer_coeff(_outer_series(spec, j[:-1]), j[-1])
 
 
 def _float_bar(value: Fraction) -> float:
@@ -194,33 +245,6 @@ class CoeffTensor:
         return scaled_tensor(self, dt)
 
 
-@dataclass(frozen=True, slots=True)
-class ScaledCoeff:
-    """A single interval-scaled coefficient together with its derivation."""
-
-    value: float
-    bar: Fraction
-    dt: float
-    scale_exponent: Fraction
-    scale_denominator: int
-    norm_factor: float
-
-    @staticmethod
-    def from_bar(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) -> ScaledCoeff:
-        norm = math.prod(math.sqrt(2 * idx + 1) for idx in j)
-        denom = 2 ** (spec.total_weight + spec.k)
-        exponent = spec.scale_exponent
-        value = _float_bar(bar) * dt ** float(exponent) / denom * norm
-        return ScaledCoeff(
-            value=value,
-            bar=bar,
-            dt=dt,
-            scale_exponent=exponent,
-            scale_denominator=denom,
-            norm_factor=norm,
-        )
-
-
 def scale_coeff(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) -> float:
     r"""Interval scaling :math:`\bar C \mapsto C` for interval length ``dt``.
 
@@ -228,9 +252,10 @@ def scale_coeff(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) 
     The weight signs are already inside ``bar``, so no extra sign appears
     here.  This is the only place rationals become floats.
     """
-    if dt <= 0:
-        raise ValueError("interval length must be positive")
-    return ScaledCoeff.from_bar(bar, spec, tuple(j), dt).value
+    _check_interval(dt)
+    norm = math.prod(math.sqrt(2 * idx + 1) for idx in j)
+    denom = 2 ** (spec.total_weight + spec.k)
+    return _float_bar(bar) * dt ** float(spec.scale_exponent) / denom * norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +275,7 @@ class ScaledTensor:
 
 def scaled_tensor(tensor: CoeffTensor, dt: float) -> ScaledTensor:
     """Apply :func:`scale_coeff` across a whole tensor."""
-    if dt <= 0:
-        raise ValueError("interval length must be positive")
+    _check_interval(dt)
     spec = tensor.spec
     scale = dt ** float(spec.scale_exponent) / 2 ** (spec.total_weight + spec.k)
     norm1d = np.sqrt(2.0 * np.arange(tensor.q + 1) + 1.0)
@@ -266,13 +290,15 @@ def scaled_tensor(tensor: CoeffTensor, dt: float) -> ScaledTensor:
 def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
     r"""All exact coefficients :math:`\bar C` for ``j in {0..q}^k``.
 
-    Shared inner antiderivatives are memoized across the tensor, so the
-    cost is dominated by the ``(q+1)^k`` final evaluations.
+    A depth-first walk over the inner indices builds each prefix series
+    once and fills the whole :math:`j_k` fiber from it by orthogonality.
 
     Args:
         spec: kernel description.
         q: truncation order (inclusive).
-        threads: worker threads across the outermost index.
+        threads: accepted for compatibility and ignored; the exact
+            arithmetic holds the interpreter lock, so threads gave no
+            speed-up.
 
     Raises:
         TensorBudgetError: if ``(q+1)**k`` exceeds the dense entry budget.
@@ -287,20 +313,15 @@ def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
         )
     values = np.empty((n,) * spec.k, dtype=object)
 
-    def fill_outer(j_outer: int) -> None:
-        for idx in np.ndindex(*(n,) * (spec.k - 1)):
-            j = idx + (j_outer,)
-            values[j] = bar_coeff(spec, j)
+    def fill(prefix: tuple[int, ...], series: list) -> None:
+        weighted = _times_weight(series, spec.weights[len(prefix)])
+        if len(prefix) == spec.k - 1:
+            values[prefix] = [_outer_coeff(weighted, j) for j in range(n)]
+            return
+        for j in range(n):
+            fill(prefix + (j,), _integral(_times_legendre(weighted, j)))
 
-    if spec.k == 1:
-        for j0 in range(n):
-            values[j0] = bar_coeff(spec, (j0,))
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_outer, range(n)))
-    else:
-        for j_outer in range(n):
-            fill_outer(j_outer)
+    fill((), [Fraction(1)])
     return CoeffTensor(spec=spec, q=q, values=values)
 
 
@@ -402,8 +423,7 @@ def trig_coeff(
         raise ValueError("multi-index length must equal multiplicity")
     if any(x < 0 for x in j):
         raise ValueError("basis indices must be nonnegative")
-    if dt <= 0:
-        raise ValueError("interval length must be positive")
+    _check_interval(dt)
 
     max_freq = max(((idx + 1) // 2 for idx in j), default=0)
     panels = max(4, 2 * max_freq)

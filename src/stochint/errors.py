@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .basis import RatPoly, antiderivative
-from .coeffs import KernelSpec, ScaledTensor
+from .coeffs import KernelSpec, ScaledTensor, _check_interval
 
 __all__ = [
     "EqualityPattern",
@@ -92,8 +92,7 @@ def kernel_norm_simplex(spec: KernelSpec) -> Fraction:
 
 def kernel_norm(spec: KernelSpec, dt: float) -> float:
     """Squared simplex norm ``I_k`` of the weighted kernel for length ``dt``."""
-    if dt <= 0:
-        raise ValueError("interval length must be positive")
+    _check_interval(dt)
     frac = kernel_norm_exact(spec)
     return frac.numerator / frac.denominator * dt ** (2 * spec.total_weight + spec.k)
 
@@ -399,6 +398,5 @@ def series_error(kind: str, q: int, dt: float) -> float:
         raise ValueError(f"unknown series kind {kind!r}; known: {', '.join(SERIES_KINDS)}")
     if q < 0:
         raise ValueError("truncation order must be nonnegative")
-    if dt <= 0:
-        raise ValueError("interval length must be positive")
+    _check_interval(dt)
     return fn(q, dt)

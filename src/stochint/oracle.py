@@ -74,8 +74,8 @@ class SimConfig:
             raise ValueError("need at least 2 grid steps")
         if self.paths < 1:
             raise ValueError("need at least 1 path")
-        if self.dt <= 0:
-            raise ValueError("interval length must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("interval length must be positive and finite")
         if self.calculus not in ("ito", "strat"):
             raise ValueError("calculus must be 'ito' or 'strat'")
 

@@ -14,16 +14,23 @@ The triple conditions compare quantities that can sit within a fraction
 of a percent of the threshold at the printed step sizes, so they accept
 with a small relative tolerance (:data:`TRIPLE_REL_TOL`); the pair
 conditions compare exactly.
+
+The unweighted triple Legendre error per :math:`dt^3` is
+:math:`1/6 - \tfrac{1}{64} \sum_{j \in \{0..q\}^3} \prod_r (2 j_r + 1)\,
+\bar C_j^2`.  By orthogonality :math:`\bar C_{j_3 j_2 j_1} = 2 h_{j_3} /
+(2 j_3 + 1)` with :math:`h` the level-2 Legendre series of the inner pair
+(see :mod:`stochint.coeffs`), so by Parseval each pair's outer fiber sums
+to :math:`\sum_{j_3 \le q} 4 h_{j_3}^2 / (2 j_3 + 1)`: the constant takes
+:math:`(q+1)^2` series instead of :math:`(q+1)^3` coefficients.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import KernelSpec, bar_coeff
+from .coeffs import KernelSpec, _outer_series
 from .errors import series_error
 
 __all__ = [
@@ -56,36 +63,21 @@ class QSelectCapError(Exception):
         self.rhs = rhs
 
 
-# Exact squared-coefficient partial sums for the unweighted triple kernel,
-# grown shell by shell and shared across scans.
-_TRIPLE_SHELL_SUMS: dict[int, Fraction] = {}
-_TRIPLE_LOCK = threading.Lock()
-
-
-def _norm_square(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
-    weight = 1
-    for idx in j:
-        weight *= 2 * idx + 1
-    return weight * bar_coeff(spec, j) ** 2
-
-
 def _triple_square_sum(q: int) -> Fraction:
+    r"""Exact :math:`\sum_{j \in \{0..q\}^3} \prod_r (2 j_r + 1)\, \bar C_j^2`.
+
+    Parseval over the level-2 series :math:`h` of each inner pair
+    :math:`(j_1, j_2)`: the outer fiber sums to
+    :math:`\sum_{j_3 \le q} 4 h_{j_3}^2 / (2 j_3 + 1)`.
+    """
     spec = KernelSpec.unweighted(3)
-    with _TRIPLE_LOCK:
-        top = max(_TRIPLE_SHELL_SUMS) if _TRIPLE_SHELL_SUMS else -1
-        for c in range(top + 1, q + 1):
-            shell = Fraction(0)
-            for a in range(c + 1):
-                for b in range(c + 1):
-                    # indices with max == c: the three faces of the growing cube
-                    shell += _norm_square(spec, (a, b, c))
-                    if b < c:
-                        shell += _norm_square(spec, (a, c, b))
-                        if a < c:
-                            shell += _norm_square(spec, (c, a, b))
-            prev = _TRIPLE_SHELL_SUMS.get(c - 1, Fraction(0))
-            _TRIPLE_SHELL_SUMS[c] = prev + shell
-    return _TRIPLE_SHELL_SUMS[q]
+    total = Fraction(0)
+    for a in range(q + 1):
+        for b in range(q + 1):
+            h = _outer_series(spec, (a, b))[: q + 1]
+            fiber = sum(4 * c * c / (2 * j + 1) for j, c in enumerate(h) if c)
+            total += (2 * a + 1) * (2 * b + 1) * fiber
+    return total
 
 
 def triple_legendre_error_constant(q: int) -> float:

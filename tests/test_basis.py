@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochint.basis import (
-    LegendreCache,
     RatPoly,
     antiderivative,
     definite_integral,
@@ -198,12 +197,3 @@ class TestProductExpansion:
                 assert max(indices) == m + n
                 assert all((idx - (m + n)) % 2 == 0 for idx in indices)
 
-
-class TestLegendreCache:
-    def test_matches_free_functions(self):
-        cache = LegendreCache(max_degree=9)
-        assert cache.max_degree >= 9
-        for n in range(10):
-            assert cache.poly(n) == legendre_poly(n)
-        assert cache.product(2, 4) == product_expand(2, 4)
-        assert len(cache.polys) >= 10

@@ -154,6 +154,29 @@ class TestQTable:
         assert code == EXIT_USAGE
 
 
+class TestFloatInputs:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("error-table", "--kind", "pair_legendre", "--dt"),
+            ("q-table", "--table", "39", "--dt"),
+            ("validate", "--case", "pair_distinct", "--steps", "8", "--paths", "10", "--dt"),
+        ],
+        ids=["error-table", "q-table", "validate"],
+    )
+    def test_non_finite_or_negative_dt_is_usage_error(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == EXIT_USAGE
+        assert "NaN" not in out and "Infinity" not in out
+        assert "positive finite" in err
+
+    def test_bad_entry_in_dt_list(self, capsys):
+        code, out, _ = run_cli(capsys, "q-table", "--table", "39", "--dt", "0.01,nan")
+        assert code == EXIT_USAGE
+        assert out == ""
+
+
 class TestValidate:
     def test_passing_run(self, capsys):
         code, out, _ = run_cli(

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochint.coeffs import (
     TENSOR_ENTRY_BUDGET,
     CoeffTensor,
     KernelSpec,
-    ScaledCoeff,
     TensorBudgetError,
     bar_coeff,
     coeff_tensor,
@@ -25,6 +26,8 @@ from stochint.coeffs import (
     trig_coeff,
 )
 from stochint.errors import kernel_norm
+
+from monomial_reference import monomial_bar
 
 # ---------------------------------------------------------------------------
 # Independent oracle: nested Gauss-Legendre quadrature on the ordered
@@ -158,12 +161,25 @@ class TestScaling:
             bar_coeff(spec3, (0, 0, 0)), spec3, (0, 0, 0), dt
         ) == pytest.approx(dt**1.5 / 6.0, rel=1e-15)
 
-    def test_scaled_coeff_dataclass(self):
+    def test_scale_coeff_formula(self):
+        # bar * dt**(L + k/2) / 2**(L + k) * prod(sqrt(2 j_r + 1)), in this
+        # operation order, bit for bit.
         dt = 0.5
         spec = KernelSpec(2, (1, 0))
         bar = bar_coeff(spec, (1, 1))
-        sc = ScaledCoeff.from_bar(bar, spec, (1, 1), dt)
-        assert sc.value == pytest.approx(scale_coeff(bar, spec, (1, 1), dt), rel=1e-15)
+        expected = float(bar) * dt**2.0 / 2**3 * (math.sqrt(3) * math.sqrt(3))
+        assert scale_coeff(bar, spec, (1, 1), dt) == expected
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_interval(self, dt):
+        spec = KernelSpec.unweighted(2)
+        tensor = coeff_tensor(spec, 1)
+        with pytest.raises(ValueError):
+            scale_coeff(Fraction(2), spec, (0, 0), dt)
+        with pytest.raises(ValueError):
+            scaled_tensor(tensor, dt)
+        with pytest.raises(ValueError):
+            kernel_norm(spec, dt)
 
     def test_scaling_is_power_law_in_dt(self):
         spec = KernelSpec(2, (1, 0))
@@ -171,6 +187,35 @@ class TestScaling:
         v1 = scale_coeff(bar, spec, (2, 1), 1.0)
         v2 = scale_coeff(bar, spec, (2, 1), 0.25)
         assert v2 == pytest.approx(v1 * 0.25**2, rel=1e-14)
+
+
+@st.composite
+def spec_and_index(draw):
+    k = draw(st.integers(1, 5))
+    weights = tuple(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    j = tuple(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)))
+    return KernelSpec(k, weights), j
+
+
+class TestSeriesRoute:
+    """The Legendre-series engine against the monomial-polynomial route."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec_and_index())
+    def test_bar_coeff_matches_monomial_route(self, case):
+        spec, j = case
+        assert bar_coeff(spec, j) == monomial_bar(spec.weights, j)
+
+    @pytest.mark.parametrize(
+        "weights,q",
+        [((0, 0), 14), ((2, 1), 6), ((0, 0, 0), 5), ((1, 0, 2), 3), ((0, 1, 0, 0), 2),
+         ((0,) * 5, 2)],
+    )
+    def test_tensor_matches_monomial_route(self, weights, q):
+        tensor = coeff_tensor(KernelSpec(len(weights), weights), q)
+        for j in itertools.product(range(q + 1), repeat=len(weights)):
+            assert tensor.bar(j) == monomial_bar(weights, j)
+            assert type(tensor.bar(j)) is Fraction
 
 
 class TestCoeffTensor:

@@ -209,6 +209,9 @@ class TestClosedSeries:
             series_error("pair_legendre", -1, 0.5)
         with pytest.raises(ValueError):
             series_error("pair_legendre_weighted", 0, 0.5)
+        for dt in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                series_error("pair_legendre", 1, dt)
 
     def test_pair_legendre_closed_form(self):
         # dt^2 / (4 (2q + 1))

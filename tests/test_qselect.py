@@ -16,7 +16,10 @@ from stochint.qselect import (
     min_q_many,
     scan_detail,
     triple_legendre_error_constant,
+    _triple_square_sum,
 )
+
+from monomial_reference import triple_shell_sums
 
 # Leading error constants of the unweighted triple expansion, computed
 # once from the exact shell-incremental rational sum and frozen here.
@@ -39,6 +42,11 @@ class TestTripleConstant:
         assert triple_legendre_error_constant(q) == pytest.approx(
             TRIPLE_CONSTANTS[q], rel=1e-12
         )
+
+    def test_parseval_sum_equals_shell_sum(self):
+        shells = triple_shell_sums(10)
+        for q in range(11):
+            assert _triple_square_sum(q) == shells[q]
 
     def test_q0_is_one_sixth_minus_leading_term(self):
         # e3(0) = 1/6 - (1/64) * (4/3)^2 = 5/36
