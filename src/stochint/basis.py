@@ -206,4 +206,3 @@ def product_expand(m: int, n: int) -> tuple[tuple[int, Fraction], ...]:
         )
         out.append((m + n - 2 * k, coeff))
     return tuple(out)
-

@@ -191,6 +191,12 @@ def _outer_coeff(h: list, j: int) -> Fraction:
     return h[j] * Fraction(2, 2 * j + 1) if j < len(h) else Fraction(0)
 
 
+def _fiber_square_sum(spec: KernelSpec, prefix: tuple[int, ...], q: int) -> Fraction:
+    """``sum((2 j + 1) * bar**2 for j_k = j <= q)`` by Parseval: ``4 h_j**2 / (2j+1)``."""
+    h = _outer_series(spec, prefix)[: q + 1]
+    return sum((4 * c * c / (2 * j + 1) for j, c in enumerate(h) if c), Fraction(0))
+
+
 def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
     r"""Exact rational coefficient :math:`\bar C` for one multi-index.
 

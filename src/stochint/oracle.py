@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .basis import legendre_poly
-from .coeffs import KernelSpec, coeff_tensor, scaled_tensor
+from .coeffs import KernelSpec, _check_interval, coeff_tensor, scaled_tensor
 from .errors import series_error
 from .expansion import IndexPattern, NoiseDraws, _expansion_core, legendre_double_series
 from .qselect import triple_legendre_error_constant
@@ -74,8 +74,7 @@ class SimConfig:
             raise ValueError("need at least 2 grid steps")
         if self.paths < 1:
             raise ValueError("need at least 1 path")
-        if not 0 < self.dt < math.inf:
-            raise ValueError("interval length must be positive and finite")
+        _check_interval(self.dt)
         if self.calculus not in ("ito", "strat"):
             raise ValueError("calculus must be 'ito' or 'strat'")
 

@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import KernelSpec, _outer_series
+from .coeffs import KernelSpec, _fiber_square_sum
 from .errors import series_error
 
 __all__ = [
@@ -64,19 +64,12 @@ class QSelectCapError(Exception):
 
 
 def _triple_square_sum(q: int) -> Fraction:
-    r"""Exact :math:`\sum_{j \in \{0..q\}^3} \prod_r (2 j_r + 1)\, \bar C_j^2`.
-
-    Parseval over the level-2 series :math:`h` of each inner pair
-    :math:`(j_1, j_2)`: the outer fiber sums to
-    :math:`\sum_{j_3 \le q} 4 h_{j_3}^2 / (2 j_3 + 1)`.
-    """
+    r"""Exact :math:`\sum_{j \in \{0..q\}^3} \prod_r (2 j_r + 1)\, \bar C_j^2`."""
     spec = KernelSpec.unweighted(3)
     total = Fraction(0)
     for a in range(q + 1):
         for b in range(q + 1):
-            h = _outer_series(spec, (a, b))[: q + 1]
-            fiber = sum(4 * c * c / (2 * j + 1) for j, c in enumerate(h) if c)
-            total += (2 * a + 1) * (2 * b + 1) * fiber
+            total += (2 * a + 1) * (2 * b + 1) * _fiber_square_sum(spec, (a, b), q)
     return total
 
 
