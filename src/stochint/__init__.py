@@ -38,7 +38,6 @@ from .expansion import (
     DOUBLE_SERIES_WEIGHTS,
     IndexPattern,
     NoiseDraws,
-    TruncationSpec,
     diagonal_trace,
     draw_noise,
     hermite_diagonal,
@@ -117,7 +116,6 @@ __all__ = [
     "DOUBLE_SERIES_WEIGHTS",
     "IndexPattern",
     "NoiseDraws",
-    "TruncationSpec",
     "diagonal_trace",
     "draw_noise",
     "hermite_diagonal",

@@ -399,7 +399,7 @@ def build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write payload to this file (with manifest)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
 
     p = sub.add_parser("coeffs", help="exact coefficient tensors and reference grids")
     p.add_argument("--table", type=int, help="numbered coefficient grid (4..36)")

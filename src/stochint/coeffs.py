@@ -56,6 +56,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,6 +330,72 @@ def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
 
     fill((), [Fraction(1)])
     return CoeffTensor(spec=spec, q=q, values=values)
+
+
+class _Band(NamedTuple):
+    """Pair-series cells ``(a, a + offset)`` and ``(a + offset, a)`` for ``a >= start``.
+
+    ``exact`` holds the two rows of cells (the second is zero on the
+    diagonal).  ``unit`` holds them and their exact sum, which is all an
+    equal-component series reads, as floats times
+    ``sqrt((2a+1)(2b+1)) / 2**(L+2)``.
+    """
+
+    offset: int
+    start: int
+    exact: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    unit: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def _pair_bands(weights: tuple[int, int], q: int) -> tuple[tuple[_Band, ...], Fraction, int]:
+    r"""Band table of the truncated pair series with ``weights`` at order ``q``.
+
+    With :math:`L = l_1 + l_2` the series keeps the nonzero cells
+    :math:`\bar C[a, b]` with :math:`\min(a, b) \le q`; all of them lie in
+    :math:`|a - b| \le L + 1`.  The corner cells ``(q, q+1)`` and
+    ``(q+1, q)`` hold :math:`\bar C - (-1)^L \bar C_{(0,0)}` instead, which
+    vanishes for :math:`L \le 1` except at ``q = 0``; this keeps the
+    equal-component product identities exact at every ``q``.  For the same
+    reason the ``(1, 1)`` series also keeps its ``(1, 1)`` cell at ``q = 0``.
+    Each inner index ``a`` has one Legendre series, read by orthogonality.
+
+    Returns the bands by offset, the exact trace
+    ``sum((2i+1) * bar_ii for i <= q) / 2**(L+2)`` and the number of
+    Gaussians per component that the series reads.
+    """
+    spec = KernelSpec(2, weights)
+    total = spec.total_weight
+    series = [_outer_series(spec, (a,)) for a in range(q + total + 2)]
+
+    def cell(a: int, b: int) -> Fraction:
+        value = _outer_coeff(series[a], b)
+        if {a, b} == {q, q + 1}:
+            value -= (-1) ** total * bar_coeff(KernelSpec.unweighted(2), (a, b))
+        return value
+
+    bands = []
+    for d in range(total + 2):
+        n = (max(q, 1) if d == 0 and weights == (1, 1) else q) + 1
+        upper = [cell(a, a + d) for a in range(n)]
+        lower = [cell(a + d, a) if d else Fraction(0) for a in range(n)]
+        kept = [a for a in range(n) if upper[a] or lower[a]]
+        if kept:
+            lo, hi = kept[0], kept[-1] + 1
+            rows = (tuple(upper[lo:hi]), tuple(lower[lo:hi]))
+            folded = [u + v for u, v in zip(*rows)]
+            a = np.arange(lo, hi)
+            norm = np.sqrt((2.0 * a + 1.0) * (2.0 * (a + d) + 1.0)) / 2 ** (total + 2)
+            unit = np.array([[_float_bar(c) for c in row] for row in (*rows, folded)]) * norm
+            unit.flags.writeable = False  # shared by every caller through the cache
+            bands.append(_Band(d, lo, rows, unit))
+    diagonal = bands[0]
+    trace = sum(
+        ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start) if a <= q),
+        Fraction(0),
+    )
+    needed = max(b.start + b.unit.shape[1] + b.offset for b in bands)
+    return tuple(bands), trace / 2 ** (total + 2), needed
 
 
 # ---------------------------------------------------------------------------

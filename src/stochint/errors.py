@@ -34,7 +34,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import polygamma
 
-from .basis import RatPoly, antiderivative
 from .coeffs import KernelSpec, ScaledTensor, _check_interval
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "SERIES_KINDS",
     "kernel_norm",
     "kernel_norm_exact",
-    "kernel_norm_simplex",
     "exact_error",
     "error_bound",
     "series_error",
@@ -69,25 +67,6 @@ def kernel_norm_exact(spec: KernelSpec) -> Fraction:
         acc += l
         denom *= 2 * acc + r
     return Fraction(1, denom)
-
-
-def kernel_norm_simplex(spec: KernelSpec) -> Fraction:
-    r"""Cross-check of :func:`kernel_norm_exact` by direct rational integration.
-
-    Integrates :math:`\prod_r (1+x_r)^{2 l_r}` over the ordered simplex in
-    ``[-1, 1]^k`` with exact polynomial antiderivatives and applies the
-    change-of-variable factor :math:`2^{-(2L+k)}`.
-    """
-    one_plus_x = RatPoly.from_coeffs([1, 1])
-    running = RatPoly.one()
-    for l in spec.weights:
-        integrand = running
-        for _ in range(2 * l):
-            integrand = integrand * one_plus_x
-        anti = antiderivative(integrand)
-        running = anti - RatPoly.from_coeffs([anti(Fraction(-1))])
-    total = running(Fraction(1))
-    return total / Fraction(2 ** (2 * spec.total_weight + spec.k))
 
 
 def kernel_norm(spec: KernelSpec, dt: float) -> float:

@@ -13,24 +13,27 @@ seeded Gaussian draws, together with the special closed forms that need no
 general tensor: exact single integrals, the banded double series for
 time-weighted pairs, Hermite-polynomial diagonal forms, trigonometric
 Milstein-style forms, and the Ito/Stratonovich conversion corrections.
+
+All banded pair series come from one exact band table in
+:mod:`stochint.coeffs`: with :math:`L = l_1 + l_2` it keeps the cells with
+:math:`|a - b| \le L + 1` and :math:`\min(a, b) \le q`, and adjusts the
+corner cells ``(q, q+1)``, ``(q+1, q)``.  One evaluator sums it by band.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import polygamma
 
-from .coeffs import KernelSpec, ScaledTensor, bar_coeff, scale_coeff
+from .coeffs import KernelSpec, ScaledTensor, _pair_bands, bar_coeff, scale_coeff
+from .errors import _tail_sum_fourths, _tail_sum_squares
 
 __all__ = [
     "IndexPattern",
     "NoiseDraws",
-    "TruncationSpec",
     "DOUBLE_SERIES_WEIGHTS",
     "draw_noise",
     "ito_expansion",
@@ -108,17 +111,6 @@ class NoiseDraws:
                 f"draws hold {self.zeta.shape[-1]} Gaussians per component, need {needed}"
             )
         return self.zeta[component - 1]
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Truncation order of one expansion (different integrals may differ)."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ValueError("truncation order must be nonnegative")
 
 
 def draw_noise(q_max: int, m: int, seed: int, tails: bool = True) -> NoiseDraws:
@@ -276,133 +268,6 @@ def _exact_single(l: int, row: np.ndarray, dt: float):
 # ---------------------------------------------------------------------------
 
 
-def _series_00(z1, z2, q: int, dt: float):
-    total = z1[..., 0] * z2[..., 0]
-    if q >= 1:
-        i = np.arange(1, q + 1)
-        total = total + np.sum(
-            (z1[..., i - 1] * z2[..., i] - z1[..., i] * z2[..., i - 1])
-            / np.sqrt(4.0 * i * i - 1.0),
-            axis=-1,
-        )
-    return dt / 2.0 * total
-
-
-def _series_01(z1, z2, q: int, dt: float):
-    i = np.arange(0, q + 1)
-    cross = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 5.0)) * (2.0 * i + 3.0)
-    diag = (2.0 * i - 1.0) * (2.0 * i + 3.0)
-    bracket = z1[..., 0] * z2[..., 1] / math.sqrt(3.0)
-    bracket = bracket + np.sum(
-        ((i + 2.0) * z1[..., i] * z2[..., i + 2] - (i + 1.0) * z1[..., i + 2] * z2[..., i])
-        / cross
-        - z1[..., i] * z2[..., i] / diag,
-        axis=-1,
-    )
-    return -dt / 2.0 * _series_00(z1, z2, q, dt) - dt * dt / 4.0 * bracket
-
-
-def _series_10(z1, z2, q: int, dt: float):
-    i = np.arange(0, q + 1)
-    cross = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 5.0)) * (2.0 * i + 3.0)
-    diag = (2.0 * i - 1.0) * (2.0 * i + 3.0)
-    bracket = z2[..., 0] * z1[..., 1] / math.sqrt(3.0)
-    bracket = bracket + np.sum(
-        ((i + 1.0) * z2[..., i + 2] * z1[..., i] - (i + 2.0) * z2[..., i] * z1[..., i + 2])
-        / cross
-        + z1[..., i] * z2[..., i] / diag,
-        axis=-1,
-    )
-    return -dt / 2.0 * _series_00(z1, z2, q, dt) - dt * dt / 4.0 * bracket
-
-
-def _series_02(z1, z2, q: int, dt: float):
-    i = np.arange(0, q + 1)
-    far = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 7.0)) * (2.0 * i + 3.0) * (2.0 * i + 5.0)
-    near = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 3.0)) * (2.0 * i - 1.0) * (2.0 * i + 5.0)
-    bracket = 2.0 / (3.0 * math.sqrt(5.0)) * z2[..., 2] * z1[..., 0] + z1[..., 0] * z2[..., 0] / 3.0
-    bracket = bracket + np.sum(
-        (
-            (i + 2.0) * (i + 3.0) * z2[..., i + 3] * z1[..., i]
-            - (i + 1.0) * (i + 2.0) * z2[..., i] * z1[..., i + 3]
-        )
-        / far
-        + (
-            (i * i + i - 3.0) * z2[..., i + 1] * z1[..., i]
-            - (i * i + 3.0 * i - 1.0) * z2[..., i] * z1[..., i + 1]
-        )
-        / near,
-        axis=-1,
-    )
-    return (
-        -dt * dt / 4.0 * _series_00(z1, z2, q, dt)
-        - dt * _series_01(z1, z2, q, dt)
-        + dt**3 / 8.0 * bracket
-    )
-
-
-def _series_20(z1, z2, q: int, dt: float):
-    i = np.arange(0, q + 1)
-    far = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 7.0)) * (2.0 * i + 3.0) * (2.0 * i + 5.0)
-    near = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 3.0)) * (2.0 * i - 1.0) * (2.0 * i + 5.0)
-    bracket = 2.0 / (3.0 * math.sqrt(5.0)) * z1[..., 2] * z2[..., 0] + z1[..., 0] * z2[..., 0] / 3.0
-    bracket = bracket + np.sum(
-        (
-            (i + 1.0) * (i + 2.0) * z2[..., i + 3] * z1[..., i]
-            - (i + 2.0) * (i + 3.0) * z2[..., i] * z1[..., i + 3]
-        )
-        / far
-        + (
-            (i * i + 3.0 * i - 1.0) * z2[..., i + 1] * z1[..., i]
-            - (i * i + i - 3.0) * z2[..., i] * z1[..., i + 1]
-        )
-        / near,
-        axis=-1,
-    )
-    return (
-        -dt * dt / 4.0 * _series_00(z1, z2, q, dt)
-        - dt * _series_10(z1, z2, q, dt)
-        + dt**3 / 8.0 * bracket
-    )
-
-
-def _series_11(z1, z2, q: int, dt: float):
-    i = np.arange(0, q + 1)
-    far = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 7.0)) * (2.0 * i + 3.0) * (2.0 * i + 5.0)
-    near = np.sqrt((2.0 * i + 1.0) * (2.0 * i + 3.0)) * (2.0 * i - 1.0) * (2.0 * i + 5.0)
-    bracket = z1[..., 1] * z2[..., 1] / 3.0
-    bracket = bracket + np.sum(
-        (i + 1.0) * (i + 3.0) * (z2[..., i + 3] * z1[..., i] - z2[..., i] * z1[..., i + 3]) / far
-        + (i + 1.0) ** 2 * (z2[..., i + 1] * z1[..., i] - z2[..., i] * z1[..., i + 1]) / near,
-        axis=-1,
-    )
-    return (
-        -dt * dt / 4.0 * _series_00(z1, z2, q, dt)
-        - dt / 2.0 * (_series_10(z1, z2, q, dt) + _series_01(z1, z2, q, dt))
-        + dt**3 / 8.0 * bracket
-    )
-
-
-_DOUBLE_SERIES = {
-    (0, 0): (_series_00, 1),
-    (0, 1): (_series_01, 3),
-    (1, 0): (_series_10, 3),
-    (1, 1): (_series_11, 4),
-    (2, 0): (_series_20, 4),
-    (0, 2): (_series_02, 4),
-}
-
-
-@lru_cache(maxsize=None)
-def _diagonal_trace_bar(weights: tuple[int, int], q: int) -> Fraction:
-    r"""Exact :math:`\sum_{i \le q} (2i+1)\,\bar C_{ii} / 2^{L+2}` for a pair kernel."""
-    spec = KernelSpec(2, weights)
-    scale = Fraction(1, 2 ** (sum(weights) + 2))
-    return sum(
-        ((2 * i + 1) * bar_coeff(spec, (i, i)) for i in range(q + 1)), Fraction(0)
-    ) * scale
-
-
 def diagonal_trace(weights: tuple[int, int], q: int, dt: float) -> float:
     r"""Truncated diagonal coefficient sum :math:`\sum_{i \le q} C_{ii}(dt)`.
 
@@ -413,7 +278,7 @@ def diagonal_trace(weights: tuple[int, int], q: int, dt: float) -> float:
     ``-dt^2/4`` for ``(1,0)``/``(0,1)``, and ``dt^3/6`` for each of
     ``(1,1)``, ``(2,0)``, ``(0,2)``.
     """
-    bar = _diagonal_trace_bar(tuple(weights), q)
+    _, bar, _ = _pair_bands(tuple(weights), q)
     return float(bar) * dt ** (1 + sum(weights))
 
 
@@ -427,14 +292,18 @@ def legendre_double_series(
 ):
     r"""Banded double series for the pair kernel with weights ``(l_1, l_2)``.
 
-    Computes the Stratonovich value as a band of near-diagonal products
-    of Gaussians.  At equal components the Ito value subtracts the mean
-    of the retained diagonal, :math:`\sum_{i \le q} C_{ii}`, so the
+    Computes the Stratonovich value
+    :math:`\sum_d \sum_a C[a, a+d]\, \zeta^{(i_1)}_a \zeta^{(i_2)}_{a+d}`
+    over the cells that :func:`~stochint.coeffs._pair_bands` keeps at order
+    ``q``, one vectorised sum per offset :math:`|d|`.  At equal components
+    it reads the exact folded cells :math:`C[a, b] + C[b, a]`, so cells that
+    cancel there cancel before any rounding.  The Ito value subtracts the
+    mean of the retained diagonal, :math:`\sum_{i \le q} C_{ii}`, so the
     truncated Ito expansion has mean zero and its mean-square error
     matches the closed error series at every ``q``.
     """
     weights = tuple(weights)
-    if weights not in _DOUBLE_SERIES:
+    if weights not in DOUBLE_SERIES_WEIGHTS:
         raise ValueError(f"unsupported weight pair {weights}; supported: {DOUBLE_SERIES_WEIGHTS}")
     if pattern.k != 2:
         raise ValueError("double series requires a pair pattern")
@@ -442,12 +311,23 @@ def legendre_double_series(
         raise ValueError("truncation order must be nonnegative")
     if calculus not in ("ito", "strat"):
         raise ValueError("calculus must be 'ito' or 'strat'")
-    fn, reach = _DOUBLE_SERIES[weights]
-    needed = q + reach
+    bands, _, needed = _pair_bands(weights, q)
     z1 = draws.row(pattern.components[0], needed)
     z2 = draws.row(pattern.components[1], needed)
-    value = fn(z1, z2, q, dt)
-    if calculus == "ito" and pattern.components[0] == pattern.components[1]:
+    same = pattern.components[0] == pattern.components[1]
+    total = 0.0
+    for band in bands:
+        a, d, n = band.start, band.offset, band.unit.shape[1]
+        upper, lower, folded = band.unit
+        if same:
+            terms = z1[..., a : a + n] * z1[..., a + d : a + d + n] * folded
+        else:
+            terms = z1[..., a : a + n] * z2[..., a + d : a + d + n] * upper
+            if d:
+                terms = terms + z1[..., a + d : a + d + n] * z2[..., a : a + n] * lower
+        total = total + np.sum(terms, axis=-1)
+    value = dt ** (1 + sum(weights)) * total
+    if calculus == "ito" and same:
         value = value - diagonal_trace(weights, q, dt)
     return value
 
@@ -457,14 +337,13 @@ def pair_series_support(q: int) -> np.ndarray:
 
     Boolean mask on ``{0..q+2}^2``: the diagonal up to ``q``, the first
     off-diagonals up to ``(q-1, q)``, and the second-off-diagonal pairs
-    ``(i, i+2)`` up to ``i = q``.  For weights ``(1, 0)`` / ``(0, 1)``
-    and ``q >= 1`` the truncated series equals the coefficient tensor
-    masked to this set, so the masked form of :func:`exact_error
-    <stochint.errors.exact_error>` reproduces its mean-square error.
-    The double-weight forms ``(1, 1)``, ``(2, 0)``, ``(0, 2)`` carry
-    adjusted coefficients on their outermost off-diagonal cells (that is
-    what makes the diagonal product identities exact at finite ``q``),
-    so no plain mask describes them.
+    ``(i, i+2)`` up to ``i = q``.  For weights ``(1, 0)`` / ``(0, 1)`` and
+    ``q >= 1`` this is the band rule of the series (its corner cells
+    vanish), so the truncated series equals the coefficient tensor masked
+    to this set and the masked form of :func:`exact_error
+    <stochint.errors.exact_error>` reproduces its mean-square error.  The
+    double-weight forms reach one band further and adjust their corner
+    cells, so this mask does not describe them.
     """
     n = q + 3
     mask = np.zeros((n, n), dtype=bool)
@@ -542,7 +421,7 @@ def ito_strat_convert(
     if len(weights) != k:
         raise ValueError("weights length must match pattern length")
 
-    if k == 2 and weights in _DOUBLE_SERIES:
+    if k == 2 and weights in DOUBLE_SERIES_WEIGHTS:
         shift = 0.0
         if comps[0] == comps[1]:
             # Ito - Strat = -(1/2) * int_t^T w1(s) w2(s) ds with w_l(s) = (t-s)^l.
@@ -593,16 +472,6 @@ def ito_strat_convert(
 # ---------------------------------------------------------------------------
 
 
-def _alpha(q: int) -> float:
-    r""":math:`\pi^2/6 - \sum_{r \le q} 1/r^2` (variance of the sine tail)."""
-    return float(polygamma(1, q + 1))
-
-
-def _beta(q: int) -> float:
-    r""":math:`\pi^4/90 - \sum_{r \le q} 1/r^4` (variance of the cosine tail)."""
-    return float(polygamma(3, q + 1)) / 6.0
-
-
 def _tail_values(draws: NoiseDraws, component: int, need_mu: bool):
     if draws.xi is None or (need_mu and draws.mu is None):
         raise ValueError("tail-augmented form requested but draws carry no tail variables")
@@ -637,7 +506,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
         r = np.arange(1, q + 1)
         sine_sum = np.sum(z[..., 2 * r - 1] / r, axis=-1) if q >= 1 else 0.0
         return -(dt**1.5) / 2.0 * (
-            z[..., 0] - sqrt2 / math.pi * (sine_sum + math.sqrt(_alpha(q)) * xi)
+            z[..., 0] - sqrt2 / math.pi * (sine_sum + math.sqrt(_tail_sum_squares(q)) * xi)
         )
 
     if kind == "I2":
@@ -649,8 +518,8 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
         cos_sum = np.sum(z[..., 2 * r] / r**2, axis=-1) if q >= 1 else 0.0
         return dt**2.5 * (
             z[..., 0] / 3.0
-            + (cos_sum + math.sqrt(_beta(q)) * mu) / (sqrt2 * math.pi**2)
-            - (sine_sum + math.sqrt(_alpha(q)) * xi) / (sqrt2 * math.pi)
+            + (cos_sum + math.sqrt(_tail_sum_fourths(q)) * mu) / (sqrt2 * math.pi**2)
+            - (sine_sum + math.sqrt(_tail_sum_squares(q)) * xi) / (sqrt2 * math.pi)
         )
 
     if kind in ("I00", "I00_tail"):
@@ -675,7 +544,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
         if kind == "I00_tail":
             xi1, _ = _tail_values(draws, c1, need_mu=False)
             xi2, _ = _tail_values(draws, c2, need_mu=False)
-            value = value + dt / 2.0 * (sqrt2 / math.pi) * math.sqrt(_alpha(q)) * (
+            value = value + dt / 2.0 * (sqrt2 / math.pi) * math.sqrt(_tail_sum_squares(q)) * (
                 xi1 * z2[..., 0] - z1[..., 0] * xi2
             )
         return value

@@ -26,7 +26,6 @@ to :math:`\sum_{j_3 \le q} 4 h_{j_3}^2 / (2 j_3 + 1)`: the constant takes
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,41 +82,26 @@ def triple_legendre_error_constant(q: int) -> float:
     return gap.numerator / gap.denominator
 
 
-def _lhs_pair_legendre(q: int, dt: float) -> float:
-    return series_error("pair_legendre", q, dt)
-
-
-def _lhs_pair_trig_tail(q: int, dt: float) -> float:
-    return series_error("pair_trig_tail", q, dt)
-
-
-def _lhs_pair_trig(q: int, dt: float) -> float:
-    return series_error("pair_trig", q, dt)
+def _series_lhs(kind: str):
+    """Left-hand side read from one closed error series of :mod:`stochint.errors`."""
+    return lambda q, dt: series_error(kind, q, dt)
 
 
 def _lhs_triple_legendre(q: int, dt: float) -> float:
     return triple_legendre_error_constant(q) * dt**3
 
 
-def _lhs_triple_trig_tail(q: int, dt: float) -> float:
-    return series_error("triple_trig_tail", q, dt)
-
-
-def _lhs_triple_trig(q: int, dt: float) -> float:
-    return series_error("triple_trig", q, dt)
-
-
 # id -> (lhs, rhs exponent, reported offset, relative tolerance)
 _CONDITIONS = {
-    "pair_legendre_dt4": (_lhs_pair_legendre, 4, 1, 0.0),
-    "pair_legendre_dt3": (_lhs_pair_legendre, 3, 1, 0.0),
-    "pair_trig_tail_dt4": (_lhs_pair_trig_tail, 4, 1, 0.0),
-    "pair_trig_tail_dt3": (_lhs_pair_trig_tail, 3, 1, 0.0),
-    "pair_trig_dt4": (_lhs_pair_trig, 4, 1, 0.0),
-    "pair_trig_dt3": (_lhs_pair_trig, 3, 1, 0.0),
+    "pair_legendre_dt4": (_series_lhs("pair_legendre"), 4, 1, 0.0),
+    "pair_legendre_dt3": (_series_lhs("pair_legendre"), 3, 1, 0.0),
+    "pair_trig_tail_dt4": (_series_lhs("pair_trig_tail"), 4, 1, 0.0),
+    "pair_trig_tail_dt3": (_series_lhs("pair_trig_tail"), 3, 1, 0.0),
+    "pair_trig_dt4": (_series_lhs("pair_trig"), 4, 1, 0.0),
+    "pair_trig_dt3": (_series_lhs("pair_trig"), 3, 1, 0.0),
     "triple_legendre_dt4": (_lhs_triple_legendre, 4, 0, TRIPLE_REL_TOL),
-    "triple_trig_tail_dt4": (_lhs_triple_trig_tail, 4, 0, TRIPLE_REL_TOL),
-    "triple_trig_dt4": (_lhs_triple_trig, 4, 0, TRIPLE_REL_TOL),
+    "triple_trig_tail_dt4": (_series_lhs("triple_trig_tail"), 4, 0, TRIPLE_REL_TOL),
+    "triple_trig_dt4": (_series_lhs("triple_trig"), 4, 0, TRIPLE_REL_TOL),
 }
 
 CONDITION_IDS = tuple(sorted(_CONDITIONS))
@@ -191,8 +175,8 @@ def min_q(cond: Condition) -> int:
 
 
 def min_q_many(conds: list[Condition], threads: int = 1) -> list[int]:
-    """Evaluate independent conditions, optionally in parallel."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(min_q, conds))
+    """Reported minimal numbers of conditions; ``threads`` is accepted and ignored.
+
+    The scans hold the interpreter lock, so threads gave no speed-up.
+    """
     return [min_q(c) for c in conds]

@@ -5,7 +5,8 @@ module keeps the monomial route as a cross-check: each level multiplies
 dense :class:`~stochint.basis.RatPoly` polynomials (weight factor, Legendre
 polynomial, inner antiderivative), integrates, shifts the antiderivative to
 vanish at -1, and the outermost antiderivative is evaluated at 1.  It also
-keeps the shell-incremental squared sum of the unweighted triple kernel.
+keeps the shell-incremental squared sum of the unweighted triple kernel and
+the simplex-integral route to the exact kernel norm.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from stochint.basis import RatPoly, antiderivative, legendre_poly
+from stochint.coeffs import KernelSpec
 
 
 @lru_cache(maxsize=None)
@@ -65,3 +67,22 @@ def triple_shell_sums(q: int) -> list[Fraction]:
                         acc += term((c, a, b))
         sums.append(acc)
     return sums
+
+
+def kernel_norm_simplex(spec: KernelSpec) -> Fraction:
+    r"""Cross-check of :func:`~stochint.errors.kernel_norm_exact` by direct rational integration.
+
+    Integrates :math:`\prod_r (1+x_r)^{2 l_r}` over the ordered simplex in
+    ``[-1, 1]^k`` with exact polynomial antiderivatives and applies the
+    change-of-variable factor :math:`2^{-(2L+k)}`.
+    """
+    one_plus_x = RatPoly.from_coeffs([1, 1])
+    running = RatPoly.one()
+    for l in spec.weights:
+        integrand = running
+        for _ in range(2 * l):
+            integrand = integrand * one_plus_x
+        anti = antiderivative(integrand)
+        running = anti - RatPoly.from_coeffs([anti(Fraction(-1))])
+    total = running(Fraction(1))
+    return total / Fraction(2 ** (2 * spec.total_weight + spec.k))

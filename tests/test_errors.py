@@ -19,10 +19,11 @@ from stochint.errors import (
     exact_error,
     kernel_norm,
     kernel_norm_exact,
-    kernel_norm_simplex,
     series_error,
 )
 from stochint.expansion import pair_series_support
+
+from monomial_reference import kernel_norm_simplex
 
 
 class TestKernelNorm:

@@ -8,12 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochint.coeffs import KernelSpec, coeff_tensor, scaled_tensor
+from stochint.coeffs import KernelSpec, _pair_bands, bar_coeff, coeff_tensor, scaled_tensor
 from stochint.expansion import (
     DOUBLE_SERIES_WEIGHTS,
     IndexPattern,
     NoiseDraws,
-    TruncationSpec,
     diagonal_trace,
     draw_noise,
     hermite_diagonal,
@@ -25,6 +24,8 @@ from stochint.expansion import (
     strat_expansion,
     trig_milstein,
 )
+
+from pair_series_reference import HAND_FORMS
 
 DT = 0.6
 
@@ -45,8 +46,6 @@ class TestNoiseDraws:
             IndexPattern(())
         with pytest.raises(ValueError):
             IndexPattern((0, 1))
-        with pytest.raises(ValueError):
-            TruncationSpec(-1)
 
     def test_shapes_and_properties(self):
         draws = draw_noise(q_max=5, m=3, seed=42)
@@ -347,6 +346,48 @@ class TestDoubleSeries:
                     for s in seeds
                 ]
                 assert np.array_equal(vb, np.array(vs))
+
+
+class TestBandTable:
+    """The band table reproduces the hand-written pair series it replaced."""
+
+    @pytest.mark.parametrize("dt", [0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("weights", DOUBLE_SERIES_WEIGHTS)
+    def test_matches_hand_forms(self, weights, dt):
+        form, reach = HAND_FORMS[weights]
+        batch = batched_draws(range(100, 132), q_max=25 + reach, m=2)
+        single = draw_noise(25 + reach, 2, seed=7)
+        worst = 0.0
+        for q in range(26):
+            assert _pair_bands(weights, q)[2] == q + reach
+            for draws in (batch, single):
+                for comps in ((1, 2), (1, 1), (2, 1)):
+                    z1, z2 = (draws.zeta[c - 1] for c in comps)
+                    ref = form(z1, z2, q, dt)
+                    value = legendre_double_series(weights, IndexPattern(comps), draws, q, dt)
+                    assert np.shape(value) == np.shape(ref)
+                    rel = np.max(np.abs(value - ref)) / np.max(np.abs(ref))
+                    worst = max(worst, float(rel))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("weights", DOUBLE_SERIES_WEIGHTS)
+    def test_diagonal_is_the_old_trace(self, weights):
+        spec = KernelSpec(2, weights)
+        scale = Fraction(1, 2 ** (sum(weights) + 2))
+        for q in range(13):
+            bands, trace, _ = _pair_bands(weights, q)
+            (diagonal,) = [b for b in bands if b.offset == 0]
+            band_sum = sum(
+                ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start) if a <= q),
+                Fraction(0),
+            )
+            old = sum(
+                ((2 * i + 1) * bar_coeff(spec, (i, i)) for i in range(q + 1)), Fraction(0)
+            )
+            assert band_sum * scale == old * scale == trace
+
+    def test_cache_is_bounded(self):
+        assert _pair_bands.cache_info().maxsize is not None
 
 
 @pytest.fixture(scope="module")
