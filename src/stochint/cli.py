@@ -35,6 +35,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -190,8 +191,7 @@ def _coeff_grid_payload(number: int, fmt: str) -> str:
 
 def _tensor_payload(args: argparse.Namespace) -> str:
     weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
-    spec = KernelSpec(args.k, weights)
-    tensor = coeff_tensor(spec, args.q, threads=args.threads)
+    tensor = coeff_tensor(KernelSpec(args.k, weights), args.q, threads=args.threads)
     if args.format == "json":
         return tensor_to_json(tensor)
     return tensor_to_csv(tensor)
@@ -233,6 +233,17 @@ def _cache_path(key: str) -> Path | None:
     return root / (hashlib.sha256(key.encode()).hexdigest() + ".payload")
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` beside ``path`` and rename it over ``path``; a failure leaves neither."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        Path(tmp).write_text(text)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
 def _cmd_export(args: argparse.Namespace) -> int:
     weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
     key = f"{__version__}:export:{args.k}:{weights}:{args.q}:{args.format}"
@@ -240,11 +251,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if cached is not None and cached.exists():
         payload = cached.read_text()
     else:
-        spec = KernelSpec(args.k, weights)
-        tensor = coeff_tensor(spec, args.q, threads=args.threads)
-        payload = tensor_to_json(tensor) if args.format == "json" else tensor_to_csv(tensor)
+        payload = _tensor_payload(args)
         if cached is not None:
-            cached.write_text(payload)
+            _write_atomic(cached, payload)
     _emit(
         payload,
         args,

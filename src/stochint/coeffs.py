@@ -41,10 +41,16 @@ By orthogonality the outermost level is a lookup: with
 :math:`\bar C_{j_k \ldots j_1} = 2 h_{j_k} / (2 j_k + 1)`.
 
 ``bar_coeff`` computes single entries, ``coeff_tensor`` dense tensors (each
-prefix series is built once and fills its whole :math:`j_k` fiber),
-``scale_coeff`` the interval scaling, and ``trig_coeff`` the analogous
-coefficient for the trigonometric basis by nested high-precision
-Gauss-Legendre quadrature.
+prefix series is built once and fills its whole :math:`j_k` fiber), and
+``trig_coeff`` the analogous coefficient for the trigonometric basis by
+nested high-precision Gauss-Legendre quadrature.
+
+``scale_coeff`` is the one route from :math:`\bar C` to a float: it
+evaluates the scaling law above as
+``bar * dt**(L + k/2) / 2**(L + k) * prod(sqrt(2 j_r + 1))``, in that order,
+and ``scaled_tensor`` is its vectorisation, bit for bit.  The pair-series
+band table stores ``scale_coeff`` at ``dt = 1``; its readers multiply by
+``dt ** float(spec.scale_exponent)``, as :math:`C(dt) = dt^{L + k/2} C(1)`.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -248,21 +254,22 @@ class CoeffTensor:
             flat_out[i] = _float_bar(v)
         return out
 
-    def scaled(self, dt: float) -> "ScaledTensor":
-        return scaled_tensor(self, dt)
+
+def _scale(bar, spec: KernelSpec, norm, dt: float):
+    """The scaling law on a float ``bar`` and ``norm``, or on arrays of them."""
+    _check_interval(dt)
+    return bar * dt ** float(spec.scale_exponent) / 2 ** (spec.total_weight + spec.k) * norm
 
 
 def scale_coeff(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) -> float:
     r"""Interval scaling :math:`\bar C \mapsto C` for interval length ``dt``.
 
-    Returns ``dt**(L + k/2) / 2**(L + k) * prod(sqrt(2 j_r + 1)) * bar``.
-    The weight signs are already inside ``bar``, so no extra sign appears
-    here.  This is the only place rationals become floats.
+    Returns ``bar * dt**(L + k/2) / 2**(L + k) * prod(sqrt(2 j_r + 1))``,
+    left to right, with ``bar`` rounded once and the product in index order.
+    The weight signs are already inside ``bar``.  This is the only place
+    rationals become floats; :func:`scaled_tensor` is its vectorisation.
     """
-    _check_interval(dt)
-    norm = math.prod(math.sqrt(2 * idx + 1) for idx in j)
-    denom = 2 ** (spec.total_weight + spec.k)
-    return _float_bar(bar) * dt ** float(spec.scale_exponent) / denom * norm
+    return _scale(_float_bar(bar), spec, math.prod(math.sqrt(2 * idx + 1) for idx in j), dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,17 +288,11 @@ class ScaledTensor:
 
 
 def scaled_tensor(tensor: CoeffTensor, dt: float) -> ScaledTensor:
-    """Apply :func:`scale_coeff` across a whole tensor."""
-    _check_interval(dt)
-    spec = tensor.spec
-    scale = dt ** float(spec.scale_exponent) / 2 ** (spec.total_weight + spec.k)
-    norm1d = np.sqrt(2.0 * np.arange(tensor.q + 1) + 1.0)
-    out = tensor.float_values() * scale
-    for axis in range(spec.k):
-        shape = [1] * spec.k
-        shape[axis] = tensor.q + 1
-        out = out * norm1d.reshape(shape)
-    return ScaledTensor(spec=spec, q=tensor.q, dt=dt, values=out)
+    """:func:`scale_coeff` on every entry, bit for bit (norms multiply in index order)."""
+    roots = np.sqrt(2.0 * np.arange(tensor.q + 1) + 1.0)
+    norm = reduce(np.multiply.outer, [roots] * tensor.spec.k)
+    values = _scale(tensor.float_values(), tensor.spec, norm, dt)
+    return ScaledTensor(spec=tensor.spec, q=tensor.q, dt=dt, values=values)
 
 
 def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
@@ -337,8 +338,8 @@ class _Band(NamedTuple):
 
     ``exact`` holds the two rows of cells (the second is zero on the
     diagonal).  ``unit`` holds them and their exact sum, which is all an
-    equal-component series reads, as floats times
-    ``sqrt((2a+1)(2b+1)) / 2**(L+2)``.
+    equal-component series reads, each as :func:`scale_coeff` at
+    ``dt = 1``.
     """
 
     offset: int
@@ -360,9 +361,10 @@ def _pair_bands(weights: tuple[int, int], q: int) -> tuple[tuple[_Band, ...], Fr
     reason the ``(1, 1)`` series also keeps its ``(1, 1)`` cell at ``q = 0``.
     Each inner index ``a`` has one Legendre series, read by orthogonality.
 
-    Returns the bands by offset, the exact trace
-    ``sum((2i+1) * bar_ii for i <= q) / 2**(L+2)`` and the number of
-    Gaussians per component that the series reads.
+    Returns the bands by offset, the exact sum of the kept diagonal cells
+    at ``dt = 1``, ``sum((2a+1) * bar_aa) / 2**(L+2)`` (the mean of the
+    Stratonovich series at equal components), and the number of Gaussians
+    per component that the series reads.
     """
     spec = KernelSpec(2, weights)
     total = spec.total_weight
@@ -384,15 +386,16 @@ def _pair_bands(weights: tuple[int, int], q: int) -> tuple[tuple[_Band, ...], Fr
             lo, hi = kept[0], kept[-1] + 1
             rows = (tuple(upper[lo:hi]), tuple(lower[lo:hi]))
             folded = [u + v for u, v in zip(*rows)]
-            a = np.arange(lo, hi)
-            norm = np.sqrt((2.0 * a + 1.0) * (2.0 * (a + d) + 1.0)) / 2 ** (total + 2)
-            unit = np.array([[_float_bar(c) for c in row] for row in (*rows, folded)]) * norm
+            # The norm is symmetric in (a, b), so one index serves all three rows.
+            unit = np.array(
+                [[scale_coeff(c, spec, (a, a + d), 1.0) for a, c in enumerate(row, lo)]
+                 for row in (*rows, folded)]
+            )
             unit.flags.writeable = False  # shared by every caller through the cache
             bands.append(_Band(d, lo, rows, unit))
     diagonal = bands[0]
     trace = sum(
-        ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start) if a <= q),
-        Fraction(0),
+        ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start)), Fraction(0)
     )
     needed = max(b.start + b.unit.shape[1] + b.offset for b in bands)
     return tuple(bands), trace / 2 ** (total + 2), needed

@@ -228,37 +228,31 @@ def strat_expansion(
 # ---------------------------------------------------------------------------
 
 
-_SINGLE_FORMS = {
-    0: (1.0, [1.0]),
-    1: (-0.5, [1.0, 1.0 / math.sqrt(3.0)]),
-    2: (1.0 / 3.0, [1.0, math.sqrt(3.0) / 2.0, 1.0 / (2.0 * math.sqrt(5.0))]),
-    3: (-0.25, [1.0, 3.0 * math.sqrt(3.0) / 5.0, 1.0 / math.sqrt(5.0), 1.0 / (5.0 * math.sqrt(7.0))]),
-}
-
-
 def legendre_closed_single(l: int, i1: int, draws: NoiseDraws, dt: float):
     r"""Exact single integral with weight :math:`(t-s)^l`, ``l`` up to 3.
 
     A weight of degree ``l`` lies in the span of the first ``l + 1``
     Legendre polynomials, so the expansion terminates:
     e.g. ``l=1`` gives :math:`-dt^{3/2}(\zeta_0 + \zeta_1/\sqrt3)/2`.
+    The coefficients are :func:`~stochint.coeffs.scale_coeff` of the exact
+    ones.
     """
-    if l not in _SINGLE_FORMS:
+    if l not in range(4):
         raise ValueError("closed single form implemented for l = 0..3")
-    lead, weights = _SINGLE_FORMS[l]
-    z = draws.row(i1, l + 1)
-    acc = weights[0] * z[..., 0]
-    for j in range(1, l + 1):
-        acc = acc + weights[j] * z[..., j]
-    return lead * dt ** (l + 0.5) * acc
+    return _exact_single(l, draws.row(i1, l + 1), dt)
+
+
+@lru_cache(maxsize=64)
+def _single_coeffs(l: int, dt: float) -> tuple[float, ...]:
+    """Scaled coefficients ``C_0..C_l`` of the single integral with weight ``(t-s)**l``."""
+    spec = KernelSpec(1, (l,))
+    return tuple(scale_coeff(bar_coeff(spec, (j,)), spec, (j,), dt) for j in range(l + 1))
 
 
 def _exact_single(l: int, row: np.ndarray, dt: float):
     """Terminating expansion of the weighted single integral for any ``l``."""
-    spec = KernelSpec(1, (l,))
     acc = 0.0
-    for j in range(l + 1):
-        c = scale_coeff(bar_coeff(spec, (j,)), spec, (j,), dt)
+    for j, c in enumerate(_single_coeffs(l, dt)):
         acc = acc + c * row[..., j]
     return acc
 
@@ -269,17 +263,19 @@ def _exact_single(l: int, row: np.ndarray, dt: float):
 
 
 def diagonal_trace(weights: tuple[int, int], q: int, dt: float) -> float:
-    r"""Truncated diagonal coefficient sum :math:`\sum_{i \le q} C_{ii}(dt)`.
+    r"""Sum :math:`\sum_i C_{ii}(dt)` of the diagonal cells the pair series keeps.
 
     This is the deterministic term the Ito expansion subtracts at equal
-    components (the mean of the truncated Gaussian product sum).  As
-    ``q`` grows it converges to the exact Ito-Stratonovich conversion
-    constant: ``dt/2`` for ``(0,0)`` (already exact at ``q=0``),
-    ``-dt^2/4`` for ``(1,0)``/``(0,1)``, and ``dt^3/6`` for each of
-    ``(1,1)``, ``(2,0)``, ``(0,2)``.
+    components (the mean of the truncated Gaussian product sum).  The kept
+    diagonal is :math:`i \le q`, except that the ``(1, 1)`` series also
+    keeps :math:`C_{11}` at ``q = 0``.  As ``q`` grows the sum converges to
+    the exact Ito-Stratonovich conversion constant: ``dt/2`` for ``(0,0)``
+    (already exact at ``q=0``), ``-dt^2/4`` for ``(1,0)``/``(0,1)``, and
+    ``dt^3/6`` for each of ``(1,1)``, ``(2,0)``, ``(0,2)``.
     """
-    _, bar, _ = _pair_bands(tuple(weights), q)
-    return float(bar) * dt ** (1 + sum(weights))
+    weights = tuple(weights)
+    _, trace, _ = _pair_bands(weights, q)
+    return float(trace) * dt ** float(KernelSpec(2, weights).scale_exponent)
 
 
 def legendre_double_series(
@@ -297,8 +293,9 @@ def legendre_double_series(
     over the cells that :func:`~stochint.coeffs._pair_bands` keeps at order
     ``q``, one vectorised sum per offset :math:`|d|`.  At equal components
     it reads the exact folded cells :math:`C[a, b] + C[b, a]`, so cells that
-    cancel there cancel before any rounding.  The Ito value subtracts the
-    mean of the retained diagonal, :math:`\sum_{i \le q} C_{ii}`, so the
+    cancel there cancel before any rounding.  The table holds the cells at
+    ``dt = 1``, and :math:`C(dt) = dt^{L+1} C(1)`.  The Ito value subtracts
+    the mean of the retained diagonal, :func:`diagonal_trace`, so the
     truncated Ito expansion has mean zero and its mean-square error
     matches the closed error series at every ``q``.
     """
@@ -326,7 +323,7 @@ def legendre_double_series(
             if d:
                 terms = terms + z1[..., a + d : a + d + n] * z2[..., a : a + n] * lower
         total = total + np.sum(terms, axis=-1)
-    value = dt ** (1 + sum(weights)) * total
+    value = dt ** float(KernelSpec(2, weights).scale_exponent) * total
     if calculus == "ito" and same:
         value = value - diagonal_trace(weights, q, dt)
     return value

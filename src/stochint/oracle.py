@@ -146,7 +146,7 @@ def _nested_values(
     """
     n = dW.shape[-1]
     grid = np.linspace(0.0, dt, n + 1)
-    running = np.ones(dW.shape[0])[:, None] * np.ones(n + 1)[None, :]
+    running = 1.0
     for level, exponent in enumerate(spec.weights):
         w = _weight_values(exponent, grid)
         integrand = w[None, :] * running
@@ -232,26 +232,22 @@ class _Case:
     jmax: int
     calculus: str
     theory: Callable[[int, float], float]
-    evaluate: Callable[[np.ndarray, int, float], np.ndarray]
+    #: Calculus of the banded pair series, or None for the general tensor expansion.
+    series: str | None = None
 
 
-def _tensor_evaluator(spec: KernelSpec, components: tuple[int, ...]):
-    def run(zeta: np.ndarray, q: int, dt: float) -> np.ndarray:
-        values = scaled_tensor(coeff_tensor(spec, q), dt).values
-        rows = [zeta[c - 1][:, : q + 1] for c in components]
-        return _expansion_core(values, components, rows, corrections=True)
-
-    return run
-
-
-def _pair_series_evaluator(weights: tuple[int, int], components: tuple[int, int], calculus: str):
-    def run(zeta: np.ndarray, q: int, dt: float) -> np.ndarray:
-        draws = NoiseDraws(zeta=zeta, xi=None, mu=None, seed=0)
-        return legendre_double_series(
-            weights, IndexPattern(components), draws, q, dt, calculus
+def _evaluator(case: _Case, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Build the case's coefficients once; return its expansion of one chunk's ``zeta``."""
+    if case.series is not None:
+        pattern = IndexPattern(case.components)
+        return lambda zeta: legendre_double_series(
+            case.spec.weights, pattern, NoiseDraws(zeta, None, None, 0), case.q, dt, case.series
         )
-
-    return run
+    values = scaled_tensor(coeff_tensor(case.spec, case.q), dt).values
+    return lambda zeta: _expansion_core(
+        values, case.components, [zeta[c - 1][:, : case.q + 1] for c in case.components],
+        corrections=True,
+    )
 
 
 VALIDATION_CASES: dict[str, _Case] = {
@@ -262,7 +258,6 @@ VALIDATION_CASES: dict[str, _Case] = {
         jmax=2,
         calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre", q, dt),
-        evaluate=_tensor_evaluator(KernelSpec.unweighted(2), (1, 2)),
     ),
     "pair_equal_weighted": _Case(
         spec=KernelSpec(2, (1, 0)),
@@ -271,7 +266,7 @@ VALIDATION_CASES: dict[str, _Case] = {
         jmax=4,
         calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre_weighted_equal", q, dt),
-        evaluate=_pair_series_evaluator((1, 0), (1, 1), "ito"),
+        series="ito",
     ),
     "pair_weighted_distinct": _Case(
         spec=KernelSpec(2, (1, 0)),
@@ -280,7 +275,7 @@ VALIDATION_CASES: dict[str, _Case] = {
         jmax=5,
         calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre_weighted", q, dt),
-        evaluate=_pair_series_evaluator((1, 0), (1, 2), "strat"),
+        series="strat",
     ),
     "triple_distinct": _Case(
         spec=KernelSpec.unweighted(3),
@@ -289,7 +284,6 @@ VALIDATION_CASES: dict[str, _Case] = {
         jmax=6,
         calculus="ito",
         theory=lambda q, dt: triple_legendre_error_constant(q) * dt**3,
-        evaluate=_tensor_evaluator(KernelSpec.unweighted(3), (1, 2, 3)),
     ),
 }
 
@@ -324,38 +318,31 @@ class ValidationReport:
         }
 
 
-def _case_mse(case: _Case, cfg: SimConfig) -> tuple[float, float, float]:
+def _case_mse(
+    case: _Case, cfg: SimConfig, evaluate: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float, float]:
     """Mean-square difference at full and half grid: ``(mse, stderr, mse_half)``."""
-    m = max(case.components)
-    phi_fine = _basis_matrix(case.jmax, cfg.dt, cfg.steps)
-    half = cfg.steps // 2
-    phi_half = _basis_matrix(case.jmax, cfg.dt, half)
     comp_axes = [c - 1 for c in case.components]
     equal_pair = len(case.components) == 2 and case.components[0] == case.components[1]
 
-    count = 0
-    acc = np.zeros(2)  # sum, sum of squares (fine)
-    acc_half = 0.0
-    for block in _wiener_chunks(cfg, m):
-        block_half = block[:, :, 0::2] + block[:, :, 1::2]
-        for dw, phi, sink in ((block, phi_fine, "fine"), (block_half, phi_half, "half")):
-            oracle_vals = _nested_values(
-                case.spec, dw[:, comp_axes, :], cfg.dt, case.calculus, equal_pair
-            )
-            zeta = np.einsum("pms,js->mpj", dw, phi)
-            approx = case.evaluate(zeta, case.q, cfg.dt)
-            d2 = (oracle_vals - approx) ** 2
-            if sink == "fine":
-                acc[0] += float(np.sum(d2))
-                acc[1] += float(np.sum(d2 * d2))
-            else:
-                acc_half += float(np.sum(d2))
+    def squared_error(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        exact = _nested_values(case.spec, dw[:, comp_axes, :], cfg.dt, case.calculus, equal_pair)
+        return (exact - evaluate(np.einsum("pms,js->mpj", dw, phi))) ** 2
+
+    phi_fine = _basis_matrix(case.jmax, cfg.dt, cfg.steps)
+    phi_half = _basis_matrix(case.jmax, cfg.dt, cfg.steps // 2)
+    count, total, total_sq, total_half = 0, 0.0, 0.0, 0.0
+    for block in _wiener_chunks(cfg, max(case.components)):
+        d2 = squared_error(block, phi_fine)
+        total += float(np.sum(d2))
+        total_sq += float(np.sum(d2 * d2))
+        total_half += float(np.sum(squared_error(block[:, :, 0::2] + block[:, :, 1::2], phi_half)))
         count += block.shape[0]
 
-    mse = acc[0] / count
-    var = max(acc[1] / count - mse * mse, 0.0)
+    mse = total / count
+    var = max(total_sq / count - mse * mse, 0.0)
     stderr = math.sqrt(var / count)
-    return mse, stderr, acc_half / count
+    return mse, stderr, total_half / count
 
 
 def validate_expansion(
@@ -378,12 +365,13 @@ def validate_expansion(
     if cfg.steps % 2:
         raise ValueError("step count must be even for the half-grid bias check")
 
+    evaluate = _evaluator(case, cfg.dt)
     steps = cfg.steps
     for _ in range(max_doublings + 1):
         run_cfg = SimConfig(
             steps=steps, paths=cfg.paths, seed=cfg.seed, dt=cfg.dt, calculus=cfg.calculus
         )
-        mse, stderr, mse_half = _case_mse(case, run_cfg)
+        mse, stderr, mse_half = _case_mse(case, run_cfg, evaluate)
         bias = abs(mse - mse_half)
         if bias <= stderr / 3.0:
             theory = case.theory(case.q, cfg.dt)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +285,22 @@ class TestExport:
         run_cli(capsys, "export", "--k", "2", "--q", "3", "--output", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
         assert list(cache.glob("*.payload")) == cached
+
+    def test_failed_cache_write_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
+        # A write that raises half way must not leave a partial payload
+        # that a later run would read back as a cache hit.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        real_write = Path.write_text
+
+        def broken_write(self, data, *args, **kwargs):
+            real_write(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", broken_write)
+        with pytest.raises(OSError, match="disk full"):
+            main(["export", "--k", "2", "--q", "3", "--output", str(tmp_path / "one.json")])
+        assert list(cache.iterdir()) == []
 
     def test_manifest_round_trip(self):
         manifest = RunManifest(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -187,6 +188,26 @@ class TestScaling:
         v1 = scale_coeff(bar, spec, (2, 1), 1.0)
         v2 = scale_coeff(bar, spec, (2, 1), 0.25)
         assert v2 == pytest.approx(v1 * 0.25**2, rel=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.integers(1, 5).flatmap(
+            lambda k: st.lists(st.integers(0, 3), min_size=k, max_size=k).map(tuple)
+        ),
+        q=st.integers(0, 5),
+        dt=st.floats(1e-6, 1e6),
+    )
+    def test_scaled_tensor_is_scale_coeff(self, weights, q, dt):
+        # Bit for bit on every entry: one conversion from exact to float.
+        tensor = _tensor(weights, q)
+        values = scaled_tensor(tensor, dt).values
+        for j in np.ndindex(*values.shape):
+            assert values[j] == scale_coeff(tensor.bar(j), tensor.spec, j, dt)
+
+
+@functools.lru_cache(maxsize=None)
+def _tensor(weights: tuple[int, ...], q: int) -> CoeffTensor:
+    return coeff_tensor(KernelSpec(len(weights), weights), q)
 
 
 @st.composite

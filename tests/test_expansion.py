@@ -8,7 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochint.coeffs import KernelSpec, _pair_bands, bar_coeff, coeff_tensor, scaled_tensor
+from stochint.coeffs import (
+    KernelSpec,
+    _pair_bands,
+    bar_coeff,
+    coeff_tensor,
+    scale_coeff,
+    scaled_tensor,
+)
 from stochint.expansion import (
     DOUBLE_SERIES_WEIGHTS,
     IndexPattern,
@@ -26,6 +33,7 @@ from stochint.expansion import (
 )
 
 from pair_series_reference import HAND_FORMS
+from single_form_reference import single_form
 
 DT = 0.6
 
@@ -126,6 +134,18 @@ class TestClosedSingles:
         ]
         assert np.allclose(values, singles, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("dt", [0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_matches_hand_forms(self, l, dt):
+        # The exact route agrees with the hand-written table it replaced.
+        batch = batched_draws(range(200, 264), q_max=3, m=1)
+        single = draw_noise(3, 1, seed=9)
+        for draws in (batch, single):
+            value = legendre_closed_single(l, 1, draws, dt)
+            ref = single_form(l, draws.zeta[0], dt)
+            assert np.shape(value) == np.shape(ref)
+            assert np.max(np.abs(value - ref)) <= 1e-15 * np.max(np.abs(ref))
+
 
 class TestTensorExpansions:
     def test_distinct_components_have_no_corrections(self):
@@ -213,7 +233,8 @@ class TestDiagonalTrace:
         assert diagonal_trace((1, 0), 0, 1.0) == pytest.approx(-1.0 / 6.0, rel=1e-15)
         assert diagonal_trace((1, 0), 1, 1.0) == pytest.approx(-13.0 / 60.0, rel=1e-15)
         assert diagonal_trace((1, 0), 3, 1.0) == pytest.approx(-59.0 / 252.0, rel=1e-15)
-        assert diagonal_trace((1, 1), 0, 1.0) == pytest.approx(1.0 / 8.0, rel=1e-15)
+        # At q = 0 the (1, 1) series keeps C_11 too: 1/8 + 1/24.
+        assert diagonal_trace((1, 1), 0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
         assert diagonal_trace((1, 1), 1, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
         assert diagonal_trace((1, 1), 6, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
         assert diagonal_trace((0, 2), 0, 1.0) == pytest.approx(1.0 / 4.0, rel=1e-15)
@@ -378,13 +399,55 @@ class TestBandTable:
             bands, trace, _ = _pair_bands(weights, q)
             (diagonal,) = [b for b in bands if b.offset == 0]
             band_sum = sum(
-                ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start) if a <= q),
+                ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start)),
                 Fraction(0),
             )
+            # The (1, 1) series keeps its (1, 1) cell at q = 0 as well.
+            top = 1 if (weights, q) == ((1, 1), 0) else q
             old = sum(
-                ((2 * i + 1) * bar_coeff(spec, (i, i)) for i in range(q + 1)), Fraction(0)
+                ((2 * i + 1) * bar_coeff(spec, (i, i)) for i in range(top + 1)), Fraction(0)
             )
             assert band_sum * scale == old * scale == trace
+
+    @pytest.mark.parametrize("weights", DOUBLE_SERIES_WEIGHTS)
+    def test_ito_mean_is_zero(self, weights):
+        # Exactly: the kept diagonal cells at dt = 1 sum to the trace the
+        # Ito series subtracts.  In floats: the series is a quadratic form
+        # z M z, its Stratonovich mean is the sum of M_aa, read off unit
+        # draws, and the Ito series subtracts the same sum.
+        scale = Fraction(1, 2 ** (sum(weights) + 2))
+        for q in range(13):
+            bands, trace, needed = _pair_bands(weights, q)
+            kept = sum(
+                (
+                    (2 * a + 1) * c
+                    for band in bands
+                    if band.offset == 0
+                    for a, c in enumerate(band.exact[0], band.start)
+                ),
+                Fraction(0),
+            )
+            assert kept * scale - trace == 0
+            unit = NoiseDraws(zeta=np.eye(needed)[None], xi=None, mu=None, seed=0)
+            pattern = IndexPattern((1, 1))
+            strat = legendre_double_series(weights, pattern, unit, q, DT, "strat")
+            ito = legendre_double_series(weights, pattern, unit, q, DT, "ito")
+            trace_dt = diagonal_trace(weights, q, DT)
+            assert math.fsum(strat) == pytest.approx(trace_dt, rel=1e-14)
+            assert np.allclose(ito, strat - trace_dt, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("weights", DOUBLE_SERIES_WEIGHTS)
+    def test_unit_cells_are_scale_coeff(self, weights):
+        spec = KernelSpec(2, weights)
+        for q in range(13):
+            for band in _pair_bands(weights, q)[0]:
+                d = band.offset
+                upper, lower = band.exact
+                for i, a in enumerate(range(band.start, band.start + len(upper))):
+                    fold = upper[i] + lower[i]
+                    assert band.unit[0, i] == scale_coeff(upper[i], spec, (a, a + d), 1.0)
+                    assert band.unit[1, i] == scale_coeff(lower[i], spec, (a + d, a), 1.0)
+                    assert band.unit[2, i] == scale_coeff(fold, spec, (a, a + d), 1.0)
 
     def test_cache_is_bounded(self):
         assert _pair_bands.cache_info().maxsize is not None
