@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-import tempfile
+import uuid
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -235,13 +235,13 @@ def _cache_path(key: str) -> Path | None:
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` beside ``path`` and rename it over ``path``; a failure leaves neither."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
+    # A unique name opened like ``path`` would be, so the entry keeps the umask mode.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        Path(tmp).write_text(text)
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -242,18 +243,19 @@ def legendre_closed_single(l: int, i1: int, draws: NoiseDraws, dt: float):
     return _exact_single(l, draws.row(i1, l + 1), dt)
 
 
-@lru_cache(maxsize=64)
-def _single_coeffs(l: int, dt: float) -> tuple[float, ...]:
-    """Scaled coefficients ``C_0..C_l`` of the single integral with weight ``(t-s)**l``."""
+@lru_cache(maxsize=16)
+def _single_bars(l: int) -> tuple[Fraction, ...]:
+    """Exact coefficients ``C̄_0..C̄_l`` of the single integral with weight ``(t-s)**l``."""
     spec = KernelSpec(1, (l,))
-    return tuple(scale_coeff(bar_coeff(spec, (j,)), spec, (j,), dt) for j in range(l + 1))
+    return tuple(bar_coeff(spec, (j,)) for j in range(l + 1))
 
 
 def _exact_single(l: int, row: np.ndarray, dt: float):
     """Terminating expansion of the weighted single integral for any ``l``."""
+    spec = KernelSpec(1, (l,))
     acc = 0.0
-    for j, c in enumerate(_single_coeffs(l, dt)):
-        acc = acc + c * row[..., j]
+    for j, bar in enumerate(_single_bars(l)):
+        acc = acc + scale_coeff(bar, spec, (j,), dt) * row[..., j]
     return acc
 
 

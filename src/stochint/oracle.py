@@ -232,16 +232,16 @@ class _Case:
     jmax: int
     calculus: str
     theory: Callable[[int, float], float]
-    #: Calculus of the banded pair series, or None for the general tensor expansion.
-    series: str | None = None
+    #: Evaluate with the banded pair series instead of the general tensor expansion.
+    banded: bool = False
 
 
 def _evaluator(case: _Case, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """Build the case's coefficients once; return its expansion of one chunk's ``zeta``."""
-    if case.series is not None:
+    if case.banded:
         pattern = IndexPattern(case.components)
         return lambda zeta: legendre_double_series(
-            case.spec.weights, pattern, NoiseDraws(zeta, None, None, 0), case.q, dt, case.series
+            case.spec.weights, pattern, NoiseDraws(zeta, None, None, 0), case.q, dt, case.calculus
         )
     values = scaled_tensor(coeff_tensor(case.spec, case.q), dt).values
     return lambda zeta: _expansion_core(
@@ -266,7 +266,7 @@ VALIDATION_CASES: dict[str, _Case] = {
         jmax=4,
         calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre_weighted_equal", q, dt),
-        series="ito",
+        banded=True,
     ),
     "pair_weighted_distinct": _Case(
         spec=KernelSpec(2, (1, 0)),
@@ -275,7 +275,7 @@ VALIDATION_CASES: dict[str, _Case] = {
         jmax=5,
         calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre_weighted", q, dt),
-        series="strat",
+        banded=True,
     ),
     "triple_distinct": _Case(
         spec=KernelSpec.unweighted(3),

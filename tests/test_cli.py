@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import hashlib
+import os
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -301,6 +303,20 @@ class TestExport:
         with pytest.raises(OSError, match="disk full"):
             main(["export", "--k", "2", "--q", "3", "--output", str(tmp_path / "one.json")])
         assert list(cache.iterdir()) == []
+
+    def test_cache_entry_follows_umask(self, capsys, tmp_path, monkeypatch):
+        # Entries get the mode a plain write would give, so other users that
+        # share the cache directory can read them.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        old = os.umask(0o002)
+        try:
+            assert main(["export", "--k", "2", "--q", "1", "--output", str(tmp_path / "one.json")]) == 0
+        finally:
+            os.umask(old)
+        (entry,) = cache.iterdir()
+        assert entry.suffix == ".payload"
+        assert stat.S_IMODE(entry.stat().st_mode) == 0o664
 
     def test_manifest_round_trip(self):
         manifest = RunManifest(

@@ -125,6 +125,13 @@ class TestClosedSingles:
         with pytest.raises(ValueError):
             legendre_closed_single(4, 1, draws, DT)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_bad_interval(self, dt):
+        # The coefficients come from scale_coeff, which rejects the interval.
+        draws = draw_noise(q_max=3, m=1, seed=0)
+        with pytest.raises(ValueError, match="interval length"):
+            legendre_closed_single(1, 1, draws, dt)
+
     def test_batched(self):
         seeds = [5, 6, 7]
         batch = batched_draws(seeds, q_max=3, m=1)
