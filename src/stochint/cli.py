@@ -38,6 +38,7 @@ import sys
 import uuid
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -452,10 +453,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser, built on the first :func:`main` call and reused for the process.
+
+    ``parse_args`` returns a fresh namespace on every call, so no value
+    carries from one call to the next.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "paths", None) is not None and args.paths < 1:

@@ -50,7 +50,11 @@ evaluates the scaling law above as
 ``bar * dt**(L + k/2) / 2**(L + k) * prod(sqrt(2 j_r + 1))``, in that order,
 and ``scaled_tensor`` is its vectorisation, bit for bit.  The pair-series
 band table stores ``scale_coeff`` at ``dt = 1``; its readers multiply by
-``dt ** float(spec.scale_exponent)``, as :math:`C(dt) = dt^{L + k/2} C(1)`.
+``dt ** spec.scale_exponent``, as :math:`C(dt) = dt^{L + k/2} C(1)`.
+
+The one float twin of the exact engine is ``_triple_square_sum_float``: the
+unweighted triple Parseval sum with float product-linearization
+coefficients, which the order scans of :mod:`stochint.qselect` read.
 """
 
 from __future__ import annotations
@@ -130,9 +134,9 @@ class KernelSpec:
         return sum(self.weights)
 
     @property
-    def scale_exponent(self) -> Fraction:
-        """Power of the interval length in the scaled coefficient."""
-        return self.total_weight + Fraction(self.k, 2)
+    def scale_exponent(self) -> float:
+        """Power of the interval length in the scaled coefficient (exact as a float)."""
+        return self.total_weight + self.k / 2
 
 
 def _check_interval(dt: float) -> None:
@@ -204,6 +208,67 @@ def _fiber_square_sum(spec: KernelSpec, prefix: tuple[int, ...], q: int) -> Frac
     return sum((4 * c * c / (2 * j + 1) for j, c in enumerate(h) if c), Fraction(0))
 
 
+def _central_ratios(n: int) -> np.ndarray:
+    """``a_k / 2**k = binom(2k, k) / 4**k`` for ``k < n``, each correctly rounded.
+
+    The product-linearization coefficient is unchanged by ``a_k -> a_k / 2**k``
+    (the exponents cancel), and these stay in ``(0, 1]`` where ``a_k`` overflows.
+    """
+    out = np.empty(n)
+    binom = 1
+    for k in range(n):
+        out[k] = binom / 4**k
+        binom = binom * (2 * k + 1) * (2 * k + 2) // (k + 1) ** 2
+    return out
+
+
+def _float_product_matrix(b: int, n: int, ratios: np.ndarray) -> np.ndarray:
+    """``M[i, m]``: the coefficient of ``P_i`` in ``P_b P_m`` as a float, for ``i, m < n``.
+
+    The product linearization of :mod:`stochint.basis` with ``ratios`` from
+    :func:`_central_ratios` (length at least ``n + b``) in place of ``a_k``.
+    """
+    k, m = np.broadcast_arrays(np.arange(b + 1)[:, None], np.arange(n)[None, :])
+    i = m + b - 2 * k
+    keep = (k <= m) & (i < n)
+    k, m, i = k[keep], m[keep], i[keep]
+    s = m + b
+    out = np.zeros((n, n))
+    out[i, m] = (
+        ratios[m - k] * ratios[k] * ratios[b - k] / ratios[s - k]
+        * ((2 * s - 4 * k + 1) / (2 * s - 2 * k + 1))
+    )
+    return out
+
+
+def _triple_square_sum_float(q: int) -> float:
+    r"""Float evaluation of the unweighted triple Parseval sum.
+
+    The same sum as the exact ``(2a+1) (2b+1) _fiber_square_sum(spec, (a, b), q)``
+    over ``a, b <= q``: the inner pair series is
+    :math:`P_b (P_{a+1} - P_{a-1}) / (2a+1)` (:math:`P_b (P_0 + P_1)` at
+    ``a = 0``), integrated from -1.  For each ``b`` all ``a`` are one array,
+    so the work is :math:`O(q^3)` in :math:`O(q)` array steps.
+    """
+    n = q + 2
+    ratios = _central_ratios(2 * n)
+    odd = 2.0 * np.arange(n) + 1.0
+    parts = []
+    for b in range(q + 1):
+        prod = _float_product_matrix(b, n, ratios)
+        inner = prod[:, 1:].copy()
+        inner[:, 1:] -= prod[:, :q]
+        inner[:, 0] += prod[:, 0]
+        inner /= odd[: q + 1]
+        step = inner / odd[:, None]
+        h = -step[1:]
+        h[1:] += step[:q]
+        h[0] += step[0]
+        fibers = (4.0 / odd[: q + 1]) @ (h * h)
+        parts.append((2 * b + 1) * float(odd[: q + 1] @ fibers))
+    return math.fsum(parts)
+
+
 def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
     r"""Exact rational coefficient :math:`\bar C` for one multi-index.
 
@@ -258,7 +323,7 @@ class CoeffTensor:
 def _scale(bar, spec: KernelSpec, norm, dt: float):
     """The scaling law on a float ``bar`` and ``norm``, or on arrays of them."""
     _check_interval(dt)
-    return bar * dt ** float(spec.scale_exponent) / 2 ** (spec.total_weight + spec.k) * norm
+    return bar * dt ** spec.scale_exponent / 2 ** (spec.total_weight + spec.k) * norm
 
 
 def scale_coeff(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) -> float:
@@ -511,7 +576,7 @@ def trig_coeff(
         achieved = abs(cur - prev)
         if achieved <= tol / 4.0:
             sign = (-1) ** spec.total_weight
-            return sign * cur * dt ** float(spec.scale_exponent)
+            return sign * cur * dt ** spec.scale_exponent
         prev = cur
     raise QuadratureError(
         f"quadrature did not converge below {tol} (achieved {achieved:.3e})",

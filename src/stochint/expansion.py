@@ -277,7 +277,7 @@ def diagonal_trace(weights: tuple[int, int], q: int, dt: float) -> float:
     """
     weights = tuple(weights)
     _, trace, _ = _pair_bands(weights, q)
-    return float(trace) * dt ** float(KernelSpec(2, weights).scale_exponent)
+    return float(trace) * dt ** KernelSpec(2, weights).scale_exponent
 
 
 def legendre_double_series(
@@ -325,7 +325,7 @@ def legendre_double_series(
             if d:
                 terms = terms + z1[..., a + d : a + d + n] * z2[..., a : a + n] * lower
         total = total + np.sum(terms, axis=-1)
-    value = dt ** float(KernelSpec(2, weights).scale_exponent) * total
+    value = dt ** KernelSpec(2, weights).scale_exponent * total
     if calculus == "ito" and same:
         value = value - diagonal_trace(weights, q, dt)
     return value

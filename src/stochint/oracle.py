@@ -355,6 +355,8 @@ def validate_expansion(
 
     Raises:
         GridTooCoarseError: bias still dominates at the largest grid tried.
+        ValueError: unknown case, odd step count, or a mean-square error
+            that is not finite (the integrals overflow at ``cfg.dt``).
     """
     try:
         case = VALIDATION_CASES[case_name]
@@ -372,6 +374,11 @@ def validate_expansion(
             steps=steps, paths=cfg.paths, seed=cfg.seed, dt=cfg.dt, calculus=cfg.calculus
         )
         mse, stderr, mse_half = _case_mse(case, run_cfg, evaluate)
+        if not (math.isfinite(mse) and math.isfinite(mse_half)):
+            raise ValueError(
+                f"mean-square error is not finite at dt={cfg.dt!r}; "
+                "the integrals overflow at this interval length"
+            )
         bias = abs(mse - mse_half)
         if bias <= stderr / 3.0:
             theory = case.theory(case.q, cfg.dt)

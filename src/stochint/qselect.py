@@ -3,7 +3,12 @@ r"""Minimal truncation numbers for target mean-square accuracy.
 Each condition compares the mean-square error of one approximation scheme
 against a power of the step: ``error(q, dt) <= dt**e`` with ``e = 3`` or
 ``4``.  Because every implemented error is non-increasing in ``q``, the
-smallest admissible ``q`` is found by an upward linear scan.
+smallest admissible ``q`` is found by galloping and bisection: probe
+``q = 0``, then ``q = 1, 2, 4, ...`` until one is admissible, then bisect
+between the last two probes.  A gallop that would pass the condition's cap
+probes the cap itself, and raises :class:`QSelectCapError` at once if the
+cap is not admissible.  A scan to order ``Q`` evaluates the error about
+``2 log2(Q)`` times.
 
 Reporting convention: for the *pair* schemes the reference tables count
 the number of retained product-term groups, which is one more than the
@@ -21,7 +26,10 @@ The unweighted triple Legendre error per :math:`dt^3` is
 (2 j_3 + 1)` with :math:`h` the level-2 Legendre series of the inner pair
 (see :mod:`stochint.coeffs`), so by Parseval each pair's outer fiber sums
 to :math:`\sum_{j_3 \le q} 4 h_{j_3}^2 / (2 j_3 + 1)`: the constant takes
-:math:`(q+1)^2` series instead of :math:`(q+1)^3` coefficients.
+:math:`(q+1)^2` series instead of :math:`(q+1)^3` coefficients.  The scan
+evaluates this sum in floats (relative error about 1e-14 up to ``q = 30``)
+and recomputes it exactly only when the float left-hand side lies within
+:data:`TIE_REL_TOL` of the threshold.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import KernelSpec, _fiber_square_sum
+from .coeffs import KernelSpec, _fiber_square_sum, _triple_square_sum_float
 from .errors import series_error
 
 __all__ = [
@@ -37,6 +45,7 @@ __all__ = [
     "QScanResult",
     "QSelectCapError",
     "CONDITION_IDS",
+    "TIE_REL_TOL",
     "TRIPLE_REL_TOL",
     "condition_lhs",
     "min_q",
@@ -48,9 +57,13 @@ __all__ = [
 #: Relative acceptance tolerance for the triple conditions.
 TRIPLE_REL_TOL = 2e-3
 
+#: A float left-hand side this close to the threshold (relative) is
+#: recomputed exactly; the float triple constant is good to about 1e-14.
+TIE_REL_TOL = 1e-10
+
 
 class QSelectCapError(Exception):
-    """Upward scan hit its cap before the condition was satisfied."""
+    """The condition is not met at its cap: ``lhs_at_cap`` is the left-hand side at ``q = cap``."""
 
     def __init__(self, condition: "Condition", lhs_at_cap: float, rhs: float) -> None:
         super().__init__(
@@ -82,26 +95,34 @@ def triple_legendre_error_constant(q: int) -> float:
     return gap.numerator / gap.denominator
 
 
+def _triple_constant_float(q: int) -> float:
+    """:func:`triple_legendre_error_constant` from the float Parseval sum."""
+    return 1.0 / 6.0 - _triple_square_sum_float(q) / 64.0
+
+
 def _series_lhs(kind: str):
     """Left-hand side read from one closed error series of :mod:`stochint.errors`."""
     return lambda q, dt: series_error(kind, q, dt)
 
 
-def _lhs_triple_legendre(q: int, dt: float) -> float:
-    return triple_legendre_error_constant(q) * dt**3
-
-
-# id -> (lhs, rhs exponent, reported offset, relative tolerance)
+# id -> (lhs, rhs exponent, reported offset, relative tolerance, exact lhs for
+# a near-tie or None when lhs is already a closed series)
 _CONDITIONS = {
-    "pair_legendre_dt4": (_series_lhs("pair_legendre"), 4, 1, 0.0),
-    "pair_legendre_dt3": (_series_lhs("pair_legendre"), 3, 1, 0.0),
-    "pair_trig_tail_dt4": (_series_lhs("pair_trig_tail"), 4, 1, 0.0),
-    "pair_trig_tail_dt3": (_series_lhs("pair_trig_tail"), 3, 1, 0.0),
-    "pair_trig_dt4": (_series_lhs("pair_trig"), 4, 1, 0.0),
-    "pair_trig_dt3": (_series_lhs("pair_trig"), 3, 1, 0.0),
-    "triple_legendre_dt4": (_lhs_triple_legendre, 4, 0, TRIPLE_REL_TOL),
-    "triple_trig_tail_dt4": (_series_lhs("triple_trig_tail"), 4, 0, TRIPLE_REL_TOL),
-    "triple_trig_dt4": (_series_lhs("triple_trig"), 4, 0, TRIPLE_REL_TOL),
+    "pair_legendre_dt4": (_series_lhs("pair_legendre"), 4, 1, 0.0, None),
+    "pair_legendre_dt3": (_series_lhs("pair_legendre"), 3, 1, 0.0, None),
+    "pair_trig_tail_dt4": (_series_lhs("pair_trig_tail"), 4, 1, 0.0, None),
+    "pair_trig_tail_dt3": (_series_lhs("pair_trig_tail"), 3, 1, 0.0, None),
+    "pair_trig_dt4": (_series_lhs("pair_trig"), 4, 1, 0.0, None),
+    "pair_trig_dt3": (_series_lhs("pair_trig"), 3, 1, 0.0, None),
+    "triple_legendre_dt4": (
+        lambda q, dt: _triple_constant_float(q) * dt**3,
+        4,
+        0,
+        TRIPLE_REL_TOL,
+        lambda q, dt: triple_legendre_error_constant(q) * dt**3,
+    ),
+    "triple_trig_tail_dt4": (_series_lhs("triple_trig_tail"), 4, 0, TRIPLE_REL_TOL, None),
+    "triple_trig_dt4": (_series_lhs("triple_trig"), 4, 0, TRIPLE_REL_TOL, None),
 }
 
 CONDITION_IDS = tuple(sorted(_CONDITIONS))
@@ -130,7 +151,13 @@ class Condition:
 
 @dataclass(frozen=True)
 class QScanResult:
-    """Outcome of one scan: reported number and raw boundary values."""
+    """Outcome of one scan: reported number and raw boundary values.
+
+    ``route`` names what produced ``lhs_at_minimal``: ``"series"`` (a closed
+    error series of :mod:`stochint.errors`), ``"float_parseval"`` (the float
+    triple Parseval sum) or ``"exact"`` (the exact triple constant, used when
+    the float sum lies within :data:`TIE_REL_TOL` of the threshold).
+    """
 
     condition: Condition
     reported_q: int
@@ -138,34 +165,59 @@ class QScanResult:
     lhs_at_minimal: float
     rhs: float
     tolerance: float
+    route: str
+
+
+def _probe(cond_id: str, q: int, dt: float) -> tuple[float, str]:
+    """Left-hand side at order ``q`` and the route that produced it."""
+    lhs, exponent, _, tol, exact = _CONDITIONS[cond_id]
+    value = lhs(q, dt)
+    if exact is None:
+        return value, "series"
+    threshold = dt**exponent * (1.0 + tol)
+    if abs(value - threshold) > TIE_REL_TOL * threshold:
+        return value, "float_parseval"
+    return exact(q, dt), "exact"
 
 
 def condition_lhs(cond_id: str, q: int, dt: float) -> float:
     """Error value compared against the threshold for one condition id."""
     if cond_id not in _CONDITIONS:
         raise ValueError(f"unknown condition id {cond_id!r}; known: {CONDITION_IDS}")
-    return _CONDITIONS[cond_id][0](q, dt)
+    return _probe(cond_id, q, dt)[0]
 
 
 def scan_detail(cond: Condition) -> QScanResult:
-    """Upward scan for the smallest admissible truncation order."""
-    lhs_fn, exponent, offset, tol = _CONDITIONS[cond.id]
+    """Smallest admissible truncation order, by galloping and bisection.
+
+    Raises:
+        QSelectCapError: if ``cond.cap`` itself is not admissible.
+    """
+    _, exponent, offset, tol, _ = _CONDITIONS[cond.id]
     rhs = cond.dt**exponent
     threshold = rhs * (1.0 + tol)
-    lhs = lhs_fn(0, cond.dt)
-    q = 0
-    while lhs > threshold:
-        q += 1
-        if q > cond.cap:
-            raise QSelectCapError(cond, lhs, rhs)
-        lhs = lhs_fn(q, cond.dt)
+    lo, hi = -1, 0  # after the gallop: lo is not admissible (or is -1), hi is
+    found = _probe(cond.id, 0, cond.dt)
+    while found[0] > threshold:
+        if hi == cond.cap:
+            raise QSelectCapError(cond, found[0], rhs)
+        lo, hi = hi, min(max(2 * hi, 1), cond.cap)
+        found = _probe(cond.id, hi, cond.dt)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        trial = _probe(cond.id, mid, cond.dt)
+        if trial[0] <= threshold:
+            hi, found = mid, trial
+        else:
+            lo = mid
     return QScanResult(
         condition=cond,
-        reported_q=q + offset,
-        minimal_q=q,
-        lhs_at_minimal=lhs,
+        reported_q=hi + offset,
+        minimal_q=hi,
+        lhs_at_minimal=found[0],
         rhs=rhs,
         tolerance=tol,
+        route=found[1],
     )
 
 

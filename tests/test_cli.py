@@ -6,6 +6,7 @@ import json
 import hashlib
 import os
 import stat
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from stochint.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     RunManifest,
+    _parser,
     main,
 )
 from stochint.errors import series_error
@@ -156,6 +158,21 @@ class TestQTable:
         code, _, _ = run_cli(capsys, "q-table", "--table", "38")
         assert code == EXIT_USAGE
 
+    def test_unreachable_order_exits_resource_promptly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "q-table", "--table", "37", "--dt", "1e-9")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "q=1000000" in err
+
+    def test_triple_order_at_small_step(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "q-table", "--table", "39", "--dt", "0.001")
+        assert time.perf_counter() - start < 10.0
+        assert code == EXIT_OK
+        assert json.loads(out)["columns"]["q1"] == [125]
+
 
 class TestFloatInputs:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -219,6 +236,15 @@ class TestValidate:
         )
         assert code == EXIT_VALIDATION
         assert "bias" in err
+
+    def test_overflowing_dt_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "validate", "--case", "pair_distinct",
+            "--steps", "8", "--paths", "10", "--dt", "1e300",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not finite" in err
 
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--case", "nope")
@@ -330,6 +356,23 @@ class TestExport:
 
 
 class TestTopLevel:
+    def test_parser_reuse_carries_no_values(self, capsys, tmp_path):
+        target = tmp_path / "q.csv"
+        code, out, _ = run_cli(
+            capsys, "q-table", "--table", "37", "--dt", "0.03125",
+            "--format", "csv", "--output", str(target),
+        )
+        assert code == EXIT_OK and out == ""
+        code, out, _ = run_cli(capsys, "error-table", "--table", "1")
+        assert code == EXIT_OK
+        doc = json.loads(out)  # neither --format csv nor --output carried over
+        assert doc["table"] == 1 and doc["q"] == [1, 10, 100, 1000, 10000]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv", "q.csv.manifest.json"]
+        first = _parser().parse_args(["validate", "--case", "pair_distinct"])
+        second = _parser().parse_args(["validate", "--case", "triple_distinct"])
+        assert (first.case, second.case) == (["pair_distinct"], ["triple_distinct"])
+        assert _parser() is _parser()
+
     def test_version_flag(self, capsys):
         code, _, _ = run_cli(capsys, "--version")
         assert code == EXIT_OK

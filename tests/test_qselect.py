@@ -16,10 +16,14 @@ from stochint.qselect import (
     min_q_many,
     scan_detail,
     triple_legendre_error_constant,
+    _probe,
+    _triple_constant_float,
     _triple_square_sum,
 )
+from stochint.tables import Q_TABLES
 
 from monomial_reference import triple_shell_sums
+from qselect_reference import linear_scan
 
 # Leading error constants of the unweighted triple expansion, computed
 # once from the exact shell-incremental rational sum and frozen here.
@@ -51,6 +55,11 @@ class TestTripleConstant:
     def test_q0_is_one_sixth_minus_leading_term(self):
         # e3(0) = 1/6 - (1/64) * (4/3)^2 = 5/36
         assert triple_legendre_error_constant(0) == pytest.approx(5.0 / 36.0, rel=1e-14)
+
+    def test_float_route_matches_exact(self):
+        for q in range(31):
+            exact = triple_legendre_error_constant(q)
+            assert abs(_triple_constant_float(q) - exact) <= 1e-12 * exact, q
 
     def test_strictly_decreasing(self):
         values = [triple_legendre_error_constant(q) for q in range(12)]
@@ -117,6 +126,73 @@ class TestScan:
     def test_cap_raises(self):
         with pytest.raises(QSelectCapError):
             min_q(Condition("pair_legendre_dt3", 2**-10, cap=5))
+
+    @pytest.mark.parametrize(
+        "cond",
+        [
+            Condition("pair_legendre_dt3", 2**-10, cap=5),
+            Condition("triple_trig_dt4", 0.0196, cap=3),
+            Condition("pair_trig_tail_dt3", 1e-9),
+        ],
+        ids=["small-cap", "triple-small-cap", "default-cap"],
+    )
+    def test_cap_error_carries_lhs_at_cap(self, cond):
+        with pytest.raises(QSelectCapError) as raised:
+            scan_detail(cond)
+        assert raised.value.lhs_at_cap == condition_lhs(cond.id, cond.cap, cond.dt)
+        assert raised.value.rhs == cond.rhs
+
+    def test_cap_itself_admissible(self):
+        minimal = scan_detail(Condition("pair_legendre_dt3", 2**-10)).minimal_q
+        detail = scan_detail(Condition("pair_legendre_dt3", 2**-10, cap=minimal))
+        assert detail.minimal_q == minimal
+
+    def test_routes(self):
+        assert scan_detail(Condition("pair_trig_dt3", 0.01)).route == "series"
+        assert scan_detail(Condition("triple_trig_dt4", 0.0196)).route == "series"
+        assert scan_detail(Condition("triple_legendre_dt4", 0.0502)).route == "float_parseval"
+
+    def test_near_tie_uses_exact_constant(self):
+        # The threshold sits on the constant at q = 5: the float sum is too
+        # close to decide, so the probe there reads the exact constant.
+        dt = triple_legendre_error_constant(5) / (1.0 + TRIPLE_REL_TOL)
+        assert _probe("triple_legendre_dt4", 5, dt)[1] == "exact"
+        assert _probe("triple_legendre_dt4", 4, dt)[1] == "float_parseval"
+        detail = scan_detail(Condition("triple_legendre_dt4", dt))
+        assert (detail.minimal_q, detail.reported_q, detail.lhs_at_minimal) == linear_scan(
+            Condition("triple_legendre_dt4", dt)
+        )
+
+
+def _reference_grid() -> list[Condition]:
+    """Every column of the order tables at their printed steps and at extra ones."""
+    extra = {37: (1e-6, 1e-5, 3e-4, 7e-3), 39: (0.01, 0.03), 40: (0.01, 0.03)}
+    return [
+        Condition(cond_id, dt)
+        for number, table in sorted(Q_TABLES.items())
+        for _, cond_id in table.columns
+        for dt in table.dts + extra[number]
+    ]
+
+
+class TestAgainstLinearScan:
+    @pytest.mark.parametrize("cond", _reference_grid(), ids=lambda c: f"{c.id}@{c.dt:g}")
+    def test_same_order_and_lhs(self, cond):
+        detail = scan_detail(cond)
+        minimal, reported, lhs = linear_scan(cond)
+        assert (detail.minimal_q, detail.reported_q) == (minimal, reported)
+        if detail.route == "float_parseval":
+            assert abs(detail.lhs_at_minimal - lhs) <= 1e-12 * lhs
+        else:
+            assert detail.lhs_at_minimal == lhs
+
+    def test_cap_error_matches(self):
+        cond = Condition("pair_legendre_dt3", 2**-10, cap=5)
+        with pytest.raises(QSelectCapError) as fast:
+            scan_detail(cond)
+        with pytest.raises(QSelectCapError) as slow:
+            linear_scan(cond)
+        assert fast.value.lhs_at_cap == slow.value.lhs_at_cap
 
     def test_threads_match_serial(self):
         conds = [Condition("pair_legendre_dt3", 2**-e) for e in range(5, 10)]
