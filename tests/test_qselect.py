@@ -163,6 +163,10 @@ class TestScan:
             Condition("triple_legendre_dt4", dt)
         )
 
+    def test_threads_match_serial(self):
+        conds = [Condition("pair_legendre_dt3", 2**-e) for e in range(5, 10)]
+        assert min_q_many(conds, threads=4) == min_q_many(conds, threads=1)
+
 
 def _reference_grid() -> list[Condition]:
     """Every column of the order tables at their printed steps and at extra ones."""
@@ -193,10 +197,6 @@ class TestAgainstLinearScan:
         with pytest.raises(QSelectCapError) as slow:
             linear_scan(cond)
         assert fast.value.lhs_at_cap == slow.value.lhs_at_cap
-
-    def test_threads_match_serial(self):
-        conds = [Condition("pair_legendre_dt3", 2**-e) for e in range(5, 10)]
-        assert min_q_many(conds, threads=4) == min_q_many(conds, threads=1)
 
 
 class TestReferenceColumns:
