@@ -368,7 +368,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     reports = []
     for case in cases:
         try:
-            reports.append(validate_expansion(case, cfg).as_dict())
+            reports.append(validate_expansion(case, cfg, workers=args.threads).as_dict())
         except GridTooCoarseError as exc:
             sys.stderr.write(f"stochint validate: {case}: {exc}\n")
             return EXIT_VALIDATION
@@ -406,10 +406,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"stochint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, workers: bool = False) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write payload to this file (with manifest)")
-        p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+        if workers:
+            p.add_argument(
+                "--threads", type=int,
+                help="oracle worker processes (default: usable CPUs); outputs do not depend on it",
+            )
+        else:
+            p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
 
     p = sub.add_parser("coeffs", help="exact coefficient tensors and reference grids")
     p.add_argument("--table", type=int, help="numbered coefficient grid (4..36)")
@@ -441,7 +447,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--dt", type=_positive, default=0.5)
-    common(p)
+    common(p, workers=True)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("export", help="write a coefficient tensor with manifest")
@@ -474,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "steps", None) is not None and args.steps < 2:
         sys.stderr.write("stochint validate: --steps must be at least 2\n")
         return EXIT_USAGE
-    if getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", None) is not None and args.threads < 1:
         sys.stderr.write("stochint: --threads must be at least 1\n")
         return EXIT_USAGE
     if getattr(args, "q", None) is not None and isinstance(args.q, int) and args.q < 0:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import polygamma
 
 from .coeffs import KernelSpec, ScaledTensor, _check_interval
 
@@ -221,14 +220,65 @@ def error_report(
 # ---------------------------------------------------------------------------
 
 
+#: Euler-Maclaurin divisors of :func:`_hurwitz_zeta`: ``(2i+2)!/B_{2i+2}``.
+_ZETA_EM = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 2.0**-53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    r"""Hurwitz zeta :math:`\zeta(x, q) = \sum_{n \ge 0} (n+q)^{-x}` for ``x > 1, q > 0``.
+
+    Moshier's Cephes ``zeta(x, q)``, operation for operation: direct terms
+    until ``q + i > 9`` (at least nine), then the Euler-Maclaurin tail.
+    Keeping Cephes' order gives the same bits as ``scipy.special.zeta``.
+    """
+    s = q**-x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for divisor in _ZETA_EM:
+        a *= x + k
+        b /= w
+        t = a * b / divisor
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            break
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
+def _polygamma(n: int, x: float) -> float:
+    r""":math:`\psi^{(n)}(x) = (-1)^{n+1}\, n!\, \zeta(n+1, x)` for ``n >= 1``, as scipy forms it."""
+    return (-1.0) ** (n + 1) * math.factorial(n) * _hurwitz_zeta(n + 1.0, x)
+
+
 def _tail_sum_squares(q: int) -> float:
     r""":math:`\sum_{n>q} 1/n^2 = \pi^2/6 - \sum_{n \le q} 1/n^2`, stably."""
-    return float(polygamma(1, q + 1))
+    return _polygamma(1, float(q + 1))
 
 
 def _tail_sum_fourths(q: int) -> float:
     r""":math:`\sum_{n>q} 1/n^4`, stably."""
-    return float(polygamma(3, q + 1)) / 6.0
+    return _polygamma(3, float(q + 1)) / 6.0
 
 
 def _harmonic_prefixes(n: int) -> tuple[np.ndarray, np.ndarray]:

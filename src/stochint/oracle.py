@@ -17,12 +17,23 @@ statistical error.
 Path generation is chunked with one counter-based stream per
 ``(seed, chunk)``, and chunks are always drawn in full, so path ``i`` is
 identical no matter how many paths are requested.
+
+Validation maps one function over the chunk indices: it draws the chunk
+and returns its sums ``(Σd², Σd⁴, Σd²_half, paths)``.  The map runs in a
+pool of forked worker processes, one pool per :func:`validate_expansion`
+call, and the parent adds the per-chunk sums in chunk order.  That is the
+same sequence of float additions whatever the worker count, so a report
+is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import multiprocessing
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -43,6 +54,7 @@ __all__ = [
     "coupled_zeta",
     "moment_estimate",
     "validate_expansion",
+    "worker_count",
 ]
 
 #: Paths generated per random-stream chunk (always drawn in full).
@@ -101,25 +113,26 @@ def moment_estimate(values: np.ndarray) -> MomentEstimate:
     )
 
 
-def _wiener_chunks(cfg: SimConfig, m: int) -> Iterator[np.ndarray]:
-    """Wiener increments in chunks of shape ``(chunk, m, steps)``.
+def _chunk_count(paths: int) -> int:
+    return -(-paths // PATH_CHUNK)
+
+
+def _wiener_chunk(cfg: SimConfig, m: int, idx: int) -> np.ndarray:
+    """Wiener increments of chunk ``idx``, shape ``(paths in chunk, m, steps)``.
 
     Each chunk has its own counter-based stream keyed by
     ``(seed, chunk index)`` and is drawn in full even when only part of it
-    is consumed, so earlier paths never depend on the total path count.
+    is used, so earlier paths never depend on the total path count.
     """
-    h = cfg.dt / cfg.steps
-    scale = math.sqrt(h)
-    produced = 0
-    chunk_idx = 0
-    while produced < cfg.paths:
-        seq = np.random.SeedSequence(entropy=(cfg.seed, chunk_idx))
-        gen = np.random.Generator(np.random.Philox(seq))
-        block = gen.standard_normal((PATH_CHUNK, m, cfg.steps)) * scale
-        take = min(PATH_CHUNK, cfg.paths - produced)
-        yield block[:take]
-        produced += take
-        chunk_idx += 1
+    seq = np.random.SeedSequence(entropy=(cfg.seed, idx))
+    block = np.random.Generator(np.random.Philox(seq)).standard_normal((PATH_CHUNK, m, cfg.steps))
+    block *= math.sqrt(cfg.dt / cfg.steps)
+    return block[: min(PATH_CHUNK, cfg.paths - idx * PATH_CHUNK)]
+
+
+def _wiener_chunks(cfg: SimConfig, m: int) -> Iterator[np.ndarray]:
+    """The chunks of :func:`_wiener_chunk` covering ``cfg.paths`` paths, in order."""
+    return (_wiener_chunk(cfg, m, idx) for idx in range(_chunk_count(cfg.paths)))
 
 
 def _weight_values(exponent: int, grid: np.ndarray) -> np.ndarray:
@@ -144,19 +157,23 @@ def _nested_values(
     left-point rule drops the diagonal cells entirely, and that omission
     would dominate the smallest truncation errors being validated.
     """
-    n = dW.shape[-1]
+    paths, _, n = dW.shape
     grid = np.linspace(0.0, dt, n + 1)
-    running = 1.0
+    running = None  # the inner integral on the grid; None stands for the constant 1
     for level, exponent in enumerate(spec.weights):
-        w = _weight_values(exponent, grid)
-        integrand = w[None, :] * running
-        if calculus == "ito":
-            step_terms = integrand[:, :n] * dW[:, level, :]
+        integrand = running
+        if exponent:
+            w = _weight_values(exponent, grid)
+            integrand = w if running is None else w * running
+        if integrand is None:
+            step_terms = dW[:, level, :]
+        elif calculus == "ito":
+            step_terms = integrand[..., :n] * dW[:, level, :]
         else:
-            step_terms = 0.5 * (integrand[:, :n] + integrand[:, 1:]) * dW[:, level, :]
-        running = np.concatenate(
-            [np.zeros((dW.shape[0], 1)), np.cumsum(step_terms, axis=1)], axis=1
-        )
+            step_terms = 0.5 * (integrand[..., :n] + integrand[..., 1:]) * dW[:, level, :]
+        running = np.empty((paths, n + 1))
+        running[:, 0] = 0.0
+        np.cumsum(step_terms, axis=1, out=running[:, 1:])
     values = running[:, -1]
     if equal_pair and spec.k == 2 and calculus == "ito":
         h = dt / n
@@ -214,9 +231,14 @@ def coupled_zeta(cfg: SimConfig, m: int, jmax: int) -> np.ndarray:
     out = np.empty((m, cfg.paths, jmax + 1))
     pos = 0
     for block in _wiener_chunks(cfg, m):
-        out[:, pos : pos + block.shape[0], :] = np.einsum("pms,js->mpj", block, phi)
+        out[:, pos : pos + block.shape[0], :] = _project(block, phi)
         pos += block.shape[0]
     return out
+
+
+def _project(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """ζ of one chunk, shape ``(m, paths, jmax+1)``, from ``dw`` of shape ``(paths, m, steps)``."""
+    return np.matmul(dw, phi.T).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +340,113 @@ class ValidationReport:
         }
 
 
-def _case_mse(
-    case: _Case, cfg: SimConfig, evaluate: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, float, float]:
-    """Mean-square difference at full and half grid: ``(mse, stderr, mse_half)``."""
+def _chunk_sums(
+    case: _Case, evaluate: Callable[[np.ndarray], np.ndarray], cfg: SimConfig, idx: int
+) -> tuple[float, float, float, int]:
+    """``(Σd², Σd⁴, Σd²_half, paths)`` of chunk ``idx``, ``d`` the oracle-minus-expansion error.
+
+    ``d_half`` is the error on the half grid driven by the same increments,
+    pairwise summed.  An interval long enough to overflow gives infinite or
+    NaN sums, which :func:`validate_expansion` rejects; numpy is kept from
+    warning about them.
+    """
     comp_axes = [c - 1 for c in case.components]
     equal_pair = len(case.components) == 2 and case.components[0] == case.components[1]
 
-    def squared_error(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def squared_error(dw: np.ndarray) -> np.ndarray:
         exact = _nested_values(case.spec, dw[:, comp_axes, :], cfg.dt, case.calculus, equal_pair)
-        return (exact - evaluate(np.einsum("pms,js->mpj", dw, phi))) ** 2
+        phi = _basis_matrix(case.jmax, cfg.dt, dw.shape[-1])
+        return (exact - evaluate(_project(dw, phi))) ** 2
 
-    phi_fine = _basis_matrix(case.jmax, cfg.dt, cfg.steps)
-    phi_half = _basis_matrix(case.jmax, cfg.dt, cfg.steps // 2)
+    block = _wiener_chunk(cfg, max(case.components), idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = squared_error(block)
+        d2_half = squared_error(block[:, :, 0::2] + block[:, :, 1::2])
+        return float(np.sum(d2)), float(np.sum(d2 * d2)), float(np.sum(d2_half)), block.shape[0]
+
+
+def _case_mse(cfg: SimConfig, run: Callable[[list], list]) -> tuple[float, float, float]:
+    """Mean-square difference at full and half grid: ``(mse, stderr, mse_half)``.
+
+    ``run`` maps the chunk sums over the chunk indices; they are added in
+    chunk order.
+    """
     count, total, total_sq, total_half = 0, 0.0, 0.0, 0.0
-    for block in _wiener_chunks(cfg, max(case.components)):
-        d2 = squared_error(block, phi_fine)
-        total += float(np.sum(d2))
-        total_sq += float(np.sum(d2 * d2))
-        total_half += float(np.sum(squared_error(block[:, :, 0::2] + block[:, :, 1::2], phi_half)))
-        count += block.shape[0]
-
+    for s2, s4, s2_half, paths in run([(cfg, idx) for idx in range(_chunk_count(cfg.paths))]):
+        total += s2
+        total_sq += s4
+        total_half += s2_half
+        count += paths
     mse = total / count
     var = max(total_sq / count - mse * mse, 0.0)
-    stderr = math.sqrt(var / count)
-    return mse, stderr, total_half / count
+    return mse, math.sqrt(var / count), total_half / count
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform reports an affinity mask
+        return os.cpu_count() or 1
+
+
+def worker_count(requested: int | None, chunks: int) -> int:
+    """Worker processes for ``chunks`` path chunks: ``requested``, or the
+    usable CPUs when it is ``None``, and never more than one per chunk."""
+    if requested is not None and requested < 1:
+        raise ValueError("need at least 1 worker")
+    return min(requested or _usable_cpus(), chunks)
+
+
+#: The chunk function a pool worker serves, set as the worker starts.
+_served: Callable | None = None
+
+
+def _serve(fn: Callable) -> None:
+    global _served
+    _served = fn
+
+
+def _call_served(task: tuple) -> object:
+    return _served(*task)
+
+
+@contextmanager
+def _chunk_map(fn: Callable, workers: int) -> Iterator[Callable[[list], list]]:
+    """Yield ``run(tasks) -> [fn(*task) for task in tasks]``, in task order.
+
+    With more than one worker the tasks run in a pool of forked processes,
+    which inherit ``fn`` and so need not pickle it.  One worker, a platform
+    without ``fork``, or a daemonic process (a pool worker, which may not
+    start processes of its own) maps in this process.  An exception in a
+    worker is re-raised here, and the pool is shut down on every exit.
+    """
+    if (
+        workers == 1
+        or multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        yield lambda tasks: [fn(*task) for task in tasks]
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_serve, initargs=(fn,)) as pool:
+        yield lambda tasks: pool.map(_call_served, tasks, chunksize=1)
 
 
 def validate_expansion(
-    case_name: str, cfg: SimConfig, max_doublings: int = 3
+    case_name: str, cfg: SimConfig, max_doublings: int = 3, workers: int | None = None
 ) -> ValidationReport:
     """Statistical validation of one named expansion against the oracle.
 
     Runs the coupled simulation, doubling the grid while the half-grid
-    bias estimate exceeds a third of the statistical error.
+    bias estimate exceeds a third of the statistical error.  The path
+    chunks run in ``workers`` processes (default: the usable CPUs; see
+    :func:`worker_count`); the report does not depend on how many.
 
     Raises:
         GridTooCoarseError: bias still dominates at the largest grid tried.
-        ValueError: unknown case, odd step count, or a mean-square error
-            that is not finite (the integrals overflow at ``cfg.dt``).
+        ValueError: unknown case, odd step count, fewer than one worker, or
+            a mean-square error or standard error that is not finite (the
+            integrals overflow at ``cfg.dt``).
     """
     try:
         case = VALIDATION_CASES[case_name]
@@ -367,35 +457,34 @@ def validate_expansion(
     if cfg.steps % 2:
         raise ValueError("step count must be even for the half-grid bias check")
 
-    evaluate = _evaluator(case, cfg.dt)
+    workers = worker_count(workers, _chunk_count(cfg.paths))
+    sums = partial(_chunk_sums, case, _evaluator(case, cfg.dt))
     steps = cfg.steps
-    for _ in range(max_doublings + 1):
-        run_cfg = SimConfig(
-            steps=steps, paths=cfg.paths, seed=cfg.seed, dt=cfg.dt, calculus=cfg.calculus
-        )
-        mse, stderr, mse_half = _case_mse(case, run_cfg, evaluate)
-        if not (math.isfinite(mse) and math.isfinite(mse_half)):
-            raise ValueError(
-                f"mean-square error is not finite at dt={cfg.dt!r}; "
-                "the integrals overflow at this interval length"
-            )
-        bias = abs(mse - mse_half)
-        if bias <= stderr / 3.0:
-            theory = case.theory(case.q, cfg.dt)
-            z = (mse - theory) / stderr if stderr > 0 else math.inf
-            return ValidationReport(
-                case=case_name,
-                q=case.q,
-                dt=cfg.dt,
-                steps=steps,
-                paths=cfg.paths,
-                empirical=float(mse),
-                theoretical=float(theory),
-                z=float(z),
-                stat_err=float(stderr),
-                bias=float(bias),
-            )
-        steps *= 2
+    with _chunk_map(sums, workers) as run:
+        for _ in range(max_doublings + 1):
+            mse, stderr, mse_half = _case_mse(replace(cfg, steps=steps), run)
+            if not all(map(math.isfinite, (mse, stderr, mse_half))):
+                raise ValueError(
+                    f"mean-square error or its standard error is not finite at dt={cfg.dt!r}; "
+                    "the integrals overflow at this interval length"
+                )
+            bias = abs(mse - mse_half)
+            if bias <= stderr / 3.0:
+                theory = case.theory(case.q, cfg.dt)
+                z = (mse - theory) / stderr if stderr > 0 else math.inf
+                return ValidationReport(
+                    case=case_name,
+                    q=case.q,
+                    dt=cfg.dt,
+                    steps=steps,
+                    paths=cfg.paths,
+                    empirical=float(mse),
+                    theoretical=float(theory),
+                    z=float(z),
+                    stat_err=float(stderr),
+                    bias=float(bias),
+                )
+            steps *= 2
     raise GridTooCoarseError(
         f"discretization bias {bias:.3e} exceeds stat_err/3 = {stderr / 3.0:.3e} "
         f"after reaching {steps // 2} steps",

@@ -6,6 +6,8 @@ import json
 import hashlib
 import os
 import stat
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -245,6 +247,45 @@ class TestValidate:
         assert code == EXIT_USAGE
         assert out == ""
         assert "not finite" in err
+
+    @pytest.mark.parametrize(
+        "dt, paths",
+        [("1e100", "10"), ("1e300", "10"), ("1e100", "1200")],
+        ids=["sum-of-fourths-overflows", "all-overflow", "in-workers"],
+    )
+    def test_overflow_is_a_clean_usage_error(self, dt, paths):
+        # At 1e100 the sums of d**2 stay finite and only the sum of d**4
+        # overflows.  A fresh interpreter shows every warning its workers
+        # would print, which capsys cannot see.
+        import stochint
+
+        env = dict(os.environ, PYTHONPATH=str(Path(stochint.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochint.cli", "validate", "--case", "pair_distinct",
+             "--steps", "8", "--paths", paths, "--dt", dt, "--threads", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert "not finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+    def test_threads_do_not_change_payload_or_manifest(self, tmp_path, capsys):
+        argv = ["validate", "--case", "pair_distinct", "--case", "triple_distinct",
+                "--steps", "64", "--paths", "1300", "--seed", "5"]
+        files = {}
+        for name, extra in (("one", ["--threads", "1"]), ("default", [])):
+            out = tmp_path / name / "report.json"
+            out.parent.mkdir()
+            assert main(argv + extra + ["--output", str(out)]) in (EXIT_OK, EXIT_VALIDATION)
+            files[name] = (out.read_bytes(), Path(str(out) + ".manifest.json").read_bytes())
+        assert files["one"] == files["default"]
+        assert "threads" not in json.loads(files["one"][1])["parameters"]
+
+    def test_bad_threads(self, capsys):
+        code, _, err = run_cli(capsys, "validate", "--threads", "0")
+        assert code == EXIT_USAGE
+        assert "--threads" in err
 
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--case", "nope")

@@ -21,6 +21,7 @@ from stochint.errors import (
     kernel_norm_exact,
     series_error,
 )
+from stochint.errors import _polygamma, _tail_sum_fourths, _tail_sum_squares
 from stochint.expansion import pair_series_support
 
 from monomial_reference import kernel_norm_simplex
@@ -344,3 +345,25 @@ class TestClosedSeries:
         for kind in ("pair_legendre", "pair_trig", "pair_trig_tail"):
             r = series_error(kind, 400, dt) / series_error(kind, 200, dt)
             assert r == pytest.approx(0.5, abs=0.02)
+
+
+class TestPolygammaPort:
+    """The Cephes Hurwitz-zeta port against scipy, kept as a test-only reference."""
+
+    #: q = 0..20000 and a log grid up to 1e8.
+    QS = sorted(set(range(20001)) | {int(v) for v in np.round(np.logspace(0, 8, 3001))})
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bit_identical_to_scipy(self, n):
+        x = np.array(self.QS, dtype=np.float64) + 1.0
+        reference = polygamma(n, x)
+        mismatched = [
+            q for q, xi, ref in zip(self.QS, x.tolist(), reference.tolist())
+            if _polygamma(n, xi) != ref
+        ]
+        assert mismatched == []
+
+    def test_tail_sums_match_the_scipy_forms(self):
+        for q in self.QS[::97] + [10**8]:
+            assert _tail_sum_squares(q) == float(polygamma(1, q + 1))
+            assert _tail_sum_fourths(q) == float(polygamma(3, q + 1)) / 6.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from stochint.oracle import (
     moment_estimate,
     simulate_iterated,
     validate_expansion,
+    worker_count,
 )
+from stochint.oracle import _chunk_map
 
 DT = 0.5
 
@@ -190,3 +193,69 @@ class TestValidateExpansion:
         err = exc_info.value
         assert err.bias > err.stat_err / 3.0
         assert err.steps == 8
+
+
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "case, seed, paths, steps",
+        [
+            ("pair_distinct", 3, 1300, 128),  # a partial last chunk
+            ("pair_equal_weighted", 4, 100, 128),  # one chunk: no pool
+            ("triple_distinct", 11, 1024, 256),  # doubles the grid to 1024
+        ],
+    )
+    def test_reports_do_not_depend_on_workers(self, case, seed, paths, steps):
+        cfg = SimConfig(steps=steps, paths=paths, seed=seed, dt=DT)
+        reports = [validate_expansion(case, cfg, workers=w) for w in (1, 2, 3)]
+        fields = [(r.steps, r.empirical, r.stat_err, r.z, r.bias) for r in reports]
+        assert fields[0] == fields[1] == fields[2]
+        assert reports[0] == reports[1] == reports[2]
+        if case == "triple_distinct":
+            assert reports[0].steps == 1024
+
+    def test_worker_count(self):
+        assert worker_count(1, 196) == 1
+        assert worker_count(3, 196) == 3
+        assert worker_count(3, 2) == 2
+        assert worker_count(10**6, 196) == 196
+        assert worker_count(10**6, 1) == 1
+        assert 1 <= worker_count(None, 196) <= 196
+        assert worker_count(None, 1) == 1
+
+    @pytest.mark.parametrize("requested", [0, -1])
+    def test_worker_count_rejects_fewer_than_one(self, requested):
+        with pytest.raises(ValueError):
+            worker_count(requested, 4)
+        with pytest.raises(ValueError):
+            validate_expansion("pair_distinct", SimConfig(steps=8, paths=10, seed=0, dt=DT), workers=requested)
+
+    def test_chunk_map_keeps_task_order(self):
+        with _chunk_map(lambda i, j: (i, j * j), 2) as run:
+            assert run([(i, i + 1) for i in range(7)]) == [(i, (i + 1) ** 2) for i in range(7)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_exception_reaches_caller(self, workers):
+        def fail_on_two(idx):
+            if idx == 2:
+                raise ZeroDivisionError("chunk 2")
+            return idx
+
+        with pytest.raises(ZeroDivisionError, match="chunk 2"):
+            with _chunk_map(fail_on_two, workers) as run:
+                run([(i,) for i in range(4)])
+        assert multiprocessing.active_children() == []
+
+    def test_runs_inside_a_pool_worker(self):
+        # Pool workers are daemonic and may not fork a pool of their own.
+        cfg = SimConfig(steps=64, paths=1100, seed=2, dt=DT)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply(validate_expansion, ("pair_distinct", cfg, 3, 2))
+        assert inside == validate_expansion("pair_distinct", cfg, workers=2)
+
+    def test_pool_closed_when_caller_raises(self):
+        with pytest.raises(KeyError):
+            with _chunk_map(lambda i: i, 2) as run:
+                assert run([(0,), (1,)]) == [0, 1]
+                raise KeyError("caller")
+        assert multiprocessing.active_children() == []
