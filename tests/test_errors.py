@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,14 @@ class TestPolygammaPort:
             if _polygamma(n, xi) != ref
         ]
         assert mismatched == []
+
+    def test_import_does_not_load_scipy(self):
+        import stochint
+
+        code = "import sys, stochint.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=str(Path(stochint.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_tail_sums_match_the_scipy_forms(self):
         for q in self.QS[::97] + [10**8]:
