@@ -52,6 +52,7 @@ from .expansion import (
 from .oracle import (
     GridTooCoarseError,
     MomentEstimate,
+    OracleBudgetError,
     SimConfig,
     VALIDATION_CASES,
     ValidationReport,
@@ -129,6 +130,7 @@ __all__ = [
     # oracle
     "GridTooCoarseError",
     "MomentEstimate",
+    "OracleBudgetError",
     "SimConfig",
     "VALIDATION_CASES",
     "ValidationReport",

@@ -51,7 +51,13 @@ from .coeffs import (
     tensor_to_json,
 )
 from .errors import SERIES_KINDS, series_error
-from .oracle import GridTooCoarseError, SimConfig, VALIDATION_CASES, validate_expansion
+from .oracle import (
+    GridTooCoarseError,
+    OracleBudgetError,
+    SimConfig,
+    VALIDATION_CASES,
+    validate_expansion,
+)
 from .qselect import QSelectCapError
 from .tables import (
     COEFF_TABLES,
@@ -491,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (TensorBudgetError, QSelectCapError, QuadratureError) as exc:
+    except (TensorBudgetError, QSelectCapError, QuadratureError, OracleBudgetError) as exc:
         sys.stderr.write(f"stochint: resource cap: {exc}\n")
         return EXIT_RESOURCE
     except ValueError as exc:

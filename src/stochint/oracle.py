@@ -15,15 +15,23 @@ the grid is doubled until the observed bias is below a third of the
 statistical error.
 
 Path generation is chunked with one counter-based stream per
-``(seed, chunk)``, and chunks are always drawn in full, so path ``i`` is
-identical no matter how many paths are requested.
+``(seed, chunk)``.  A chunk's paths are the prefix of its stream in
+path-major order, so path ``i`` is identical no matter how many paths are
+requested, and a partial last chunk draws only the paths it uses.
 
 Validation maps one function over the chunk indices: it draws the chunk
-and returns its sums ``(Σd², Σd⁴, Σd²_half, paths)``.  The map runs in a
-pool of forked worker processes, one pool per :func:`validate_expansion`
-call, and the parent adds the per-chunk sums in chunk order.  That is the
-same sequence of float additions whatever the worker count, so a report
-is bit-identical for any number of workers.
+in sub-blocks of :data:`PATH_BLOCK` paths, which keeps each worker's
+temporaries small, and returns the chunk's sums ``(Σd², Σd⁴, Σd²_half,
+paths)``.  A task carries the case's evaluation fields, the grid and the
+chunk index by value; each worker builds the expansion's coefficients
+once per ``(fields, dt)`` and keeps a few of them.  The map runs in one
+pool of forked worker processes per process: the first validation that
+needs two or more workers forks it, later ones reuse it while the worker
+count is the same, and it is shut down as the process exits (or when the
+count changes, or a worker dies).  Nothing forks at import.  The parent
+adds the per-chunk sums in chunk order.  That is the same sequence of
+float additions whatever the worker count, so a report is bit-identical
+for any number of workers.
 """
 
 from __future__ import annotations
@@ -31,10 +39,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterator
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,6 +56,7 @@ __all__ = [
     "MomentEstimate",
     "ValidationReport",
     "GridTooCoarseError",
+    "OracleBudgetError",
     "VALIDATION_CASES",
     "simulate_iterated",
     "coupled_zeta",
@@ -57,8 +65,22 @@ __all__ = [
     "worker_count",
 ]
 
-#: Paths generated per random-stream chunk (always drawn in full).
+#: Paths generated per random-stream chunk.
 PATH_CHUNK = 512
+
+#: Paths worked at once inside a chunk by validation.  Of the powers of two
+#: from 8 to 512 on a 2-vCPU host, 64 and 128 gave the fastest ``validate_mc``
+#: passes, and 64 holds less memory.
+PATH_BLOCK = 64
+
+#: Most standard normals one :func:`validate_expansion` call may draw, counting
+#: every allowed grid doubling.  Criterion 6 (``P = 10^5``, ``N = 4096``, three
+#: components, three doublings) may draw 1.84e10.
+NORMALS_BUDGET = 2**35
+
+
+class OracleBudgetError(Exception):
+    """A validation could draw more than :data:`NORMALS_BUDGET` normals."""
 
 
 class GridTooCoarseError(Exception):
@@ -117,17 +139,24 @@ def _chunk_count(paths: int) -> int:
     return -(-paths // PATH_CHUNK)
 
 
+def _chunk_paths(cfg: SimConfig, idx: int) -> int:
+    return min(PATH_CHUNK, cfg.paths - idx * PATH_CHUNK)
+
+
+def _chunk_stream(seed: int, idx: int) -> np.random.Generator:
+    """The counter-based stream of chunk ``idx``, keyed by ``(seed, chunk index)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, idx))))
+
+
 def _wiener_chunk(cfg: SimConfig, m: int, idx: int) -> np.ndarray:
     """Wiener increments of chunk ``idx``, shape ``(paths in chunk, m, steps)``.
 
-    Each chunk has its own counter-based stream keyed by
-    ``(seed, chunk index)`` and is drawn in full even when only part of it
-    is used, so earlier paths never depend on the total path count.
+    The paths are the prefix of the chunk's stream, so earlier paths never
+    depend on the total path count.
     """
-    seq = np.random.SeedSequence(entropy=(cfg.seed, idx))
-    block = np.random.Generator(np.random.Philox(seq)).standard_normal((PATH_CHUNK, m, cfg.steps))
+    block = _chunk_stream(cfg.seed, idx).standard_normal((_chunk_paths(cfg, idx), m, cfg.steps))
     block *= math.sqrt(cfg.dt / cfg.steps)
-    return block[: min(PATH_CHUNK, cfg.paths - idx * PATH_CHUNK)]
+    return block
 
 
 def _wiener_chunks(cfg: SimConfig, m: int) -> Iterator[np.ndarray]:
@@ -247,18 +276,31 @@ def _project(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Case:
+class _Expansion:
+    """The fields that evaluate one case's expansion; tasks carry them to workers by value."""
+
     spec: KernelSpec
     components: tuple[int, ...]
     q: int
     jmax: int
     calculus: str
-    theory: Callable[[int, float], float]
     #: Evaluate with the banded pair series instead of the general tensor expansion.
     banded: bool = False
 
 
-def _evaluator(case: _Case, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+@dataclass(frozen=True)
+class _Case(_Expansion):
+    """A named case: its expansion and the closed-form error it must match."""
+
+    theory: Callable[[int, float], float] = field(kw_only=True)
+
+    @property
+    def expansion(self) -> _Expansion:
+        return _Expansion(self.spec, self.components, self.q, self.jmax, self.calculus, self.banded)
+
+
+@lru_cache(maxsize=8)
+def _evaluator(case: _Expansion, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """Build the case's coefficients once; return its expansion of one chunk's ``zeta``."""
     if case.banded:
         pattern = IndexPattern(case.components)
@@ -340,39 +382,50 @@ class ValidationReport:
         }
 
 
-def _chunk_sums(
-    case: _Case, evaluate: Callable[[np.ndarray], np.ndarray], cfg: SimConfig, idx: int
-) -> tuple[float, float, float, int]:
+def _chunk_sums(case: _Expansion, cfg: SimConfig, idx: int) -> tuple[float, float, float, int]:
     """``(Σd², Σd⁴, Σd²_half, paths)`` of chunk ``idx``, ``d`` the oracle-minus-expansion error.
 
     ``d_half`` is the error on the half grid driven by the same increments,
-    pairwise summed.  An interval long enough to overflow gives infinite or
-    NaN sums, which :func:`validate_expansion` rejects; numpy is kept from
-    warning about them.
+    pairwise summed.  The chunk's paths are drawn and worked
+    :data:`PATH_BLOCK` at a time; each path's ``d²`` and ``d²_half`` is
+    the same whatever the block, and the sums run over the whole chunk.
+    An interval long enough to overflow gives infinite or NaN sums, which
+    :func:`validate_expansion` rejects; numpy is kept from warning about
+    them.
     """
+    evaluate = _evaluator(case, cfg.dt)
     comp_axes = [c - 1 for c in case.components]
     equal_pair = len(case.components) == 2 and case.components[0] == case.components[1]
+    phi = _basis_matrix(case.jmax, cfg.dt, cfg.steps)
+    phi_half = _basis_matrix(case.jmax, cfg.dt, cfg.steps // 2)
 
-    def squared_error(dw: np.ndarray) -> np.ndarray:
+    def squared_error(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
         exact = _nested_values(case.spec, dw[:, comp_axes, :], cfg.dt, case.calculus, equal_pair)
-        phi = _basis_matrix(case.jmax, cfg.dt, dw.shape[-1])
         return (exact - evaluate(_project(dw, phi))) ** 2
 
-    block = _wiener_chunk(cfg, max(case.components), idx)
+    paths = _chunk_paths(cfg, idx)
+    stream = _chunk_stream(cfg.seed, idx)
+    scale = math.sqrt(cfg.dt / cfg.steps)
+    buffer = np.empty((min(PATH_BLOCK, paths), max(case.components), cfg.steps))
+    d2, d2_half = np.empty(paths), np.empty(paths)
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = squared_error(block)
-        d2_half = squared_error(block[:, :, 0::2] + block[:, :, 1::2])
-        return float(np.sum(d2)), float(np.sum(d2 * d2)), float(np.sum(d2_half)), block.shape[0]
+        for start in range(0, paths, PATH_BLOCK):
+            dw = buffer[: min(PATH_BLOCK, paths - start)]
+            stream.standard_normal(out=dw)
+            dw *= scale
+            block = slice(start, start + dw.shape[0])
+            d2[block] = squared_error(dw, phi)
+            d2_half[block] = squared_error(dw[:, :, 0::2] + dw[:, :, 1::2], phi_half)
+        return float(np.sum(d2)), float(np.sum(d2 * d2)), float(np.sum(d2_half)), paths
 
 
-def _case_mse(cfg: SimConfig, run: Callable[[list], list]) -> tuple[float, float, float]:
+def _case_mse(sums: list[tuple[float, float, float, int]]) -> tuple[float, float, float]:
     """Mean-square difference at full and half grid: ``(mse, stderr, mse_half)``.
 
-    ``run`` maps the chunk sums over the chunk indices; they are added in
-    chunk order.
+    ``sums`` are the per-chunk sums of :func:`_chunk_sums`, added in chunk order.
     """
     count, total, total_sq, total_half = 0, 0.0, 0.0, 0.0
-    for s2, s4, s2_half, paths in run([(cfg, idx) for idx in range(_chunk_count(cfg.paths))]):
+    for s2, s4, s2_half, paths in sums:
         total += s2
         total_sq += s4
         total_half += s2_half
@@ -397,39 +450,65 @@ def worker_count(requested: int | None, chunks: int) -> int:
     return min(requested or _usable_cpus(), chunks)
 
 
-#: The chunk function a pool worker serves, set as the worker starts.
-_served: Callable | None = None
+class _Pool(NamedTuple):
+    pid: int  # the process that forked the workers
+    workers: int
+    executor: object  # a concurrent.futures.ProcessPoolExecutor
+    shutdown: Callable[[], None]  # a multiprocessing finalizer: runs once, only in ``pid``
 
 
-def _serve(fn: Callable) -> None:
-    global _served
-    _served = fn
+#: This process's pool, or None.  A forked child inherits its parent's entry
+#: and only forgets it.
+_pool: _Pool | None = None
 
 
-def _call_served(task: tuple) -> object:
-    return _served(*task)
+def _drop_pool() -> None:
+    """Shut down this process's pool, if it has one, and forget it."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+    _pool = None
 
 
-@contextmanager
-def _chunk_map(fn: Callable, workers: int) -> Iterator[Callable[[list], list]]:
-    """Yield ``run(tasks) -> [fn(*task) for task in tasks]``, in task order.
+def _fork_pool(workers: int):
+    """This process's pool of ``workers`` forked processes, made on first use and reused."""
+    global _pool
+    if _pool is None or (_pool.pid, _pool.workers) != (os.getpid(), workers):
+        _drop_pool()
+        import multiprocessing.util  # with the executor, loaded on first use, not at import
+        from concurrent.futures import ProcessPoolExecutor
 
-    With more than one worker the tasks run in a pool of forked processes,
-    which inherit ``fn`` and so need not pickle it.  One worker, a platform
-    without ``fork``, or a daemonic process (a pool worker, which may not
-    start processes of its own) maps in this process.  An exception in a
-    worker is re-raised here, and the pool is shut down on every exit.
+        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        # Shut down at exit, before multiprocessing joins the children of a
+        # forked process that validates.
+        shutdown = multiprocessing.util.Finalize(None, executor.shutdown, exitpriority=20)
+        _pool = _Pool(os.getpid(), workers, executor, shutdown)
+    return _pool.executor
+
+
+def _chunk_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, in task order.
+
+    With more than one worker the tasks, ``fn`` included, are pickled to the
+    process's pool of forked workers (:func:`_fork_pool`).  One worker, a
+    platform without ``fork``, or a daemonic process (a pool worker, which
+    may not start processes of its own) maps in this process.  An exception
+    in a worker is re-raised here and leaves the pool usable; a pool whose
+    worker died is dropped, and the next call forks a new one.
     """
     if (
         workers == 1
         or multiprocessing.current_process().daemon
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        yield lambda tasks: [fn(*task) for task in tasks]
-        return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_serve, initargs=(fn,)) as pool:
-        yield lambda tasks: pool.map(_call_served, tasks, chunksize=1)
+        return [fn(*task) for task in tasks]
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return list(_fork_pool(workers).map(fn, *zip(*tasks)))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
 
 
 def validate_expansion(
@@ -444,6 +523,8 @@ def validate_expansion(
 
     Raises:
         GridTooCoarseError: bias still dominates at the largest grid tried.
+        OracleBudgetError: the run could draw more than :data:`NORMALS_BUDGET`
+            normals; nothing is drawn.
         ValueError: unknown case, odd step count, fewer than one worker, or
             a mean-square error or standard error that is not finite (the
             integrals overflow at ``cfg.dt``).
@@ -456,35 +537,44 @@ def validate_expansion(
         )
     if cfg.steps % 2:
         raise ValueError("step count must be even for the half-grid bias check")
+    normals = cfg.paths * max(case.components) * cfg.steps * (2 ** (max_doublings + 1) - 1)
+    if normals > NORMALS_BUDGET:
+        raise OracleBudgetError(
+            f"validating {case_name!r} could draw {normals:.3e} normals, "
+            f"more than the budget of {NORMALS_BUDGET:.3e}"
+        )
 
-    workers = worker_count(workers, _chunk_count(cfg.paths))
-    sums = partial(_chunk_sums, case, _evaluator(case, cfg.dt))
+    chunks = range(_chunk_count(cfg.paths))
+    workers = worker_count(workers, len(chunks))
+    expansion = case.expansion
     steps = cfg.steps
-    with _chunk_map(sums, workers) as run:
-        for _ in range(max_doublings + 1):
-            mse, stderr, mse_half = _case_mse(replace(cfg, steps=steps), run)
-            if not all(map(math.isfinite, (mse, stderr, mse_half))):
-                raise ValueError(
-                    f"mean-square error or its standard error is not finite at dt={cfg.dt!r}; "
-                    "the integrals overflow at this interval length"
-                )
-            bias = abs(mse - mse_half)
-            if bias <= stderr / 3.0:
-                theory = case.theory(case.q, cfg.dt)
-                z = (mse - theory) / stderr if stderr > 0 else math.inf
-                return ValidationReport(
-                    case=case_name,
-                    q=case.q,
-                    dt=cfg.dt,
-                    steps=steps,
-                    paths=cfg.paths,
-                    empirical=float(mse),
-                    theoretical=float(theory),
-                    z=float(z),
-                    stat_err=float(stderr),
-                    bias=float(bias),
-                )
-            steps *= 2
+    for _ in range(max_doublings + 1):
+        grid = replace(cfg, steps=steps)
+        mse, stderr, mse_half = _case_mse(
+            _chunk_map(_chunk_sums, [(expansion, grid, idx) for idx in chunks], workers)
+        )
+        if not all(map(math.isfinite, (mse, stderr, mse_half))):
+            raise ValueError(
+                f"mean-square error or its standard error is not finite at dt={cfg.dt!r}; "
+                "the integrals overflow at this interval length"
+            )
+        bias = abs(mse - mse_half)
+        if bias <= stderr / 3.0:
+            theory = case.theory(case.q, cfg.dt)
+            z = (mse - theory) / stderr if stderr > 0 else math.inf
+            return ValidationReport(
+                case=case_name,
+                q=case.q,
+                dt=cfg.dt,
+                steps=steps,
+                paths=cfg.paths,
+                empirical=float(mse),
+                theoretical=float(theory),
+                z=float(z),
+                stat_err=float(stderr),
+                bias=float(bias),
+            )
+        steps *= 2
     raise GridTooCoarseError(
         f"discretization bias {bias:.3e} exceeds stat_err/3 = {stderr / 3.0:.3e} "
         f"after reaching {steps // 2} steps",

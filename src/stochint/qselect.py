@@ -29,7 +29,8 @@ to :math:`\sum_{j_3 \le q} 4 h_{j_3}^2 / (2 j_3 + 1)`: the constant takes
 :math:`(q+1)^2` series instead of :math:`(q+1)^3` coefficients.  The scan
 evaluates this sum in floats (relative error about 1e-14 up to ``q = 30``)
 and recomputes it exactly only when the float left-hand side lies within
-:data:`TIE_REL_TOL` of the threshold.
+:data:`TIE_REL_TOL` of the threshold.  The float sum costs O(q³), so its
+scan stops at :data:`TRIPLE_FLOAT_CAP` whatever the condition's own cap.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "QSelectCapError",
     "CONDITION_IDS",
     "TIE_REL_TOL",
+    "TRIPLE_FLOAT_CAP",
     "TRIPLE_REL_TOL",
     "condition_lhs",
     "min_q",
@@ -61,16 +63,24 @@ TRIPLE_REL_TOL = 2e-3
 #: recomputed exactly; the float triple constant is good to about 1e-14.
 TIE_REL_TOL = 1e-10
 
+#: Highest order the triple Legendre scan probes.  The float Parseval sum is
+#: O(q³): one probe took 0.38 s at q = 256 and 3.05 s at q = 512.
+TRIPLE_FLOAT_CAP = 256
+
 
 class QSelectCapError(Exception):
     """The condition is not met at its cap: ``lhs_at_cap`` is the left-hand side at ``q = cap``."""
 
-    def __init__(self, condition: "Condition", lhs_at_cap: float, rhs: float) -> None:
+    def __init__(
+        self, condition: "Condition", lhs_at_cap: float, rhs: float, cap: int | None = None
+    ) -> None:
+        cap = condition.cap if cap is None else cap
         super().__init__(
-            f"condition {condition.id!r} unsatisfied up to q={condition.cap}: "
+            f"condition {condition.id!r} unsatisfied up to q={cap}: "
             f"lhs {lhs_at_cap:.6e} > rhs {rhs:.6e}"
         )
         self.condition = condition
+        self.cap = cap
         self.lhs_at_cap = lhs_at_cap
         self.rhs = rhs
 
@@ -126,6 +136,9 @@ _CONDITIONS = {
 }
 
 CONDITION_IDS = tuple(sorted(_CONDITIONS))
+
+#: Scan caps that hold whatever ``Condition.cap`` says, where one probe grows costly.
+_SCAN_CAPS = {"triple_legendre_dt4": TRIPLE_FLOAT_CAP}
 
 
 @dataclass(frozen=True)
@@ -191,17 +204,19 @@ def scan_detail(cond: Condition) -> QScanResult:
     """Smallest admissible truncation order, by galloping and bisection.
 
     Raises:
-        QSelectCapError: if ``cond.cap`` itself is not admissible.
+        QSelectCapError: if the cap itself is not admissible: ``cond.cap``,
+            or :data:`TRIPLE_FLOAT_CAP` for ``triple_legendre_dt4`` if lower.
     """
     _, exponent, offset, tol, _ = _CONDITIONS[cond.id]
+    cap = min(cond.cap, _SCAN_CAPS.get(cond.id, cond.cap))
     rhs = cond.dt**exponent
     threshold = rhs * (1.0 + tol)
     lo, hi = -1, 0  # after the gallop: lo is not admissible (or is -1), hi is
     found = _probe(cond.id, 0, cond.dt)
     while found[0] > threshold:
-        if hi == cond.cap:
-            raise QSelectCapError(cond, found[0], rhs)
-        lo, hi = hi, min(max(2 * hi, 1), cond.cap)
+        if hi == cap:
+            raise QSelectCapError(cond, found[0], rhs, cap)
+        lo, hi = hi, min(max(2 * hi, 1), cap)
         found = _probe(cond.id, hi, cond.dt)
     while hi - lo > 1:
         mid = (lo + hi) // 2

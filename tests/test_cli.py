@@ -175,6 +175,21 @@ class TestQTable:
         assert code == EXIT_OK
         assert json.loads(out)["columns"]["q1"] == [125]
 
+    @pytest.mark.parametrize(
+        "dt, condition",
+        [("1e-4", "pair_legendre_dt4"), ("4e-4", "triple_legendre_dt4")],
+        ids=["pair-column-first", "triple-float-cap"],
+    )
+    def test_small_step_exits_resource_promptly(self, capsys, dt, condition):
+        # At 1e-4 the pair column passes its cap first; at 4e-4 the pair
+        # order (781251) fits and the triple one (313) passes TRIPLE_FLOAT_CAP.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "q-table", "--table", "39", "--dt", dt)
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert repr(condition) in err
+
 
 class TestFloatInputs:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -281,6 +296,16 @@ class TestValidate:
             files[name] = (out.read_bytes(), Path(str(out) + ".manifest.json").read_bytes())
         assert files["one"] == files["default"]
         assert "threads" not in json.loads(files["one"][1])["parameters"]
+
+    def test_huge_request_exits_resource_before_drawing(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "validate", "--paths", "1000000000", "--steps", "1000000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "resource cap" in err and "normals" in err
 
     def test_bad_threads(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--threads", "0")

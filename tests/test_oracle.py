@@ -4,17 +4,27 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochint
+from stochint import oracle
 from stochint.coeffs import KernelSpec
 from stochint.errors import kernel_norm
 from stochint.expansion import IndexPattern
 from stochint.oracle import (
     VALIDATION_CASES,
+    NORMALS_BUDGET,
     GridTooCoarseError,
     MomentEstimate,
+    OracleBudgetError,
     SimConfig,
     ValidationReport,
     coupled_zeta,
@@ -23,9 +33,37 @@ from stochint.oracle import (
     validate_expansion,
     worker_count,
 )
-from stochint.oracle import _chunk_map
+from stochint.oracle import _chunk_count, _chunk_map, _chunk_sums, _wiener_chunk
+
+from oracle_reference import chunk_sums, reference_report, wiener_chunk
 
 DT = 0.5
+
+
+# Task functions for the pool tests: module level, so that they pickle.
+def _pair_square(i, j):
+    return i, j * j
+
+
+def _fail_on_two(idx):
+    if idx == 2:
+        raise ZeroDivisionError("chunk 2")
+    return idx
+
+
+def _child_validates(cfg, conn):
+    """Run in a forked child: validate with two workers and report its own pool."""
+    report = validate_expansion("pair_distinct", cfg, workers=2)
+    conn.send((report, oracle._pool.pid, [p.pid for p in multiprocessing.active_children()]))
+    conn.close()
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 class TestSimConfig:
@@ -202,13 +240,14 @@ class TestWorkers:
             ("pair_distinct", 3, 1300, 128),  # a partial last chunk
             ("pair_equal_weighted", 4, 100, 128),  # one chunk: no pool
             ("triple_distinct", 11, 1024, 256),  # doubles the grid to 1024
+            ("pair_weighted_distinct", 5, 2048, 256),
         ],
     )
     def test_reports_do_not_depend_on_workers(self, case, seed, paths, steps):
         cfg = SimConfig(steps=steps, paths=paths, seed=seed, dt=DT)
         reports = [validate_expansion(case, cfg, workers=w) for w in (1, 2, 3)]
         fields = [(r.steps, r.empirical, r.stat_err, r.z, r.bias) for r in reports]
-        assert fields[0] == fields[1] == fields[2]
+        assert fields[0] == fields[1] == fields[2] == reference_report(case, cfg)
         assert reports[0] == reports[1] == reports[2]
         if case == "triple_distinct":
             assert reports[0].steps == 1024
@@ -230,21 +269,18 @@ class TestWorkers:
             validate_expansion("pair_distinct", SimConfig(steps=8, paths=10, seed=0, dt=DT), workers=requested)
 
     def test_chunk_map_keeps_task_order(self):
-        with _chunk_map(lambda i, j: (i, j * j), 2) as run:
-            assert run([(i, i + 1) for i in range(7)]) == [(i, (i + 1) ** 2) for i in range(7)]
-        assert multiprocessing.active_children() == []
+        tasks = [(i, i + 1) for i in range(7)]
+        assert _chunk_map(_pair_square, tasks, 2) == [(i, (i + 1) ** 2) for i in range(7)]
+        assert (oracle._pool.pid, oracle._pool.workers) == (os.getpid(), 2)
+        assert _chunk_map(_pair_square, tasks, 1) == _chunk_map(_pair_square, tasks, 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_exception_reaches_caller(self, workers):
-        def fail_on_two(idx):
-            if idx == 2:
-                raise ZeroDivisionError("chunk 2")
-            return idx
-
+        cfg = SimConfig(steps=64, paths=1100, seed=2, dt=DT)
+        before = validate_expansion("pair_distinct", cfg, workers=workers)
         with pytest.raises(ZeroDivisionError, match="chunk 2"):
-            with _chunk_map(fail_on_two, workers) as run:
-                run([(i,) for i in range(4)])
-        assert multiprocessing.active_children() == []
+            _chunk_map(_fail_on_two, [(i,) for i in range(4)], workers)
+        assert validate_expansion("pair_distinct", cfg, workers=workers) == before
 
     def test_runs_inside_a_pool_worker(self):
         # Pool workers are daemonic and may not fork a pool of their own.
@@ -253,9 +289,133 @@ class TestWorkers:
             inside = pool.apply(validate_expansion, ("pair_distinct", cfg, 3, 2))
         assert inside == validate_expansion("pair_distinct", cfg, workers=2)
 
-    def test_pool_closed_when_caller_raises(self):
+    def test_pool_usable_after_caller_raises(self):
+        assert _chunk_map(_pair_square, [(0, 1), (1, 2)], 2) == [(0, 1), (1, 4)]
+        executor = oracle._pool.executor
+        # A task that cannot be pickled fails in the parent, mid-map.
+        with pytest.raises(Exception):
+            _chunk_map(_pair_square, [(0, 1), (lambda: 0, 2), (2, 3)], 2)
         with pytest.raises(KeyError):
-            with _chunk_map(lambda i: i, 2) as run:
-                assert run([(0,), (1,)]) == [0, 1]
-                raise KeyError("caller")
-        assert multiprocessing.active_children() == []
+            _chunk_map(_pair_square, [(0, 1)], 2)
+            raise KeyError("caller")
+        assert _chunk_map(_pair_square, [(0, 1), (1, 2)], 2) == [(0, 1), (1, 4)]
+        assert oracle._pool.executor is executor
+
+    def test_worker_count_change_replaces_the_pool(self):
+        cfg = SimConfig(steps=64, paths=1600, seed=4, dt=DT)
+        reports = []
+        for workers in (3, 2):
+            reports.append(validate_expansion("pair_distinct", cfg, workers=workers))
+            assert len(multiprocessing.active_children()) == workers
+        assert reports[0] == reports[1]
+
+    def test_dead_worker_drops_the_pool(self):
+        cfg = SimConfig(steps=64, paths=1100, seed=2, dt=DT)
+        before = validate_expansion("pair_distinct", cfg, workers=2)
+        with pytest.raises(BrokenProcessPool):
+            _chunk_map(os._exit, [(1,), (1,)], 2)
+        assert oracle._pool is None
+        assert validate_expansion("pair_distinct", cfg, workers=2) == before
+        assert len(multiprocessing.active_children()) == 2
+
+    def test_forked_child_builds_its_own_pool(self):
+        cfg = SimConfig(steps=64, paths=1100, seed=2, dt=DT)
+        before = validate_expansion("pair_distinct", cfg, workers=2)
+        executor = oracle._pool.executor
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_validates, args=(cfg, send))
+        child.start()
+        send.close()
+        assert receive.poll(60)
+        report, pool_pid, grandchildren = receive.recv()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert report == before
+        assert pool_pid == child.pid
+        assert len(grandchildren) == 2
+        assert all(_gone(pid) for pid in grandchildren)
+        assert validate_expansion("pair_distinct", cfg, workers=2) == before
+        assert oracle._pool.executor is executor
+
+    def test_interpreter_exit_reaps_workers(self):
+        code = (
+            "import multiprocessing\n"
+            "from stochint.oracle import SimConfig, validate_expansion\n"
+            "cfg = SimConfig(steps=64, paths=1100, seed=2, dt=0.5)\n"
+            "validate_expansion('pair_distinct', cfg, workers=2)\n"
+            "validate_expansion('triple_distinct', cfg, workers=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stochint.__file__).parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        assert all(_gone(pid) for pid in pids)
+
+    def test_import_starts_no_process(self):
+        code = (
+            "import multiprocessing, sys, threading, stochint, stochint.cli\n"
+            "print(len(multiprocessing.active_children()), threading.active_count(),\n"
+            "      'concurrent.futures' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stochint.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout.split() == ["0", "1", "False"]
+
+
+class TestWholeChunkReference:
+    """Sub-blocked chunks equal the whole-chunk route of ``oracle_reference``."""
+
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    @pytest.mark.parametrize("steps", [128, 256, 2048])
+    @pytest.mark.parametrize(
+        "paths",
+        [100, 513, 1300, 4096],
+        # 100 = 64 + 36 and 1300 = 2·512 + 4·64 + 20 leave sub-block remainders;
+        # 513 leaves a one-path last chunk.
+        ids=["one-partial-chunk", "one-path-last-chunk", "sub-block-remainder", "full-chunks"],
+    )
+    def test_chunk_sums_equal(self, case, steps, paths):
+        cfg = SimConfig(steps=steps, paths=paths, seed=paths + steps, dt=DT)
+        for idx in range(_chunk_count(paths)):
+            got = _chunk_sums(VALIDATION_CASES[case].expansion, cfg, idx)
+            assert got == chunk_sums(VALIDATION_CASES[case], cfg, idx)
+
+    @pytest.mark.parametrize("paths", [1, 100, 513, 1300])
+    def test_partial_chunk_is_prefix_of_full_draw(self, paths):
+        cfg = SimConfig(steps=16, paths=paths, seed=8, dt=DT)
+        for idx in range(_chunk_count(paths)):
+            assert np.array_equal(_wiener_chunk(cfg, 3, idx), wiener_chunk(cfg, 3, idx))
+
+
+class TestBudget:
+    def test_huge_request_raises_before_drawing(self):
+        cfg = SimConfig(steps=1_000_000, paths=1_000_000_000, seed=0, dt=DT)
+        start = time.perf_counter()
+        with pytest.raises(OracleBudgetError, match="normals"):
+            validate_expansion("pair_distinct", cfg, workers=2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_counts_every_doubling(self):
+        # Two components: 2**35 normals on the first grid, three times that with one doubling.
+        cfg = SimConfig(steps=2**20, paths=2**14, seed=0, dt=DT)
+        with pytest.raises(OracleBudgetError):
+            validate_expansion("pair_distinct", cfg, max_doublings=1)
+
+    @pytest.mark.parametrize(
+        "paths, steps, components",
+        [(100_000, 4096, 3), (4096, 2048, 3)],
+        ids=["criterion-6", "validate_mc"],
+    )
+    def test_budget_admits_the_suite_and_benchmark(self, paths, steps, components):
+        assert paths * components * steps * (2**4 - 1) <= NORMALS_BUDGET

@@ -10,6 +10,7 @@ from stochint.qselect import (
     CONDITION_IDS,
     Condition,
     QSelectCapError,
+    TRIPLE_FLOAT_CAP,
     TRIPLE_REL_TOL,
     condition_lhs,
     min_q,
@@ -197,6 +198,37 @@ class TestAgainstLinearScan:
         with pytest.raises(QSelectCapError) as slow:
             linear_scan(cond)
         assert fast.value.lhs_at_cap == slow.value.lhs_at_cap
+
+
+class TestTripleFloatCap:
+    """The O(q³) float triple sum is never probed past ``TRIPLE_FLOAT_CAP``."""
+
+    def test_scan_stops_at_the_float_cap(self):
+        # q1 = 313 at dt = 4e-4: the uncapped scan probed q = 512, 384, ...
+        with pytest.raises(QSelectCapError) as raised:
+            scan_detail(Condition("triple_legendre_dt4", 4e-4))
+        assert raised.value.cap == TRIPLE_FLOAT_CAP
+        assert f"q={TRIPLE_FLOAT_CAP}:" in str(raised.value)
+        assert raised.value.lhs_at_cap == condition_lhs(
+            "triple_legendre_dt4", TRIPLE_FLOAT_CAP, 4e-4
+        )
+
+    def test_lower_condition_cap_still_binds(self):
+        with pytest.raises(QSelectCapError) as raised:
+            scan_detail(Condition("triple_legendre_dt4", 0.0196, cap=3))
+        assert raised.value.cap == 3
+
+    def test_other_conditions_keep_their_cap(self):
+        assert scan_detail(Condition("triple_trig_dt4", 1e-4)).minimal_q == 1011
+
+    def test_reference_orders_lie_below_the_cap(self):
+        orders = [
+            scan_detail(cond).minimal_q
+            for cond in _reference_grid()
+            if cond.id == "triple_legendre_dt4"
+        ]
+        assert len(orders) == 6
+        assert max(orders) < TRIPLE_FLOAT_CAP
 
 
 class TestReferenceColumns:
