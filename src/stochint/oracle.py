@@ -399,9 +399,9 @@ def _chunk_sums(case: _Expansion, cfg: SimConfig, idx: int) -> tuple[float, floa
     phi = _basis_matrix(case.jmax, cfg.dt, cfg.steps)
     phi_half = _basis_matrix(case.jmax, cfg.dt, cfg.steps // 2)
 
-    def squared_error(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def squared_error(dw: np.ndarray, basis: np.ndarray) -> np.ndarray:
         exact = _nested_values(case.spec, dw[:, comp_axes, :], cfg.dt, case.calculus, equal_pair)
-        return (exact - evaluate(_project(dw, phi))) ** 2
+        return (exact - evaluate(_project(dw, basis))) ** 2
 
     paths = _chunk_paths(cfg, idx)
     stream = _chunk_stream(cfg.seed, idx)
@@ -413,9 +413,9 @@ def _chunk_sums(case: _Expansion, cfg: SimConfig, idx: int) -> tuple[float, floa
             dw = buffer[: min(PATH_BLOCK, paths - start)]
             stream.standard_normal(out=dw)
             dw *= scale
-            block = slice(start, start + dw.shape[0])
-            d2[block] = squared_error(dw, phi)
-            d2_half[block] = squared_error(dw[:, :, 0::2] + dw[:, :, 1::2], phi_half)
+            rows = slice(start, start + dw.shape[0])
+            d2[rows] = squared_error(dw, phi)
+            d2_half[rows] = squared_error(dw[:, :, 0::2] + dw[:, :, 1::2], phi_half)
         return float(np.sum(d2)), float(np.sum(d2 * d2)), float(np.sum(d2_half)), paths
 
 
