@@ -36,7 +36,6 @@ for any number of workers.
 
 from __future__ import annotations
 
-import gc
 import math
 import multiprocessing
 import os
@@ -479,11 +478,7 @@ def _fork_pool(workers: int):
         import multiprocessing.util  # with the executor, loaded on first use, not at import
         from concurrent.futures import ProcessPoolExecutor
 
-        # A worker never frees what it inherits; freezing that keeps its
-        # collector from walking (and so copying) the parent's objects.
-        executor = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
-        )
+        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         # Shut down at exit, before multiprocessing joins the children of a
         # forked process that validates.
         shutdown = multiprocessing.util.Finalize(None, executor.shutdown, exitpriority=20)
