@@ -214,6 +214,38 @@ class TestFloatInputs:
         assert out == ""
 
 
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("validate", "--paths", "0"), "--paths"),
+            (("validate", "--steps", "1"), "--steps"),
+            (("validate", "--threads", "0"), "--threads"),
+            (("coeffs", "--table", "4", "--threads", "0"), "--threads"),
+            (("coeffs", "--k", "2", "--q", "-1"), "--q"),
+            (("export", "--k", "2", "--q", "-1", "--output", "out.json"), "--q"),
+            (("coeffs", "--table", "99"), "99"),
+            (("error-table", "--table", "99"), "99"),
+            (("q-table", "--table", "99"), "99"),
+            (("error-table", "--kind", "nope"), "nope"),
+            (("validate", "--case", "pair_distinct", "--case", "nope", "--paths", "100000"), "nope"),
+        ],
+        ids=["paths", "steps", "threads", "threads-coeffs", "q-coeffs", "q-export",
+             "table-coeffs", "table-error", "table-q", "kind", "case-after-good-case"],
+    )
+    def test_usage_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv, named):
+        # The last case would validate pair_distinct on 10^5 paths for
+        # seconds if the unknown case were found only after it.
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert named in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestValidate:
     def test_passing_run(self, capsys):
         code, out, _ = run_cli(

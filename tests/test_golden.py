@@ -5,11 +5,15 @@ and the SHA-256 of the written payload is compared with :data:`DIGESTS`.
 The digests were recorded with the monomial-polynomial coefficient engine,
 so any rewrite of the exact engine, the serializers or the q-scans that
 changes one byte of a coefficient table, a tensor export, an error table
-or an order table fails here.
+or an order table fails here.  The run manifests of
+:data:`MANIFEST_REQUESTS`, one request per route through the tool, are
+pinned the same way in :data:`MANIFEST_DIGESTS`; they were recorded before
+the subcommands shared one renderer.
 
 To re-record after an intended payload change, run this module as a
 script from the repository root (``PYTHONPATH=src python
-tests/test_golden.py``); it prints the new :data:`DIGESTS` literal.
+tests/test_golden.py``); it prints the new :data:`DIGESTS` and
+:data:`MANIFEST_DIGESTS` literals.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ def golden_requests() -> list[tuple[str, list[str]]]:
     return requests
 
 
-def payload_digest(argv: list[str], directory: Path) -> str:
+def payload_digest(argv: list[str], directory: Path, suffix: str = "") -> str:
+    """SHA-256 of the payload written for ``argv``, or of the file named with ``suffix``."""
     path = directory / "payload"
     assert main(argv + ["--output", str(path)]) == EXIT_OK
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(Path(str(path) + suffix).read_bytes()).hexdigest()
 
 
 DIGESTS: dict[str, str] = {
@@ -173,6 +178,37 @@ DIGESTS: dict[str, str] = {
 
 REQUESTS = golden_requests()
 
+#: ``(label, argv)`` of every pinned run manifest, ``--output`` omitted: one
+#: request per route through the command-line tool.
+MANIFEST_REQUESTS: list[tuple[str, list[str]]] = [
+    ("coeffs-table", ["coeffs", "--table", "20", "--format", "csv"]),
+    ("coeffs-k", ["coeffs", "--k", "2", "--weights", "1,0", "--q", "3"]),
+    ("export", ["export", "--k", "3", "--q", "2", "--format", "csv"]),
+    ("error-table-table", ["error-table", "--table", "42", "--q", "1,7,1000"]),
+    ("error-table-kind", ["error-table", "--kind", "triple_trig", "--q", "2,30", "--dt", "0.25",
+                          "--format", "csv"]),
+    ("q-table-table", ["q-table", "--table", "37", "--dt", "0.03125,0.01"]),
+    ("q-table-all-csv", ["q-table", "--format", "csv"]),
+    ("q-table-all-json", ["q-table"]),
+    ("validate", ["validate", "--case", "pair_distinct", "--case", "triple_distinct",
+                  "--steps", "64", "--paths", "700", "--seed", "3", "--dt", "0.25",
+                  "--format", "csv"]),
+]
+
+#: SHA-256 of the ``.manifest.json`` each of :data:`MANIFEST_REQUESTS` writes.
+#: A manifest holds the payload's checksum, so these pin the payloads too.
+MANIFEST_DIGESTS: dict[str, str] = {
+    "coeffs-table": "93963bda33c9d62b8421123029ae8e203cd0e456b8ff8931c50555a499edba45",
+    "coeffs-k": "4c302a57fa3733caf5640f0c2205f2ce9fc8fe0e3d4132344ffe78f7bfecea1b",
+    "export": "4808d044e1df50bbe9f91387122932f39fa2d4b5a73ec519d467a71e02aa00d4",
+    "error-table-table": "07062e0de461c2f3efb07ab76a0fb56196d174d4bbfa6116a26b2dedf38177c5",
+    "error-table-kind": "e6c90ca696dc9d2b9acc703dd59c9adbef06d35776e6f6ab7481b3fe165ff68c",
+    "q-table-table": "c1630011a5e2522b7f4fd47b4d92751a1e5f8b8ff85553f7ec54bfe520eab410",
+    "q-table-all-csv": "20c6d67940c546639f5e90e21e8c56ab0d294ce81180411904b9ebde7e7d0b73",
+    "q-table-all-json": "5c39ce0bd721f4f41690766d73672af4c06b91dc47f4f7c4fd628e7cd06a8306",
+    "validate": "dc952f7d2533d3817847808e94461f441bbcddb6d33fc2299c0c752e0dea1f9e",
+}
+
 
 def test_every_request_is_pinned():
     assert sorted(label for label, _ in REQUESTS) == sorted(DIGESTS)
@@ -184,10 +220,26 @@ def test_payload_digest(label, argv, tmp_path, monkeypatch):
     assert payload_digest(argv, tmp_path) == DIGESTS[label]
 
 
+def test_every_manifest_request_is_pinned():
+    assert [label for label, _ in MANIFEST_REQUESTS] == list(MANIFEST_DIGESTS)
+
+
+@pytest.mark.parametrize(
+    "label,argv", MANIFEST_REQUESTS, ids=[label for label, _ in MANIFEST_REQUESTS]
+)
+def test_manifest_digest(label, argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("STOCHINT_CACHE_DIR", raising=False)
+    assert payload_digest(argv, tmp_path, ".manifest.json") == MANIFEST_DIGESTS[label]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         print("DIGESTS: dict[str, str] = {")
         for label, argv in REQUESTS:
             print(f'    "{label}": "{payload_digest(argv, Path(tmp))}",')
             sys.stdout.flush()
+        print("}")
+        print("MANIFEST_DIGESTS: dict[str, str] = {")
+        for label, argv in MANIFEST_REQUESTS:
+            print(f'    "{label}": "{payload_digest(argv, Path(tmp), ".manifest.json")}",')
         print("}")
