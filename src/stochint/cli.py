@@ -21,7 +21,15 @@ All output is deterministic for fixed flags and seed.  ``--format``
 switches between JSON and CSV renderings of the same data.  When
 ``--output`` is given, a manifest with SHA-256 checksums is written next
 to the file.  The only environment variable consulted is
-``STOCHINT_CACHE_DIR``: when set, ``export`` payloads are cached there.
+``STOCHINT_CACHE_DIR``: when set, ``export`` payloads are cached there,
+each entry with its payload's SHA-256; an entry that fails it is a miss.
+
+The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
+below 2, ``--threads`` below 1, a negative ``--q``, a ``--dt`` that is not
+positive and finite) and unknown ``--case`` or ``--kind`` names before any
+work starts; the library rejects unknown table numbers.  Each subcommand
+answers a document, its CSV rows and the manifest parameters, and one
+renderer writes the payload.
 
 Exit codes: 0 success; 1 usage error; 2 validation failure; 3 resource
 cap exceeded.
@@ -36,37 +44,23 @@ import math
 import os
 import sys
 import uuid
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .coeffs import (
-    KernelSpec,
-    QuadratureError,
-    TensorBudgetError,
-    coeff_tensor,
-    tensor_to_csv,
-    tensor_to_json,
+    KernelSpec, QuadratureError, TensorBudgetError, coeff_tensor, tensor_to_csv, tensor_to_json,
 )
 from .errors import SERIES_KINDS, series_error
 from .oracle import (
-    GridTooCoarseError,
-    OracleBudgetError,
-    SimConfig,
-    VALIDATION_CASES,
-    validate_expansion,
+    GridTooCoarseError, OracleBudgetError, SimConfig, VALIDATION_CASES, validate_expansion,
 )
 from .qselect import QSelectCapError
 from .tables import (
-    COEFF_TABLES,
-    DEFAULT_ERROR_QS,
-    ERROR_TABLES,
-    Q_TABLES,
-    compute_coeff_table,
-    compute_error_table,
-    compute_q_table,
+    COEFF_TABLES, DEFAULT_ERROR_QS, ERROR_TABLES, Q_TABLES,
+    compute_coeff_table, compute_error_table, compute_q_table,
 )
 
 __all__ = ["main", "RunManifest"]
@@ -86,6 +80,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _json(obj: object) -> str:
+    """The JSON rendering of payloads and manifests: indented, keys sorted."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Reproducibility record for one command invocation.
@@ -102,35 +101,42 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        return cls(
-            command=data["command"],
-            parameters=data["parameters"],
-            seed=data["seed"],
-            version=data["version"],
-            outputs=data["outputs"],
-        )
+        return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return _json(self.as_dict())
+
+
+class _Reply(NamedTuple):
+    """A subcommand's answer: the JSON document (or the payload text a library
+    serializer or the export cache already rendered), its CSV rows, the
+    manifest parameters and the exit code."""
+
+    doc: dict | str
+    rows: list[list]
+    parameters: dict
+    code: int = EXIT_OK
+
+
+def _payload(fmt: str, doc: dict | str, rows: Iterable[list]) -> str:
+    """``doc`` as JSON, or ``rows`` as CSV lines (an empty row is an empty line)."""
+    if isinstance(doc, str):
+        return doc
+    if fmt == "json":
+        return _json(doc)
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _emit(payload: str, args: argparse.Namespace, parameters: dict) -> None:
     """Write payload to stdout or to ``--output`` plus a manifest."""
-    output = getattr(args, "output", None)
-    if output is None:
+    if args.output is None:
         sys.stdout.write(payload)
         return
-    path = Path(output)
+    path = Path(args.output)
     data = payload.encode()
     path.write_bytes(data)
     manifest = RunManifest(
@@ -158,8 +164,30 @@ def _floats(text: str) -> list[float]:
     return [_positive(part) for part in text.split(",") if part != ""]
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _at_least(low: int) -> Callable[[str], int]:
+    """Argument type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _known(what: str, names: Sequence[str]) -> Callable[[str], str]:
+    """Argument type: one of ``names``."""
+
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r} (available {', '.join(names)})"
+            )
+        return text
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -167,68 +195,35 @@ def _frac_str(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_grid_payload(number: int, fmt: str) -> str:
-    layout = COEFF_TABLES[number]
-    grid = compute_coeff_table(number)
-    if fmt == "json":
+def _tensor_text(args: argparse.Namespace, weights: tuple[int, ...]) -> str:
+    tensor = coeff_tensor(KernelSpec(args.k, weights), args.q)
+    return tensor_to_json(tensor) if args.format == "json" else tensor_to_csv(tensor)
+
+
+def _cmd_coeffs(args: argparse.Namespace) -> _Reply:
+    if args.table is not None:
+        grid = compute_coeff_table(args.table)
+        layout = COEFF_TABLES[args.table]
         doc = {
-            "table": number,
+            "table": args.table,
             "multiplicity": layout.spec.k,
             "weights": list(layout.spec.weights),
             "row_label": layout.row_label,
             "col_label": layout.col_label,
             "cells": [
-                [
-                    {
-                        "num": c.numerator,
-                        "den": c.denominator,
-                        "float": float(c),
-                    }
-                    for c in row
-                ]
+                [{"num": c.numerator, "den": c.denominator, "float": float(c)} for c in row]
                 for row in grid
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = [",".join(["row"] + [str(c) for c in range(layout.cols)])]
-    for r, row in enumerate(grid):
-        lines.append(",".join([str(r)] + [_frac_str(c) for c in row]))
-    return "\n".join(lines) + "\n"
-
-
-def _tensor_payload(args: argparse.Namespace) -> str:
-    weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
-    tensor = coeff_tensor(KernelSpec(args.k, weights), args.q, threads=args.threads)
-    if args.format == "json":
-        return tensor_to_json(tensor)
-    return tensor_to_csv(tensor)
-
-
-def _cmd_coeffs(args: argparse.Namespace) -> int:
-    if args.table is not None:
-        if args.table not in COEFF_TABLES:
-            sys.stderr.write(
-                f"stochint coeffs: no coefficient table {args.table} (available 4..36)\n"
-            )
-            return EXIT_USAGE
-        payload = _coeff_grid_payload(args.table, args.format)
-        _emit(payload, args, {"table": args.table, "format": args.format})
-        return EXIT_OK
+        rows = [["row", *range(layout.cols)]] + [
+            [r, *(f"{c.numerator}/{c.denominator}" for c in row)] for r, row in enumerate(grid)
+        ]
+        return _Reply(doc, rows, {"table": args.table, "format": args.format})
     if args.k is None:
-        sys.stderr.write("stochint coeffs: provide --table or --k\n")
-        return EXIT_USAGE
-    payload = _tensor_payload(args)
-    _emit(
-        payload,
-        args,
-        {
-            "k": args.k,
-            "weights": list(args.weights) if args.weights is not None else None,
-            "q": args.q,
-            "format": args.format,
-        },
-    )
-    return EXIT_OK
+        raise ValueError("provide --table or --k")
+    weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
+    parameters = {"k": args.k, "weights": args.weights, "q": args.q, "format": args.format}
+    return _Reply(_tensor_text(args, weights), [], parameters)
 
 
 def _cache_path(key: str) -> Path | None:
@@ -240,38 +235,41 @@ def _cache_path(key: str) -> Path | None:
     return root / (hashlib.sha256(key.encode()).hexdigest() + ".payload")
 
 
+def _read_entry(path: Path) -> str | None:
+    """The payload of cache entry ``path``: None when there is no entry or
+    it fails the SHA-256 on its first line, so a corrupt entry is a miss."""
+    try:
+        digest, _, data = path.read_bytes().partition(b"\n")
+    except FileNotFoundError:
+        return None
+    if digest != hashlib.sha256(data).hexdigest().encode():
+        return None
+    return data.decode()
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` beside ``path`` and rename it over ``path``; a failure leaves neither."""
     # A unique name opened like ``path`` would be, so the entry keeps the umask mode.
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> _Reply:
     weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
     key = f"{__version__}:export:{args.k}:{weights}:{args.q}:{args.format}"
     cached = _cache_path(key)
-    if cached is not None and cached.exists():
-        payload = cached.read_text()
-    else:
-        payload = _tensor_payload(args)
+    payload = _read_entry(cached) if cached is not None else None
+    if payload is None:
+        payload = _tensor_text(args, weights)
         if cached is not None:
-            _write_atomic(cached, payload)
-    _emit(
-        payload,
-        args,
-        {
-            "k": args.k,
-            "weights": list(weights),
-            "q": args.q,
-            "format": args.format,
-        },
-    )
-    return EXIT_OK
+            digest = hashlib.sha256(payload.encode()).hexdigest()
+            _write_atomic(cached, f"{digest}\n{payload}")
+    parameters = {"k": args.k, "weights": list(weights), "q": args.q, "format": args.format}
+    return _Reply(payload, [], parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +277,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_error_table(args: argparse.Namespace) -> int:
+def _cmd_error_table(args: argparse.Namespace) -> _Reply:
     qs = args.q if args.q is not None else list(DEFAULT_ERROR_QS)
     if args.table is not None:
-        if args.table not in ERROR_TABLES:
-            sys.stderr.write(
-                f"stochint error-table: no error table {args.table} "
-                f"(available {sorted(ERROR_TABLES)})\n"
-            )
-            return EXIT_USAGE
-        spec = ERROR_TABLES[args.table]
         values = compute_error_table(args.table, qs)
+        spec = ERROR_TABLES[args.table]
         doc = {
             "table": args.table,
             "kind": spec.series,
@@ -299,59 +291,27 @@ def _cmd_error_table(args: argparse.Namespace) -> int:
         }
         parameters = {"table": args.table, "q": qs, "format": args.format}
     elif args.kind is not None:
-        if args.kind not in SERIES_KINDS:
-            sys.stderr.write(
-                f"stochint error-table: unknown kind {args.kind!r} "
-                f"(available {', '.join(SERIES_KINDS)})\n"
-            )
-            return EXIT_USAGE
         values = [series_error(args.kind, q, args.dt) for q in qs]
         doc = {"kind": args.kind, "dt": args.dt, "q": qs, "values": values}
         parameters = {"kind": args.kind, "dt": args.dt, "q": qs, "format": args.format}
     else:
-        sys.stderr.write("stochint error-table: provide --table or --kind\n")
-        return EXIT_USAGE
-    if args.format == "json":
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = ["q,value"] + [f"{q},{v!r}" for q, v in zip(qs, values)]
-        payload = "\n".join(lines) + "\n"
-    _emit(payload, args, parameters)
-    return EXIT_OK
+        raise ValueError("provide --table or --kind")
+    return _Reply(doc, [["q", "value"], *zip(qs, values)], parameters)
 
 
-def _q_table_doc(number: int, dts: list[float] | None, threads: int) -> dict:
-    table = Q_TABLES[number]
-    used = list(dts) if dts is not None else list(table.dts)
-    columns = compute_q_table(number, used, threads=threads)
-    return {"table": number, "dt": used, "columns": columns}
-
-
-def _cmd_q_table(args: argparse.Namespace) -> int:
+def _cmd_q_table(args: argparse.Namespace) -> _Reply:
     numbers = [args.table] if args.table is not None else sorted(Q_TABLES)
-    for n in numbers:
-        if n not in Q_TABLES:
-            sys.stderr.write(
-                f"stochint q-table: no truncation-order table {n} "
-                f"(available {sorted(Q_TABLES)})\n"
-            )
-            return EXIT_USAGE
-    docs = [_q_table_doc(n, args.dt, args.threads) for n in numbers]
-    parameters = {"table": args.table, "dt": args.dt, "format": args.format}
-    if args.format == "json":
-        body = docs[0] if args.table is not None else {"tables": {str(d["table"]): d for d in docs}}
-        payload = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    else:
-        sections = []
-        for doc in docs:
-            names = list(doc["columns"])
-            lines = [",".join(["dt"] + names)]
-            for i, dt in enumerate(doc["dt"]):
-                lines.append(",".join([repr(dt)] + [str(doc["columns"][c][i]) for c in names]))
-            sections.append("\n".join(lines))
-        payload = "\n\n".join(sections) + "\n"
-    _emit(payload, args, parameters)
-    return EXIT_OK
+    docs, rows = [], []
+    for number in numbers:
+        columns = compute_q_table(number, args.dt)
+        dts = list(args.dt if args.dt is not None else Q_TABLES[number].dts)
+        docs.append({"table": number, "dt": dts, "columns": columns})
+        if rows:
+            rows.append([])  # an empty line between tables
+        rows.append(["dt", *columns])
+        rows += ([dt, *(column[i] for column in columns.values())] for i, dt in enumerate(dts))
+    doc = docs[0] if args.table is not None else {"tables": {str(d["table"]): d for d in docs}}
+    return _Reply(doc, rows, {"table": args.table, "dt": args.dt, "format": args.format})
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +319,8 @@ def _cmd_q_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    cases = args.case if args.case else sorted(VALIDATION_CASES)
-    for case in cases:
-        if case not in VALIDATION_CASES:
-            sys.stderr.write(
-                f"stochint validate: unknown case {case!r} "
-                f"(available {', '.join(sorted(VALIDATION_CASES))})\n"
-            )
-            return EXIT_USAGE
+def _cmd_validate(args: argparse.Namespace) -> _Reply:
+    cases = args.case or sorted(VALIDATION_CASES)
     cfg = SimConfig(
         steps=args.steps, paths=args.paths, seed=args.seed, dt=args.dt, calculus="ito"
     )
@@ -376,30 +329,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         try:
             reports.append(validate_expansion(case, cfg, workers=args.threads).as_dict())
         except GridTooCoarseError as exc:
-            sys.stderr.write(f"stochint validate: {case}: {exc}\n")
-            return EXIT_VALIDATION
+            raise GridTooCoarseError(f"{case}: {exc}", exc.bias, exc.stat_err, exc.steps)
     passed = all(abs(r["z"]) < 3.0 for r in reports)
-    doc = {"reports": reports, "passed": passed}
-    if args.format == "json":
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        cols = ["case", "q", "dt", "N", "P", "empirical", "theoretical", "z", "stat_err", "bias"]
-        lines = [",".join(cols)]
-        for r in reports:
-            lines.append(",".join(str(r[c]) for c in cols))
-        payload = "\n".join(lines) + "\n"
-    _emit(
-        payload,
-        args,
-        {
-            "case": cases,
-            "paths": args.paths,
-            "steps": args.steps,
-            "dt": args.dt,
-            "format": args.format,
-        },
+    cols = ["case", "q", "dt", "N", "P", "empirical", "theoretical", "z", "stat_err", "bias"]
+    return _Reply(
+        {"reports": reports, "passed": passed},
+        [cols] + [[r[c] for c in cols] for r in reports],
+        {"case": cases, "paths": args.paths, "steps": args.steps, "dt": args.dt,
+         "format": args.format},
+        EXIT_OK if passed else EXIT_VALIDATION,
     )
-    return EXIT_OK if passed else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +351,31 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"stochint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, workers: bool = False) -> None:
+    def common(p: _Parser, output_required: bool = False) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", help="write payload to this file (with manifest)")
-        if workers:
-            p.add_argument(
-                "--threads", type=int,
-                help="oracle worker processes (default: usable CPUs); outputs do not depend on it",
-            )
-        else:
-            p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+        p.add_argument(
+            "--output", required=output_required,
+            help="write payload to this file (with manifest)",
+        )
+        p.add_argument(
+            "--threads", type=_at_least(1),
+            help="validate: oracle worker processes (default: usable CPUs); outputs do not "
+            "depend on it.  Other subcommands accept it and ignore it",
+        )
 
     p = sub.add_parser("coeffs", help="exact coefficient tensors and reference grids")
     p.add_argument("--table", type=int, help="numbered coefficient grid (4..36)")
     p.add_argument("--k", type=int, help="multiplicity of the kernel")
     p.add_argument("--weights", type=_ints, help="comma-separated weight exponents")
-    p.add_argument("--q", type=int, default=2, help="truncation order per index")
+    p.add_argument("--q", type=_at_least(0), default=2, help="truncation order per index")
     common(p)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("error-table", help="normalized truncation-error tables")
     p.add_argument("--table", type=int, help="numbered error table (1,2,3,38,41,42)")
-    p.add_argument("--kind", help="error series kind (raw values at --dt)")
+    p.add_argument(
+        "--kind", type=_known("kind", SERIES_KINDS), help="error series kind (raw values at --dt)"
+    )
     p.add_argument("--q", type=_ints, help="comma-separated truncation orders")
     p.add_argument("--dt", type=_positive, default=1.0, help="interval length for --kind mode")
     common(p)
@@ -447,20 +389,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="coupled Monte Carlo validation")
     p.add_argument(
-        "--case", action="append", help="named validation case (repeatable; default all)"
+        "--case", action="append", type=_known("case", sorted(VALIDATION_CASES)),
+        help="named validation case (repeatable; default all)",
     )
-    p.add_argument("--paths", type=int, default=20000)
-    p.add_argument("--steps", type=int, default=1024)
+    p.add_argument("--paths", type=_at_least(1), default=20000)
+    p.add_argument("--steps", type=_at_least(2), default=1024)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--dt", type=_positive, default=0.5)
-    common(p, workers=True)
+    common(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("export", help="write a coefficient tensor with manifest")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--weights", type=_ints)
-    p.add_argument("--q", type=int, required=True)
-    common(p)
+    p.add_argument("--q", type=_at_least(0), required=True)
+    common(p, output_required=True)
     p.set_defaults(func=_cmd_export)
     return parser
 
@@ -480,29 +423,20 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "paths", None) is not None and args.paths < 1:
-        sys.stderr.write("stochint validate: --paths must be at least 1\n")
-        return EXIT_USAGE
-    if getattr(args, "steps", None) is not None and args.steps < 2:
-        sys.stderr.write("stochint validate: --steps must be at least 2\n")
-        return EXIT_USAGE
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        sys.stderr.write("stochint: --threads must be at least 1\n")
-        return EXIT_USAGE
-    if getattr(args, "q", None) is not None and isinstance(args.q, int) and args.q < 0:
-        sys.stderr.write("stochint: --q must be nonnegative\n")
-        return EXIT_USAGE
-    if args.command == "export" and args.output is None:
-        sys.stderr.write("stochint export: --output is required\n")
-        return EXIT_USAGE
+    prog = f"stochint {args.command}"
     try:
-        return args.func(args)
+        reply = args.func(args)
     except (TensorBudgetError, QSelectCapError, QuadratureError, OracleBudgetError) as exc:
-        sys.stderr.write(f"stochint: resource cap: {exc}\n")
+        sys.stderr.write(f"{prog}: resource cap: {exc}\n")
         return EXIT_RESOURCE
+    except GridTooCoarseError as exc:
+        sys.stderr.write(f"{prog}: {exc}\n")
+        return EXIT_VALIDATION
     except ValueError as exc:
-        sys.stderr.write(f"stochint: {exc}\n")
+        sys.stderr.write(f"{prog}: {exc}\n")
         return EXIT_USAGE
+    _emit(_payload(args.format, reply.doc, reply.rows), args, reply.parameters)
+    return reply.code
 
 
 if __name__ == "__main__":

@@ -412,6 +412,36 @@ class TestExport:
         assert out1.read_bytes() == out2.read_bytes()
         assert list(cache.glob("*.payload")) == cached
 
+    @pytest.mark.parametrize(
+        "corrupt", [b"not json", b"\xff\xfe\x00 not utf-8"], ids=["text", "not-utf-8"]
+    )
+    def test_corrupt_entry_is_a_miss_and_rewritten(self, capsys, tmp_path, monkeypatch, corrupt):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        argv = ["export", "--k", "2", "--q", "3", "--output"]
+        assert main(argv + [str(tmp_path / "good.json")]) == EXIT_OK
+        (entry,) = cache.iterdir()
+        good_entry = entry.read_bytes()
+        entry.write_bytes(corrupt)
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "again.json"))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "good.json").read_bytes()
+        assert (tmp_path / "again.json.manifest.json").read_bytes() == (
+            tmp_path / "good.json.manifest.json"
+        ).read_bytes().replace(b"good.json", b"again.json")
+        assert list(cache.iterdir()) == [entry]
+        assert entry.read_bytes() == good_entry
+
+    def test_entry_holds_payload_checksum(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        out = tmp_path / "one.csv"
+        assert main(["export", "--k", "3", "--q", "1", "--format", "csv", "--output", str(out)]) == 0
+        (entry,) = cache.iterdir()
+        digest, payload = entry.read_bytes().split(b"\n", 1)
+        assert payload == out.read_bytes()
+        assert digest.decode() == hashlib.sha256(payload).hexdigest()
+
     def test_failed_cache_write_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
         # A write that raises half way must not leave a partial payload
         # that a later run would read back as a cache hit.
