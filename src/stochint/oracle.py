@@ -148,20 +148,26 @@ def _chunk_stream(seed: int, idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, idx))))
 
 
-def _wiener_chunk(cfg: SimConfig, m: int, idx: int) -> np.ndarray:
-    """Wiener increments of chunk ``idx``, shape ``(paths in chunk, m, steps)``.
+def _wiener_blocks(cfg: SimConfig, m: int, chunks: range) -> Iterator[tuple[slice, np.ndarray]]:
+    """Wiener increments of the paths of ``chunks``, :data:`PATH_BLOCK` paths at a time.
 
-    The paths are the prefix of the chunk's stream, so earlier paths never
-    depend on the total path count.
+    Yields ``(rows, dw)``: ``dw`` has shape ``(paths in block, m, steps)``
+    and ``rows`` is the block's slice of the paths of ``chunks``.  A chunk's
+    paths are the prefix of its stream in path-major order, so a path never
+    depends on the block size or on the total path count.  ``dw`` is one
+    reused buffer, overwritten by the next block.
     """
-    block = _chunk_stream(cfg.seed, idx).standard_normal((_chunk_paths(cfg, idx), m, cfg.steps))
-    block *= math.sqrt(cfg.dt / cfg.steps)
-    return block
-
-
-def _wiener_chunks(cfg: SimConfig, m: int) -> Iterator[np.ndarray]:
-    """The chunks of :func:`_wiener_chunk` covering ``cfg.paths`` paths, in order."""
-    return (_wiener_chunk(cfg, m, idx) for idx in range(_chunk_count(cfg.paths)))
+    scale = math.sqrt(cfg.dt / cfg.steps)
+    buffer = np.empty((min(PATH_BLOCK, cfg.paths), m, cfg.steps))
+    for idx in chunks:
+        stream = _chunk_stream(cfg.seed, idx)
+        paths = _chunk_paths(cfg, idx)
+        offset = (idx - chunks.start) * PATH_CHUNK
+        for start in range(offset, offset + paths, PATH_BLOCK):
+            dw = buffer[: min(PATH_BLOCK, offset + paths - start)]
+            stream.standard_normal(out=dw)
+            dw *= scale
+            yield slice(start, start + dw.shape[0]), dw
 
 
 def _weight_values(exponent: int, grid: np.ndarray) -> np.ndarray:
@@ -219,17 +225,11 @@ def simulate_iterated(spec: KernelSpec, pattern: IndexPattern, cfg: SimConfig) -
     """Per-path discretized values of one iterated integral."""
     if spec.k != pattern.k:
         raise ValueError("kernel multiplicity does not match index pattern")
-    m = max(pattern.components)
     out = np.empty(cfg.paths)
-    pos = 0
     comp_axes = [c - 1 for c in pattern.components]
     equal_pair = pattern.k == 2 and pattern.components[0] == pattern.components[1]
-    for block in _wiener_chunks(cfg, m):
-        vals = _nested_values(
-            spec, block[:, comp_axes, :], cfg.dt, cfg.calculus, equal_pair
-        )
-        out[pos : pos + vals.size] = vals
-        pos += vals.size
+    for rows, dw in _wiener_blocks(cfg, max(pattern.components), range(_chunk_count(cfg.paths))):
+        out[rows] = _nested_values(spec, dw[:, comp_axes, :], cfg.dt, cfg.calculus, equal_pair)
     return out
 
 
@@ -258,10 +258,8 @@ def coupled_zeta(cfg: SimConfig, m: int, jmax: int) -> np.ndarray:
     """
     phi = _basis_matrix(jmax, cfg.dt, cfg.steps)
     out = np.empty((m, cfg.paths, jmax + 1))
-    pos = 0
-    for block in _wiener_chunks(cfg, m):
-        out[:, pos : pos + block.shape[0], :] = _project(block, phi)
-        pos += block.shape[0]
+    for rows, dw in _wiener_blocks(cfg, m, range(_chunk_count(cfg.paths))):
+        out[:, rows, :] = _project(dw, phi)
     return out
 
 
@@ -387,8 +385,9 @@ def _chunk_sums(case: _Expansion, cfg: SimConfig, idx: int) -> tuple[float, floa
 
     ``d_half`` is the error on the half grid driven by the same increments,
     pairwise summed.  The chunk's paths are drawn and worked
-    :data:`PATH_BLOCK` at a time; each path's ``d²`` and ``d²_half`` is
-    the same whatever the block, and the sums run over the whole chunk.
+    :data:`PATH_BLOCK` at a time (:func:`_wiener_blocks`); each path's
+    ``d²`` and ``d²_half`` is the same whatever the block, and the sums run
+    over the whole chunk.
     An interval long enough to overflow gives infinite or NaN sums, which
     :func:`validate_expansion` rejects; numpy is kept from warning about
     them.
@@ -404,16 +403,9 @@ def _chunk_sums(case: _Expansion, cfg: SimConfig, idx: int) -> tuple[float, floa
         return (exact - evaluate(_project(dw, basis))) ** 2
 
     paths = _chunk_paths(cfg, idx)
-    stream = _chunk_stream(cfg.seed, idx)
-    scale = math.sqrt(cfg.dt / cfg.steps)
-    buffer = np.empty((min(PATH_BLOCK, paths), max(case.components), cfg.steps))
     d2, d2_half = np.empty(paths), np.empty(paths)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, paths, PATH_BLOCK):
-            dw = buffer[: min(PATH_BLOCK, paths - start)]
-            stream.standard_normal(out=dw)
-            dw *= scale
-            rows = slice(start, start + dw.shape[0])
+        for rows, dw in _wiener_blocks(cfg, max(case.components), range(idx, idx + 1)):
             d2[rows] = squared_error(dw, phi)
             d2_half[rows] = squared_error(dw[:, :, 0::2] + dw[:, :, 1::2], phi_half)
         return float(np.sum(d2)), float(np.sum(d2 * d2)), float(np.sum(d2_half)), paths

@@ -1,12 +1,13 @@
-"""Whole-chunk chunk sums: the oracle route that sub-blocked chunks replaced.
+"""Whole-chunk oracle routes: what sub-blocked chunks replaced.
 
 The library draws each 512-path chunk in sub-blocks of ``PATH_BLOCK`` paths
 and draws a partial last chunk only as far as it is used.  This module
-keeps the route it replaced as a cross-check: the whole chunk drawn at
+keeps the routes it replaced as a cross-check: the whole chunk drawn at
 once, in full even when only part of it is used, and both basis matrices
 built for each call.  :func:`reference_report` runs that route over the
 chunks in one process, doubling the grid as :func:`validate_expansion`
-does.
+does; :func:`simulate_iterated` and :func:`coupled_zeta` work whole chunks
+as the library functions of the same names once did.
 """
 
 from __future__ import annotations
@@ -34,6 +35,27 @@ def wiener_chunk(cfg: SimConfig, m: int, idx: int) -> np.ndarray:
     block = np.random.Generator(np.random.Philox(seq)).standard_normal((PATH_CHUNK, m, cfg.steps))
     block *= math.sqrt(cfg.dt / cfg.steps)
     return block[: min(PATH_CHUNK, cfg.paths - idx * PATH_CHUNK)]
+
+
+def simulate_iterated(spec, pattern, cfg: SimConfig) -> np.ndarray:
+    """Per-path iterated integrals, one whole chunk at a time."""
+    comp_axes = [c - 1 for c in pattern.components]
+    equal_pair = pattern.k == 2 and pattern.components[0] == pattern.components[1]
+    m = max(pattern.components)
+    return np.concatenate([
+        _nested_values(spec, wiener_chunk(cfg, m, idx)[:, comp_axes, :], cfg.dt, cfg.calculus,
+                       equal_pair)
+        for idx in range(_chunk_count(cfg.paths))
+    ])
+
+
+def coupled_zeta(cfg: SimConfig, m: int, jmax: int) -> np.ndarray:
+    """Basis projections, shape ``(m, paths, jmax + 1)``, one whole chunk at a time."""
+    phi = _basis_matrix(jmax, cfg.dt, cfg.steps)
+    return np.concatenate(
+        [_project(wiener_chunk(cfg, m, idx), phi) for idx in range(_chunk_count(cfg.paths))],
+        axis=1,
+    )
 
 
 def chunk_sums(case, cfg: SimConfig, idx: int) -> tuple[float, float, float, int]:

@@ -33,8 +33,9 @@ from stochint.oracle import (
     validate_expansion,
     worker_count,
 )
-from stochint.oracle import _chunk_count, _chunk_map, _chunk_sums, _wiener_chunk
+from stochint.oracle import _chunk_count, _chunk_map, _chunk_sums, _wiener_blocks
 
+import oracle_reference
 from oracle_reference import chunk_sums, reference_report, wiener_chunk
 
 DT = 0.5
@@ -395,7 +396,30 @@ class TestWholeChunkReference:
     def test_partial_chunk_is_prefix_of_full_draw(self, paths):
         cfg = SimConfig(steps=16, paths=paths, seed=8, dt=DT)
         for idx in range(_chunk_count(paths)):
-            assert np.array_equal(_wiener_chunk(cfg, 3, idx), wiener_chunk(cfg, 3, idx))
+            blocks = [(rows, dw.copy()) for rows, dw in _wiener_blocks(cfg, 3, range(idx, idx + 1))]
+            step = oracle.PATH_BLOCK
+            assert [rows.start for rows, _ in blocks] == list(range(0, len(blocks) * step, step))
+            whole = np.concatenate([dw for _, dw in blocks])
+            assert np.array_equal(whole, wiener_chunk(cfg, 3, idx))
+
+    @pytest.mark.parametrize("paths", [100, 513, 1300])
+    @pytest.mark.parametrize(
+        "weights, components, calculus",
+        [((0,), (1,), "ito"), ((1, 0), (1, 1), "ito"), ((0, 2), (1, 2), "strat"),
+         ((0, 1, 2), (1, 2, 3), "ito"), ((1, 0, 0), (2, 1, 2), "strat")],
+        ids=["single", "equal-pair-weighted", "pair-strat", "triple", "triple-repeat-strat"],
+    )
+    def test_simulate_iterated_equal(self, paths, weights, components, calculus):
+        cfg = SimConfig(steps=32, paths=paths, seed=paths, dt=DT, calculus=calculus)
+        args = (KernelSpec(len(weights), weights), IndexPattern(components), cfg)
+        assert np.array_equal(simulate_iterated(*args), oracle_reference.simulate_iterated(*args))
+
+    @pytest.mark.parametrize("paths", [100, 513, 1300])
+    @pytest.mark.parametrize("m, jmax", [(1, 0), (3, 6)])
+    def test_coupled_zeta_equal(self, paths, m, jmax):
+        cfg = SimConfig(steps=64, paths=paths, seed=paths + 1, dt=DT)
+        expected = oracle_reference.coupled_zeta(cfg, m, jmax)
+        assert np.array_equal(coupled_zeta(cfg, m, jmax), expected)
 
 
 class TestBudget:
