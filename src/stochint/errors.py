@@ -359,12 +359,17 @@ def _series_single_trig_weighted(q: int, dt: float) -> float:
     return dt**3 / (2.0 * math.pi**2) * _tail_sum_squares(q)
 
 
-def _triple_trig_common(q: int) -> tuple[float, float, float]:
+def _trig_partial_sums(q: int) -> tuple[float, float, float, float]:
+    """``(h2, h4, s_b, s_c)``: the sums of ``1/r²`` and ``1/r⁴`` over ``r = 1..q``
+    and :func:`_frequency_interaction_sums`, shared by the weighted trig series."""
     h2 = float(np.pi**2 / 6.0) - _tail_sum_squares(q)
     h4 = float(np.pi**4 / 90.0) - _tail_sum_fourths(q)
-    s_b, s_c = _frequency_interaction_sums(q)
-    d = 5.0 * (h2 * h2 - h4) - s_b + 6.0 * s_c
-    return h2, h4, d
+    return (h2, h4, *_frequency_interaction_sums(q))
+
+
+def _triple_trig_common(q: int) -> tuple[float, float, float]:
+    h2, h4, s_b, s_c = _trig_partial_sums(q)
+    return h2, h4, 5.0 * (h2 * h2 - h4) - s_b + 6.0 * s_c
 
 
 def _series_triple_trig_tail(q: int, dt: float) -> float:
@@ -384,9 +389,7 @@ def _series_triple_trig(q: int, dt: float) -> float:
 
 
 def _series_pair_trig_weighted(q: int, dt: float) -> float:
-    h2 = float(np.pi**2 / 6.0) - _tail_sum_squares(q)
-    h4 = float(np.pi**4 / 90.0) - _tail_sum_fourths(q)
-    s_b, s_c = _frequency_interaction_sums(q)
+    h2, h4, s_b, s_c = _trig_partial_sums(q)
     d2 = 2.0 * s_c + s_b
     pi2 = math.pi**2
     pi4 = pi2 * pi2

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeffs import KernelSpec, ScaledTensor, _pair_bands, bar_coeff, scale_coeff
-from .errors import _tail_sum_fourths, _tail_sum_squares
+from .errors import EqualityPattern, _tail_sum_fourths, _tail_sum_squares
 
 __all__ = [
     "IndexPattern",
@@ -71,10 +71,7 @@ class IndexPattern:
 
     def equality_groups(self) -> tuple[tuple[int, ...], ...]:
         """Canonical partition of positions ``1..k`` by equal components."""
-        buckets: dict[int, list[int]] = {}
-        for pos, c in enumerate(self.components, start=1):
-            buckets.setdefault(c, []).append(pos)
-        return tuple(tuple(v) for v in sorted(buckets.values()))
+        return EqualityPattern.from_components(self.components).groups
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import polygamma
 
 from stochint.coeffs import KernelSpec, coeff_tensor, scaled_tensor
 from stochint.errors import (
@@ -247,6 +246,8 @@ class TestClosedSeries:
     def test_trig_pair_tail_relation(self):
         # Modeling the discarded tail with extra Gaussians removes
         # exactly dt^2 alpha(q) / pi^2 from the pair error.
+        from scipy.special import polygamma
+
         dt = 0.7
         for q in (0, 1, 5, 50):
             alpha = float(polygamma(1, q + 1))
@@ -267,6 +268,8 @@ class TestClosedSeries:
             )
 
     def test_single_trig_weighted_form(self):
+        from scipy.special import polygamma
+
         dt = 0.7
         for q in (0, 1, 4):
             alpha = float(polygamma(1, q + 1))
@@ -352,13 +355,21 @@ class TestClosedSeries:
 
 
 class TestPolygammaPort:
-    """The Cephes Hurwitz-zeta port against scipy, kept as a test-only reference."""
+    """The Cephes Hurwitz-zeta port against scipy, kept as a test-only reference.
+
+    scipy is imported inside each test that uses it, here and in
+    ``TestClosedSeries``, not at module level: a test process that has
+    loaded ``scipy.special`` runs the oracle slower, and every test
+    collected with this module would pay for it.
+    """
 
     #: q = 0..20000 and a log grid up to 1e8.
     QS = sorted(set(range(20001)) | {int(v) for v in np.round(np.logspace(0, 8, 3001))})
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_bit_identical_to_scipy(self, n):
+        from scipy.special import polygamma
+
         x = np.array(self.QS, dtype=np.float64) + 1.0
         reference = polygamma(n, x)
         mismatched = [
@@ -376,6 +387,8 @@ class TestPolygammaPort:
         assert proc.stdout.strip() == "[]"
 
     def test_tail_sums_match_the_scipy_forms(self):
+        from scipy.special import polygamma
+
         for q in self.QS[::97] + [10**8]:
             assert _tail_sum_squares(q) == float(polygamma(1, q + 1))
             assert _tail_sum_fourths(q) == float(polygamma(3, q + 1)) / 6.0
