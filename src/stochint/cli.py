@@ -25,9 +25,9 @@ to the file.  The only environment variable consulted is
 each entry with its payload's SHA-256; an entry that fails it is a miss.
 
 The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
-below 2, ``--threads`` below 1, a negative ``--q``, a ``--dt`` that is not
-positive and finite) and unknown ``--case`` or ``--kind`` names before any
-work starts; the library rejects unknown table numbers.  Each subcommand
+below 2, ``--threads`` below 1, a negative ``--q`` or ``--seed``, a ``--dt``
+that is not positive and finite) and unknown ``--case`` or ``--kind`` names
+before any work starts; the library rejects unknown table numbers.  Each subcommand
 answers a document, its CSV rows and the manifest parameters, and one
 renderer writes the payload.
 
@@ -394,7 +394,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--paths", type=_at_least(1), default=20000)
     p.add_argument("--steps", type=_at_least(2), default=1024)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     p.add_argument("--dt", type=_positive, default=0.5)
     common(p)
     p.set_defaults(func=_cmd_validate)

@@ -221,6 +221,7 @@ class TestBadFlags:
             (("validate", "--paths", "0"), "--paths"),
             (("validate", "--steps", "1"), "--steps"),
             (("validate", "--threads", "0"), "--threads"),
+            (("validate", "--seed", "-1"), "--seed"),
             (("coeffs", "--table", "4", "--threads", "0"), "--threads"),
             (("coeffs", "--k", "2", "--q", "-1"), "--q"),
             (("export", "--k", "2", "--q", "-1", "--output", "out.json"), "--q"),
@@ -230,7 +231,7 @@ class TestBadFlags:
             (("error-table", "--kind", "nope"), "nope"),
             (("validate", "--case", "pair_distinct", "--case", "nope", "--paths", "100000"), "nope"),
         ],
-        ids=["paths", "steps", "threads", "threads-coeffs", "q-coeffs", "q-export",
+        ids=["paths", "steps", "threads", "seed", "threads-coeffs", "q-coeffs", "q-export",
              "table-coeffs", "table-error", "table-q", "kind", "case-after-good-case"],
     )
     def test_usage_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv, named):
