@@ -7,8 +7,7 @@ so any rewrite of the exact engine, the serializers or the q-scans that
 changes one byte of a coefficient table, a tensor export, an error table
 or an order table fails here.  The run manifests of
 :data:`MANIFEST_REQUESTS`, one request per route through the tool, are
-pinned the same way in :data:`MANIFEST_DIGESTS`; they were recorded before
-the subcommands shared one renderer.
+pinned the same way in :data:`MANIFEST_DIGESTS`.
 
 To re-record after an intended payload change, run this module as a
 script from the repository root (``PYTHONPATH=src python
