@@ -3,7 +3,7 @@ r"""Monte Carlo ground truth for iterated stochastic integrals.
 Simulates iterated Ito/Stratonovich integrals with weights
 :math:`(t-s)^{l_r}` by fine discretization of the Wiener paths (left-point
 rule for Ito, trapezoidal rule for Stratonovich) and statistically
-validates the spectral expansions: each path's Wiener increments are
+validates the Ito spectral expansions: each path's Wiener increments are
 re-projected onto the Legendre basis, :math:`\zeta_j = \sum_l
 \varphi_j(\tau_l)\,\Delta W_l`, so the oracle integral and the expansion
 built from those :math:`\zeta_j` share one realization and their
@@ -22,16 +22,16 @@ requested, and a partial last chunk draws only the paths it uses.
 Validation maps one function over the chunk indices: it draws the chunk
 in sub-blocks of :data:`PATH_BLOCK` paths, which keeps each worker's
 temporaries small, and returns the chunk's sums ``(Σd², Σd⁴, Σd²_half,
-paths)``.  A task carries the case's evaluation fields, the grid and the
-chunk index by value; each worker builds the expansion's coefficients
-once per ``(fields, dt)`` and keeps a few of them.  The map runs in one
-pool of forked worker processes per process: the first validation that
-needs two or more workers forks it, later ones reuse it while the worker
-count is the same, and it is shut down as the process exits (or when the
-count changes, or a worker dies).  Nothing forks at import.  The parent
-adds the per-chunk sums in chunk order.  That is the same sequence of
-float additions whatever the worker count, so a report is bit-identical
-for any number of workers.
+paths)``.  A task carries the case name, the grid and the chunk index;
+each worker looks the case up in :data:`VALIDATION_CASES` and builds its
+expansion's coefficients once per ``(case, dt)``, keeping a few of them.
+The map runs in one pool of forked worker processes per process: the
+first validation that needs two or more workers forks it, later ones
+reuse it while the worker count is the same, and it is shut down as the
+process exits (or when the count changes, or a worker dies).  Nothing
+forks at import.  The parent adds the per-chunk sums in chunk order.
+That is the same sequence of float additions whatever the worker count,
+so a report is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .basis import legendre_poly
-from .coeffs import KernelSpec, _check_interval, coeff_tensor, scaled_tensor
+from .coeffs import KernelSpec, _check_interval, _pair_bands, coeff_tensor, scaled_tensor
 from .errors import series_error
 from .expansion import IndexPattern, NoiseDraws, _expansion_core, legendre_double_series
 from .qselect import triple_legendre_error_constant
@@ -178,13 +178,9 @@ def _weight_values(exponent: int, grid: np.ndarray) -> np.ndarray:
 
 
 def _nested_values(
-    spec: KernelSpec,
-    dW: np.ndarray,
-    dt: float,
-    calculus: str,
-    equal_pair: bool = False,
+    spec: KernelSpec, components: tuple[int, ...], dw: np.ndarray, dt: float, calculus: str
 ) -> np.ndarray:
-    """Iterated integral of one chunk; ``dW`` is ``(paths, k, steps)``.
+    """Iterated integral of one block; ``dw`` is ``(paths, m, steps)``, read at ``components``.
 
     For a pair with equal components the Ito rule adds the exact
     within-cell diagonal term :math:`\\sum_u w_1 w_2 (\\Delta W_u^2 - h)/2`
@@ -192,7 +188,8 @@ def _nested_values(
     left-point rule drops the diagonal cells entirely, and that omission
     would dominate the smallest truncation errors being validated.
     """
-    paths, _, n = dW.shape
+    dw = dw[:, [c - 1 for c in components], :]
+    paths, _, n = dw.shape
     grid = np.linspace(0.0, dt, n + 1)
     running = None  # the inner integral on the grid; None stands for the constant 1
     for level, exponent in enumerate(spec.weights):
@@ -201,22 +198,22 @@ def _nested_values(
             w = _weight_values(exponent, grid)
             integrand = w if running is None else w * running
         if integrand is None:
-            step_terms = dW[:, level, :]
+            step_terms = dw[:, level, :]
         elif calculus == "ito":
-            step_terms = integrand[..., :n] * dW[:, level, :]
+            step_terms = integrand[..., :n] * dw[:, level, :]
         else:
-            step_terms = 0.5 * (integrand[..., :n] + integrand[..., 1:]) * dW[:, level, :]
+            step_terms = 0.5 * (integrand[..., :n] + integrand[..., 1:]) * dw[:, level, :]
         running = np.empty((paths, n + 1))
         running[:, 0] = 0.0
         np.cumsum(step_terms, axis=1, out=running[:, 1:])
     values = running[:, -1]
-    if equal_pair and spec.k == 2 and calculus == "ito":
+    if spec.k == 2 and components[0] == components[1] and calculus == "ito":
         h = dt / n
         w_cell = _weight_values(spec.weights[0], grid[:n]) * _weight_values(
             spec.weights[1], grid[:n]
         )
         values = values + 0.5 * np.sum(
-            w_cell[None, :] * (dW[:, 0, :] ** 2 - h), axis=1
+            w_cell[None, :] * (dw[:, 0, :] ** 2 - h), axis=1
         )
     return values
 
@@ -226,10 +223,8 @@ def simulate_iterated(spec: KernelSpec, pattern: IndexPattern, cfg: SimConfig) -
     if spec.k != pattern.k:
         raise ValueError("kernel multiplicity does not match index pattern")
     out = np.empty(cfg.paths)
-    comp_axes = [c - 1 for c in pattern.components]
-    equal_pair = pattern.k == 2 and pattern.components[0] == pattern.components[1]
     for rows, dw in _wiener_blocks(cfg, max(pattern.components), range(_chunk_count(cfg.paths))):
-        out[rows] = _nested_values(spec, dw[:, comp_axes, :], cfg.dt, cfg.calculus, equal_pair)
+        out[rows] = _nested_values(spec, pattern.components, dw, cfg.dt, cfg.calculus)
     return out
 
 
@@ -244,7 +239,7 @@ def _basis_matrix(jmax: int, dt: float, n: int) -> np.ndarray:
     rows = []
     for j in range(jmax + 1):
         p = legendre_poly(j)
-        coeffs = [c.numerator / c.denominator for c in p.coeffs] or [0.0]
+        coeffs = [float(c) for c in p.coeffs] or [0.0]
         vals = np.polynomial.polynomial.polyval(x, coeffs)
         rows.append(math.sqrt((2 * j + 1) / dt) * vals)
     return np.stack(rows)
@@ -274,36 +269,30 @@ def _project(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Expansion:
-    """The fields that evaluate one case's expansion; tasks carry them to workers by value."""
+class _Case:
+    """A named case: the Ito expansion it evaluates and the closed-form error it must match."""
 
     spec: KernelSpec
     components: tuple[int, ...]
     q: int
-    jmax: int
-    calculus: str
+    theory: Callable[[int, float], float]
     #: Evaluate with the banded pair series instead of the general tensor expansion.
     banded: bool = False
 
-
-@dataclass(frozen=True)
-class _Case(_Expansion):
-    """A named case: its expansion and the closed-form error it must match."""
-
-    theory: Callable[[int, float], float] = field(kw_only=True)
-
     @property
-    def expansion(self) -> _Expansion:
-        return _Expansion(self.spec, self.components, self.q, self.jmax, self.calculus, self.banded)
+    def jmax(self) -> int:
+        """The highest basis index the expansion reads."""
+        return _pair_bands(self.spec.weights, self.q)[2] - 1 if self.banded else self.q
 
 
 @lru_cache(maxsize=8)
-def _evaluator(case: _Expansion, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+def _evaluator(case_name: str, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """Build the case's coefficients once; return its expansion of one chunk's ``zeta``."""
+    case = VALIDATION_CASES[case_name]
     if case.banded:
         pattern = IndexPattern(case.components)
         return lambda zeta: legendre_double_series(
-            case.spec.weights, pattern, NoiseDraws(zeta, None, None, 0), case.q, dt, case.calculus
+            case.spec.weights, pattern, NoiseDraws(zeta, None, None, 0), case.q, dt, "ito"
         )
     values = scaled_tensor(coeff_tensor(case.spec, case.q), dt).values
     return lambda zeta: _expansion_core(
@@ -317,16 +306,12 @@ VALIDATION_CASES: dict[str, _Case] = {
         spec=KernelSpec.unweighted(2),
         components=(1, 2),
         q=2,
-        jmax=2,
-        calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre", q, dt),
     ),
     "pair_equal_weighted": _Case(
         spec=KernelSpec(2, (1, 0)),
         components=(1, 1),
         q=2,
-        jmax=4,
-        calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre_weighted_equal", q, dt),
         banded=True,
     ),
@@ -334,8 +319,6 @@ VALIDATION_CASES: dict[str, _Case] = {
         spec=KernelSpec(2, (1, 0)),
         components=(1, 2),
         q=3,
-        jmax=5,
-        calculus="ito",
         theory=lambda q, dt: series_error("pair_legendre_weighted", q, dt),
         banded=True,
     ),
@@ -343,8 +326,6 @@ VALIDATION_CASES: dict[str, _Case] = {
         spec=KernelSpec.unweighted(3),
         components=(1, 2, 3),
         q=6,
-        jmax=6,
-        calculus="ito",
         theory=lambda q, dt: triple_legendre_error_constant(q) * dt**3,
     ),
 }
@@ -380,7 +361,7 @@ class ValidationReport:
         }
 
 
-def _chunk_sums(case: _Expansion, cfg: SimConfig, idx: int) -> tuple[float, float, float, int]:
+def _chunk_sums(case_name: str, cfg: SimConfig, idx: int) -> tuple[float, float, float, int]:
     """``(Σd², Σd⁴, Σd²_half, paths)`` of chunk ``idx``, ``d`` the oracle-minus-expansion error.
 
     ``d_half`` is the error on the half grid driven by the same increments,
@@ -392,14 +373,13 @@ def _chunk_sums(case: _Expansion, cfg: SimConfig, idx: int) -> tuple[float, floa
     :func:`validate_expansion` rejects; numpy is kept from warning about
     them.
     """
-    evaluate = _evaluator(case, cfg.dt)
-    comp_axes = [c - 1 for c in case.components]
-    equal_pair = len(case.components) == 2 and case.components[0] == case.components[1]
+    case = VALIDATION_CASES[case_name]
+    evaluate = _evaluator(case_name, cfg.dt)
     phi = _basis_matrix(case.jmax, cfg.dt, cfg.steps)
     phi_half = _basis_matrix(case.jmax, cfg.dt, cfg.steps // 2)
 
     def squared_error(dw: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        exact = _nested_values(case.spec, dw[:, comp_axes, :], cfg.dt, case.calculus, equal_pair)
+        exact = _nested_values(case.spec, case.components, dw, cfg.dt, "ito")
         return (exact - evaluate(_project(dw, basis))) ** 2
 
     paths = _chunk_paths(cfg, idx)
@@ -517,8 +497,8 @@ def validate_expansion(
         GridTooCoarseError: bias still dominates at the largest grid tried.
         OracleBudgetError: the run could draw more than :data:`NORMALS_BUDGET`
             normals; nothing is drawn.
-        ValueError: unknown case, odd step count, fewer than one worker, or
-            a mean-square error or standard error that is not finite (the
+        ValueError: unknown case, a calculus other than Ito, odd step count,
+            fewer than one worker, or a mean-square error or standard error that is not finite (the
             integrals overflow at ``cfg.dt``).
     """
     try:
@@ -527,6 +507,8 @@ def validate_expansion(
         raise ValueError(
             f"unknown case {case_name!r}; known: {', '.join(sorted(VALIDATION_CASES))}"
         )
+    if cfg.calculus != "ito":
+        raise ValueError(f"validation checks Ito expansions only, not calculus={cfg.calculus!r}")
     if cfg.steps % 2:
         raise ValueError("step count must be even for the half-grid bias check")
     normals = cfg.paths * max(case.components) * cfg.steps * (2 ** (max_doublings + 1) - 1)
@@ -538,12 +520,11 @@ def validate_expansion(
 
     chunks = range(_chunk_count(cfg.paths))
     workers = worker_count(workers, len(chunks))
-    expansion = case.expansion
     steps = cfg.steps
     for _ in range(max_doublings + 1):
         grid = replace(cfg, steps=steps)
         mse, stderr, mse_half = _case_mse(
-            _chunk_map(_chunk_sums, [(expansion, grid, idx) for idx in chunks], workers)
+            _chunk_map(_chunk_sums, [(case_name, grid, idx) for idx in chunks], workers)
         )
         if not all(map(math.isfinite, (mse, stderr, mse_half))):
             raise ValueError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .coeffs import KernelSpec, bar_coeff
 from .errors import series_error
@@ -43,9 +43,10 @@ __all__ = [
 class CoeffTableSpec:
     """Layout of one printed coefficient grid.
 
-    ``js(row, col)`` yields the basis indices (innermost first) of the
-    cell at 0-based ``row``/``col``; the printed grids label rows and
-    columns by those same 0-based integers.
+    Cell ``(row, col)`` holds the coefficient at basis indices
+    ``(col, row, *outer)``, innermost first: the printed grids label rows
+    and columns by those same 0-based integers, and each table fixes the
+    outer indices.
     """
 
     number: int
@@ -54,80 +55,33 @@ class CoeffTableSpec:
     cols: int
     row_label: str
     col_label: str
-    js: Callable[[int, int], tuple[int, ...]]
+    outer: tuple[int, ...]
+
+    def js(self, row: int, col: int) -> tuple[int, ...]:
+        """The basis indices (innermost first) of the cell at 0-based ``row``/``col``."""
+        return (col, row, *self.outer)
 
 
-def _triple_table(number: int) -> CoeffTableSpec:
-    outer = number - 4
-    return CoeffTableSpec(
-        number=number,
-        spec=KernelSpec.unweighted(3),
-        rows=7,
-        cols=7,
-        row_label="j",
-        col_label="k",
-        js=lambda row, col, outer=outer: (col, row, outer),
+# One row per family of consecutive tables: (first table, weights, grid
+# size, row label, column label, the printed outer subscripts of each table
+# in order).  A printed subscript names the outer indices outermost first.
+_COEFF_FAMILIES = (
+    (4, (0, 0, 0), 7, "j", "k", "0 1 2 3 4 5 6"),
+    (11, (0, 0, 0, 0), 3, "k", "l", "00 10 02 01 11 20 21 12 22"),
+    (20, (0, 0, 1), 3, "j", "k", "0 1 2"),
+    (23, (1, 0, 0), 3, "j", "k", "0 1 2"),
+    (26, (0, 1, 0), 3, "j", "k", "0 1 2"),
+    (29, (0, 0, 0, 0, 0), 2, "l", "r", "000 010 110 011 001 100 101 111"),
+)
+
+COEFF_TABLES: dict[int, CoeffTableSpec] = {
+    number: CoeffTableSpec(
+        number, KernelSpec(len(weights), weights), size, size, row_label, col_label,
+        tuple(int(digit) for digit in reversed(sub)),
     )
-
-
-_QUAD_SUBS = ("00", "10", "02", "01", "11", "20", "21", "12", "22")
-
-
-def _quad_table(number: int) -> CoeffTableSpec:
-    a, b = _QUAD_SUBS[number - 11]
-    return CoeffTableSpec(
-        number=number,
-        spec=KernelSpec.unweighted(4),
-        rows=3,
-        cols=3,
-        row_label="k",
-        col_label="l",
-        js=lambda row, col, a=int(a), b=int(b): (col, row, b, a),
-    )
-
-
-_WEIGHTED_TRIPLE_SUPS = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-
-
-def _weighted_triple_table(number: int) -> CoeffTableSpec:
-    sup = _WEIGHTED_TRIPLE_SUPS[(number - 20) // 3]
-    outer = (number - 20) % 3
-    return CoeffTableSpec(
-        number=number,
-        spec=KernelSpec(3, sup),
-        rows=3,
-        cols=3,
-        row_label="j",
-        col_label="k",
-        js=lambda row, col, outer=outer: (col, row, outer),
-    )
-
-
-_QUINT_SUBS = ("000", "010", "110", "011", "001", "100", "101", "111")
-
-
-def _quint_table(number: int) -> CoeffTableSpec:
-    a, b, c = _QUINT_SUBS[number - 29]
-    return CoeffTableSpec(
-        number=number,
-        spec=KernelSpec.unweighted(5),
-        rows=2,
-        cols=2,
-        row_label="l",
-        col_label="r",
-        js=lambda row, col, a=int(a), b=int(b), c=int(c): (col, row, c, b, a),
-    )
-
-
-COEFF_TABLES: dict[int, CoeffTableSpec] = {}
-for _n in range(4, 11):
-    COEFF_TABLES[_n] = _triple_table(_n)
-for _n in range(11, 20):
-    COEFF_TABLES[_n] = _quad_table(_n)
-for _n in range(20, 29):
-    COEFF_TABLES[_n] = _weighted_triple_table(_n)
-for _n in range(29, 37):
-    COEFF_TABLES[_n] = _quint_table(_n)
+    for first, weights, size, row_label, col_label, subs in _COEFF_FAMILIES
+    for number, sub in enumerate(subs.split(), first)
+}
 
 
 def compute_coeff_table(number: int) -> list[list[Fraction]]:

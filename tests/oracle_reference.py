@@ -39,12 +39,9 @@ def wiener_chunk(cfg: SimConfig, m: int, idx: int) -> np.ndarray:
 
 def simulate_iterated(spec, pattern, cfg: SimConfig) -> np.ndarray:
     """Per-path iterated integrals, one whole chunk at a time."""
-    comp_axes = [c - 1 for c in pattern.components]
-    equal_pair = pattern.k == 2 and pattern.components[0] == pattern.components[1]
     m = max(pattern.components)
     return np.concatenate([
-        _nested_values(spec, wiener_chunk(cfg, m, idx)[:, comp_axes, :], cfg.dt, cfg.calculus,
-                       equal_pair)
+        _nested_values(spec, pattern.components, wiener_chunk(cfg, m, idx), cfg.dt, cfg.calculus)
         for idx in range(_chunk_count(cfg.paths))
     ])
 
@@ -58,14 +55,13 @@ def coupled_zeta(cfg: SimConfig, m: int, jmax: int) -> np.ndarray:
     )
 
 
-def chunk_sums(case, cfg: SimConfig, idx: int) -> tuple[float, float, float, int]:
+def chunk_sums(case_name: str, cfg: SimConfig, idx: int) -> tuple[float, float, float, int]:
     """``(Σd², Σd⁴, Σd²_half, paths)`` of chunk ``idx``, worked as one block."""
-    evaluate = _evaluator(case.expansion, cfg.dt)
-    comp_axes = [c - 1 for c in case.components]
-    equal_pair = len(case.components) == 2 and case.components[0] == case.components[1]
+    case = VALIDATION_CASES[case_name]
+    evaluate = _evaluator(case_name, cfg.dt)
 
     def squared_error(dw: np.ndarray) -> np.ndarray:
-        exact = _nested_values(case.spec, dw[:, comp_axes, :], cfg.dt, case.calculus, equal_pair)
+        exact = _nested_values(case.spec, case.components, dw, cfg.dt, "ito")
         phi = _basis_matrix(case.jmax, cfg.dt, dw.shape[-1])
         return (exact - evaluate(_project(dw, phi))) ** 2
 
@@ -82,7 +78,7 @@ def reference_report(case_name: str, cfg: SimConfig, max_doublings: int = 3) -> 
     steps = cfg.steps
     for _ in range(max_doublings + 1):
         grid = SimConfig(steps=steps, paths=cfg.paths, seed=cfg.seed, dt=cfg.dt, calculus=cfg.calculus)
-        sums = [chunk_sums(case, grid, idx) for idx in range(_chunk_count(cfg.paths))]
+        sums = [chunk_sums(case_name, grid, idx) for idx in range(_chunk_count(cfg.paths))]
         mse, stderr, mse_half = _case_mse(sums)
         bias = abs(mse - mse_half)
         if bias <= stderr / 3.0:

@@ -195,6 +195,16 @@ class TestValidateExpansion:
         with pytest.raises(ValueError):
             validate_expansion("pair_distinct", cfg)
 
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_stratonovich_rejected_before_drawing(self, case, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(oracle, "_chunk_stream", no_draw)
+        cfg = SimConfig(steps=8, paths=10, seed=0, dt=DT, calculus="strat")
+        with pytest.raises(ValueError, match="Ito"):
+            validate_expansion(case, cfg, workers=1)
+
     def test_small_deterministic_run(self):
         cfg = SimConfig(steps=256, paths=4000, seed=7, dt=DT)
         report = validate_expansion("pair_distinct", cfg)
@@ -389,8 +399,7 @@ class TestWholeChunkReference:
     def test_chunk_sums_equal(self, case, steps, paths):
         cfg = SimConfig(steps=steps, paths=paths, seed=paths + steps, dt=DT)
         for idx in range(_chunk_count(paths)):
-            got = _chunk_sums(VALIDATION_CASES[case].expansion, cfg, idx)
-            assert got == chunk_sums(VALIDATION_CASES[case], cfg, idx)
+            assert _chunk_sums(case, cfg, idx) == chunk_sums(case, cfg, idx)
 
     @pytest.mark.parametrize("paths", [1, 100, 513, 1300])
     def test_partial_chunk_is_prefix_of_full_draw(self, paths):
