@@ -27,6 +27,8 @@ from .errors import (
     EqualityPattern,
     ErrorReport,
     SERIES_KINDS,
+    SeriesCapError,
+    TRIG_SERIES_CAP,
     error_bound,
     error_report,
     exact_error,
@@ -107,6 +109,8 @@ __all__ = [
     "EqualityPattern",
     "ErrorReport",
     "SERIES_KINDS",
+    "SeriesCapError",
+    "TRIG_SERIES_CAP",
     "error_bound",
     "error_report",
     "exact_error",

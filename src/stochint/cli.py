@@ -25,8 +25,8 @@ to the file.  The only environment variable consulted is
 each entry with its payload's SHA-256; an entry that fails it is a miss.
 
 The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
-below 2, ``--threads`` below 1, a negative ``--q`` or ``--seed``, a ``--dt``
-that is not positive and finite) and unknown ``--case`` or ``--kind`` names
+below 2, ``--threads`` below 1, a negative ``--q``, ``--seed`` or ``--weights``
+entry, a ``--dt`` that is not positive and finite) and unknown ``--case`` or ``--kind`` names
 before any work starts; the library rejects unknown table numbers.  Each subcommand
 answers a document, its CSV rows and the manifest parameters, and one
 renderer writes the payload.
@@ -42,6 +42,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import uuid
 from dataclasses import asdict, dataclass, field
@@ -53,7 +54,7 @@ from . import __version__
 from .coeffs import (
     KernelSpec, QuadratureError, TensorBudgetError, coeff_tensor, tensor_to_csv, tensor_to_json,
 )
-from .errors import SERIES_KINDS, series_error
+from .errors import SERIES_KINDS, SeriesCapError, series_error
 from .oracle import (
     GridTooCoarseError, OracleBudgetError, SimConfig, VALIDATION_CASES, validate_expansion,
 )
@@ -72,7 +73,16 @@ EXIT_RESOURCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with status 1."""
+    """Argument parser whose usage failures exit with status 1.
+
+    A token that starts with ``-`` and a digit, such as ``-1,0``, is read as
+    a value: no flag of this tool looks like that, and the range checks
+    then name the flag and the value.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
@@ -150,7 +160,10 @@ def _emit(payload: str, args: argparse.Namespace, parameters: dict) -> None:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
+    values = [int(part) for part in text.split(",") if part != ""]
+    if any(value < 0 for value in values):
+        raise argparse.ArgumentTypeError(f"{text!r} has a negative entry")
+    return values
 
 
 def _positive(text: str) -> float:
@@ -426,7 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     prog = f"stochint {args.command}"
     try:
         reply = args.func(args)
-    except (TensorBudgetError, QSelectCapError, QuadratureError, OracleBudgetError) as exc:
+    except (
+        TensorBudgetError, QSelectCapError, QuadratureError, OracleBudgetError, SeriesCapError
+    ) as exc:
         sys.stderr.write(f"{prog}: resource cap: {exc}\n")
         return EXIT_RESOURCE
     except GridTooCoarseError as exc:

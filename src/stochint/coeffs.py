@@ -287,10 +287,6 @@ def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
     return _outer_coeff(_outer_series(spec, j[:-1]), j[-1])
 
 
-def _float_bar(value: Fraction) -> float:
-    return value.numerator / value.denominator
-
-
 @dataclass(frozen=True, eq=False)
 class CoeffTensor:
     r"""Dense tensor of exact coefficients :math:`\bar C` on ``{0..q}^k``.
@@ -312,12 +308,7 @@ class CoeffTensor:
         return self.values[tuple(j)]
 
     def float_values(self) -> np.ndarray:
-        out = np.empty(self.values.shape, dtype=np.float64)
-        flat_in = self.values.reshape(-1)
-        flat_out = out.reshape(-1)
-        for i, v in enumerate(flat_in):
-            flat_out[i] = _float_bar(v)
-        return out
+        return self.values.astype(np.float64)
 
 
 def _scale(bar, spec: KernelSpec, norm, dt: float):
@@ -334,7 +325,7 @@ def scale_coeff(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) 
     The weight signs are already inside ``bar``.  This is the only place
     rationals become floats; :func:`scaled_tensor` is its vectorisation.
     """
-    return _scale(_float_bar(bar), spec, math.prod(math.sqrt(2 * idx + 1) for idx in j), dt)
+    return _scale(float(bar), spec, math.prod(math.sqrt(2 * idx + 1) for idx in j), dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,7 +595,7 @@ def tensor_to_json(tensor: CoeffTensor) -> str:
                 "j": list(idx),
                 "num": v.numerator,
                 "den": v.denominator,
-                "float": _float_bar(v),
+                "float": float(v),
             }
         )
     doc = {

@@ -39,6 +39,8 @@ __all__ = [
     "EqualityPattern",
     "ErrorReport",
     "SERIES_KINDS",
+    "SeriesCapError",
+    "TRIG_SERIES_CAP",
     "kernel_norm",
     "kernel_norm_exact",
     "exact_error",
@@ -71,8 +73,7 @@ def kernel_norm_exact(spec: KernelSpec) -> Fraction:
 def kernel_norm(spec: KernelSpec, dt: float) -> float:
     """Squared simplex norm ``I_k`` of the weighted kernel for length ``dt``."""
     _check_interval(dt)
-    frac = kernel_norm_exact(spec)
-    return frac.numerator / frac.denominator * dt ** (2 * spec.total_weight + spec.k)
+    return float(kernel_norm_exact(spec)) * dt ** (2 * spec.total_weight + spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,16 @@ def _harmonic_prefixes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
+#: Highest order of the trigonometric series that read
+#: :func:`_frequency_interaction_sums`, which allocates about ``2q`` floats:
+#: one evaluation took 0.115 s at ``q = 10**6`` and 1.9 s at ``10**7``.
+TRIG_SERIES_CAP = 1_000_000
+
+
+class SeriesCapError(Exception):
+    """A closed error series was asked for an order above its cap."""
+
+
 def _frequency_interaction_sums(q: int) -> tuple[float, float]:
     r"""O(q) evaluation of the two double-frequency interaction sums.
 
@@ -300,8 +311,13 @@ def _frequency_interaction_sums(q: int) -> tuple[float, float]:
         S_c = \sum_{l} \sum_{r \ne l} \frac{1}{(r^2 - l^2)^2},
 
     via partial fractions in ``1/(r-l)`` and ``1/(r+l)`` so that each inner
-    sum telescopes into harmonic prefix differences.
+    sum telescopes into harmonic prefix differences.  Raises
+    :class:`SeriesCapError` above :data:`TRIG_SERIES_CAP`, before allocating.
     """
+    if q > TRIG_SERIES_CAP:
+        raise SeriesCapError(
+            f"trigonometric error series at q={q} exceeds the cap q <= {TRIG_SERIES_CAP}"
+        )
     if q < 2:
         return 0.0, 0.0
     h1, h2 = _harmonic_prefixes(2 * q)

@@ -101,8 +101,7 @@ def triple_legendre_error_constant(q: int) -> float:
     Equals :math:`1/6 - \sum_{j \in \{0..q\}^3} C_j^2 / dt^3`, accumulated
     exactly in rationals before the single float conversion.
     """
-    gap = Fraction(1, 6) - Fraction(1, 64) * _triple_square_sum(q)
-    return gap.numerator / gap.denominator
+    return float(Fraction(1, 6) - Fraction(1, 64) * _triple_square_sum(q))
 
 
 def _triple_constant_float(q: int) -> float:

@@ -20,6 +20,9 @@ the fixtures built on them return the reference with the errata applied
 Comparisons against printed values use :func:`printed_match`, which
 treats a printed string as a half-ulp interval around its decimal value,
 or :func:`within_printed_unit`, which allows one unit of the last digit.
+
+The tests named in :data:`SLOW_TESTS` are marked ``slow``, so that
+``pytest -m "not slow"`` gives a quick run; a plain ``pytest`` runs them.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ from pathlib import Path
 import pytest
 
 DATA_DIR = Path(__file__).parent / "data"
+
+#: ``file::test`` ids of the tests marked ``slow``.  Criterion 6 validates every
+#: case on 10^5 paths and takes most of the suite's time.
+SLOW_TESTS = ("test_acceptance.py::test_criterion_6_statistical_validation",)
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        if item.nodeid.endswith(SLOW_TESTS):
+            item.add_marker(pytest.mark.slow)
 
 
 @dataclass(frozen=True)

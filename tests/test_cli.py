@@ -140,6 +140,14 @@ class TestErrorTable:
         code, _, _ = run_cli(capsys, "error-table", "--table", "4")
         assert code == EXIT_USAGE
 
+    def test_trig_order_above_cap_exits_resource_promptly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "error-table", "--kind", "triple_trig", "--q", "100000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "resource cap" in err
+
 
 class TestQTable:
     def test_numbered_table(self, capsys, printed):
@@ -230,9 +238,14 @@ class TestBadFlags:
             (("q-table", "--table", "99"), "99"),
             (("error-table", "--kind", "nope"), "nope"),
             (("validate", "--case", "pair_distinct", "--case", "nope", "--paths", "100000"), "nope"),
+            (("coeffs", "--k", "2", "--weights", "-1,0"), "--weights -1,0"),
+            (("coeffs", "--k", "2", "--weights=-1,0"), "--weights -1,0"),
+            (("error-table", "--kind", "pair_trig", "--q", "-1,2"), "--q -1,2"),
+            (("q-table", "--table", "37", "--dt", "-1,2"), "--dt -1"),
         ],
         ids=["paths", "steps", "threads", "seed", "threads-coeffs", "q-coeffs", "q-export",
-             "table-coeffs", "table-error", "table-q", "kind", "case-after-good-case"],
+             "table-coeffs", "table-error", "table-q", "kind", "case-after-good-case",
+             "negative-weights", "negative-weights-joined", "negative-q-list", "negative-dt-list"],
     )
     def test_usage_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv, named):
         # The last case would validate pair_distinct on 10^5 paths for
@@ -243,7 +256,7 @@ class TestBadFlags:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_USAGE
         assert out == ""
-        assert named in err
+        assert all(word in err for word in named.split())
         assert list(tmp_path.iterdir()) == []
 
 

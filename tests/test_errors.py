@@ -16,7 +16,9 @@ import pytest
 from stochint.coeffs import KernelSpec, coeff_tensor, scaled_tensor
 from stochint.errors import (
     SERIES_KINDS,
+    TRIG_SERIES_CAP,
     EqualityPattern,
+    SeriesCapError,
     error_bound,
     error_report,
     exact_error,
@@ -194,6 +196,12 @@ class TestErrorBound:
 
 
 class TestClosedSeries:
+    @pytest.mark.parametrize("kind", ["triple_trig", "triple_trig_tail", "pair_trig_weighted"])
+    def test_trig_interaction_series_capped(self, kind):
+        assert math.isfinite(series_error(kind, TRIG_SERIES_CAP, 1.0))
+        with pytest.raises(SeriesCapError, match="cap"):
+            series_error(kind, TRIG_SERIES_CAP + 1, 1.0)
+
     def test_known_kinds(self):
         assert set(SERIES_KINDS) == {
             "pair_legendre",
