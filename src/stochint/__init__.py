@@ -28,7 +28,6 @@ from .errors import (
     ErrorReport,
     SERIES_KINDS,
     SeriesCapError,
-    TRIG_SERIES_CAP,
     error_bound,
     error_report,
     exact_error,
@@ -110,7 +109,6 @@ __all__ = [
     "ErrorReport",
     "SERIES_KINDS",
     "SeriesCapError",
-    "TRIG_SERIES_CAP",
     "error_bound",
     "error_report",
     "exact_error",

@@ -25,11 +25,11 @@ to the file.  The only environment variable consulted is
 each entry with its payload's SHA-256; an entry that fails it is a miss.
 
 The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
-below 2, ``--threads`` below 1, a negative ``--q``, ``--seed`` or ``--weights``
-entry, a ``--dt`` that is not positive and finite) and unknown ``--case`` or ``--kind`` names
-before any work starts; the library rejects unknown table numbers.  Each subcommand
-answers a document, its CSV rows and the manifest parameters, and one
-renderer writes the payload.
+below 2, ``--threads`` below 1, a negative ``--q``, ``--seed`` or
+``--weights`` entry, a ``--dt`` that is not positive and finite) and
+unknown ``--case`` or ``--kind`` names before any work starts; the library
+rejects unknown table numbers.  Each subcommand answers a document, its
+CSV rows and the manifest parameters, and one renderer writes the payload.
 
 Exit codes: 0 success; 1 usage error; 2 validation failure; 3 resource
 cap exceeded.
