@@ -498,8 +498,8 @@ def validate_expansion(
         OracleBudgetError: the run could draw more than :data:`NORMALS_BUDGET`
             normals; nothing is drawn.
         ValueError: unknown case, a calculus other than Ito, odd step count,
-            fewer than one worker, or a mean-square error or standard error that is not finite (the
-            integrals overflow at ``cfg.dt``).
+            fewer than one worker, or a mean-square error or standard error
+            that is not finite (the integrals overflow at ``cfg.dt``).
     """
     try:
         case = VALIDATION_CASES[case_name]
