@@ -20,9 +20,14 @@ Subcommands
 All output is deterministic for fixed flags and seed.  ``--format``
 switches between JSON and CSV renderings of the same data.  When
 ``--output`` is given, a manifest with SHA-256 checksums is written next
-to the file.  The only environment variable consulted is
-``STOCHINT_CACHE_DIR``: when set, ``export`` payloads are cached there,
-each entry with its payload's SHA-256; an entry that fails it is a miss.
+to the file.  Both are written in place, over any old bytes, and a regular
+file is then cut to the new length; the write is neither atomic nor synced
+to disk, so a reader that races it, or a crash, can leave a torn file,
+which the manifest's SHA-256 detects.  The only environment variable
+consulted is ``STOCHINT_CACHE_DIR``: when set, ``export`` payloads are
+cached there, each entry with its payload's SHA-256; an entry that fails it
+is a miss.  Cache entries, which processes share, are written to a unique
+name and renamed into place, so a reader sees a whole entry or none.
 
 The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
 below 2, ``--threads`` below 1, a negative ``--q``, ``--seed`` or
@@ -43,9 +48,10 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -111,7 +117,11 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; ``parameters`` and ``outputs`` are this manifest's own dicts."""
+        return {
+            "command": self.command, "parameters": self.parameters, "seed": self.seed,
+            "version": self.version, "outputs": self.outputs,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
@@ -124,12 +134,14 @@ class RunManifest:
 class _Reply(NamedTuple):
     """A subcommand's answer: the JSON document (or the payload text a library
     serializer or the export cache already rendered), its CSV rows, the
-    manifest parameters and the exit code."""
+    manifest parameters, the exit code and, when the export cache already
+    hashed the payload, its SHA-256."""
 
     doc: dict | str
     rows: list[list]
     parameters: dict
     code: int = EXIT_OK
+    digest: str | None = None
 
 
 def _payload(fmt: str, doc: dict | str, rows: Iterable[list]) -> str:
@@ -141,22 +153,44 @@ def _payload(fmt: str, doc: dict | str, rows: Iterable[list]) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _emit(payload: str, args: argparse.Namespace, parameters: dict) -> None:
-    """Write payload to stdout or to ``--output`` plus a manifest."""
+def _write_over(path: str, data: bytes) -> None:
+    """Write ``data`` over the file at ``path`` and cut a regular file to its length.
+
+    The old bytes are overwritten in place rather than truncated first: on
+    ext4 a file truncated to zero is flushed when it is closed.  The write
+    is neither atomic nor synced to disk.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _emit(
+    payload: str, args: argparse.Namespace, parameters: dict, digest: str | None = None
+) -> None:
+    """Write payload to stdout or to ``--output`` plus a manifest.
+
+    ``digest`` is the payload's SHA-256 when the caller already has it.
+    """
     if args.output is None:
         sys.stdout.write(payload)
         return
-    path = Path(args.output)
     data = payload.encode()
-    path.write_bytes(data)
     manifest = RunManifest(
         command=args.command,
         parameters=parameters,
         seed=getattr(args, "seed", None),
         version=__version__,
-        outputs={path.name: hashlib.sha256(data).hexdigest()},
+        outputs={os.path.basename(args.output): digest or hashlib.sha256(data).hexdigest()},
     )
-    Path(str(path) + ".manifest.json").write_text(manifest.to_json())
+    _write_over(args.output, data)
+    _write_over(args.output + ".manifest.json", manifest.to_json().encode())
 
 
 def _ints(text: str) -> list[int]:
@@ -243,21 +277,19 @@ def _cache_path(key: str) -> Path | None:
     cache_dir = os.environ.get("STOCHINT_CACHE_DIR")
     if not cache_dir:
         return None
-    root = Path(cache_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    return root / (hashlib.sha256(key.encode()).hexdigest() + ".payload")
+    return Path(cache_dir) / (hashlib.sha256(key.encode()).hexdigest() + ".payload")
 
 
-def _read_entry(path: Path) -> str | None:
-    """The payload of cache entry ``path``: None when there is no entry or
-    it fails the SHA-256 on its first line, so a corrupt entry is a miss."""
+def _read_entry(path: Path) -> tuple[str, str] | None:
+    """The payload of cache entry ``path`` and its SHA-256: None when there is
+    no entry or it fails the SHA-256 on its first line, so a corrupt entry is a miss."""
     try:
         digest, _, data = path.read_bytes().partition(b"\n")
     except FileNotFoundError:
         return None
     if digest != hashlib.sha256(data).hexdigest().encode():
         return None
-    return data.decode()
+    return data.decode(), digest.decode()
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -275,14 +307,17 @@ def _cmd_export(args: argparse.Namespace) -> _Reply:
     weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
     key = f"{__version__}:export:{args.k}:{weights}:{args.q}:{args.format}"
     cached = _cache_path(key)
-    payload = _read_entry(cached) if cached is not None else None
-    if payload is None:
+    entry = _read_entry(cached) if cached is not None else None
+    if entry is not None:
+        payload, digest = entry
+    else:
         payload = _tensor_text(args, weights)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
         if cached is not None:
-            digest = hashlib.sha256(payload.encode()).hexdigest()
+            cached.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(cached, f"{digest}\n{payload}")
     parameters = {"k": args.k, "weights": list(weights), "q": args.q, "format": args.format}
-    return _Reply(payload, [], parameters)
+    return _Reply(payload, [], parameters, digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{prog}: {exc}\n")
         return EXIT_USAGE
-    _emit(_payload(args.format, reply.doc, reply.rows), args, reply.parameters)
+    _emit(_payload(args.format, reply.doc, reply.rows), args, reply.parameters, reply.digest)
     return reply.code
 
 

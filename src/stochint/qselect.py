@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import KernelSpec, _fiber_square_sum, _triple_square_sum_float
+from .coeffs import _triple_square_sum, _triple_square_sum_float
 from .errors import series_error
 
 __all__ = [
@@ -83,16 +83,6 @@ class QSelectCapError(Exception):
         self.cap = cap
         self.lhs_at_cap = lhs_at_cap
         self.rhs = rhs
-
-
-def _triple_square_sum(q: int) -> Fraction:
-    r"""Exact :math:`\sum_{j \in \{0..q\}^3} \prod_r (2 j_r + 1)\, \bar C_j^2`."""
-    spec = KernelSpec.unweighted(3)
-    total = Fraction(0)
-    for a in range(q + 1):
-        for b in range(q + 1):
-            total += (2 * a + 1) * (2 * b + 1) * _fiber_square_sum(spec, (a, b), q)
-    return total
 
 
 def triple_legendre_error_constant(q: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffs import KernelSpec, bar_coeff
+from .coeffs import KernelSpec, _bar_coeffs
 from .errors import series_error
 from .qselect import Condition, min_q_many
 
@@ -92,10 +92,9 @@ def compute_coeff_table(number: int) -> list[list[Fraction]]:
         raise ValueError(
             f"no coefficient table {number}; available: 4..36"
         ) from None
-    return [
-        [bar_coeff(layout.spec, layout.js(row, col)) for col in range(layout.cols)]
-        for row in range(layout.rows)
-    ]
+    rows, cols = layout.rows, layout.cols
+    cells = _bar_coeffs(layout.spec, [layout.js(r, c) for r in range(rows) for c in range(cols)])
+    return [cells[r * cols : (r + 1) * cols] for r in range(rows)]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from stochint.basis import (
     product_expand,
 )
 
+import fraction_reference
+
 # Coefficient lists (ascending powers) cross-checked against an
 # independent computer-algebra evaluation of the same polynomials.
 KNOWN_COEFFS = {
@@ -175,6 +177,12 @@ class TestProductExpansion:
 
     def test_symmetry(self):
         assert product_expand(3, 5) == product_expand(5, 3)
+
+    def test_matches_double_factorial_route(self):
+        # The integer rows against K built from a_k = (2k-1)!!/k! in Fractions.
+        for m in range(25):
+            for n in range(25):
+                assert product_expand(m, n) == fraction_reference.product_expand(m, n)
 
     def test_coefficients_sum_to_one(self):
         # Evaluating the reconstruction at x = 1 gives P_m(1) P_n(1) = 1.

@@ -92,6 +92,16 @@ class TestCoeffs:
         assert code == EXIT_RESOURCE
         assert "resource cap" in err
 
+    @pytest.mark.parametrize("command", ["coeffs", "export"])
+    def test_large_tensor_exits_resource_promptly(self, capsys, tmp_path, command):
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, command, "--k", "3", "--q", "199", "--output", str(tmp_path / "t.json")
+        )
+        assert (code, time.perf_counter() - start < 1.0) == (EXIT_RESOURCE, True)
+        assert "resource cap" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_q(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs", "--k", "2", "--q", "-1")
         assert code == EXIT_USAGE
@@ -486,6 +496,31 @@ class TestExport:
         assert entry.suffix == ".payload"
         assert stat.S_IMODE(entry.stat().st_mode) == 0o664
 
+    def test_cache_hit_hashes_once_and_makes_no_directory(self, tmp_path, monkeypatch):
+        # A hit verifies the entry's SHA-256 and reuses it for the manifest;
+        # only a new entry creates the cache directory.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        argv = ["export", "--k", "2", "--q", "3", "--output"]
+        assert main(argv + [str(tmp_path / "miss.json")]) == EXIT_OK
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(data=b""):
+            hashed.append(len(data))
+            return real_sha256(data)
+
+        def no_mkdir(*args, **kwargs):
+            raise AssertionError("mkdir on a cache hit")
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        monkeypatch.setattr(Path, "mkdir", no_mkdir)
+        assert main(argv + [str(tmp_path / "hit.json")]) == EXIT_OK
+        payload = (tmp_path / "hit.json").read_bytes()
+        assert hashed.count(len(payload)) == 1
+        manifest = json.loads((tmp_path / "hit.json.manifest.json").read_text())
+        assert manifest["outputs"]["hit.json"] == real_sha256(payload).hexdigest()
+
     def test_manifest_round_trip(self):
         manifest = RunManifest(
             command="export",
@@ -495,6 +530,39 @@ class TestExport:
             outputs={"x.json": "ab" * 32},
         )
         assert RunManifest.from_dict(manifest.as_dict()) == manifest
+
+
+class TestOutputWrite:
+    def test_shorter_payload_over_longer_output_leaves_new_bytes(self, tmp_path):
+        argv = ["coeffs", "--k", "1", "--q", "0", "--output"]
+        target, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        manifest = tmp_path / "out.json.manifest.json"
+        target.write_bytes(b"x" * 100_000)
+        manifest.write_bytes(b"y" * 100_000)
+        assert main(argv + [str(target)]) == main(argv + [str(fresh)]) == EXIT_OK
+        assert target.read_bytes() == fresh.read_bytes()
+        assert len(target.read_bytes()) < 1000
+        fresh_manifest = (tmp_path / "fresh.json.manifest.json").read_bytes()
+        assert manifest.read_bytes() == fresh_manifest.replace(b"fresh.json", b"out.json")
+
+    def test_new_output_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert main(["coeffs", "--k", "1", "--q", "0", "--output", str(tmp_path / "o")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("o", "o.manifest.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
+
+    def test_device_output(self, capsys, tmp_path):
+        # A path to the null device (by a link, so the manifest lands in
+        # tmp_path): a character device is written but never truncated.
+        link = tmp_path / "null"
+        link.symlink_to(os.devnull)
+        code, out, _ = run_cli(capsys, "coeffs", "--k", "2", "--q", "2", "--output", str(link))
+        assert (code, out) == (EXIT_OK, "")
+        assert link.is_char_device()
+        assert json.loads((tmp_path / "null.manifest.json").read_text())["command"] == "coeffs"
 
 
 class TestTopLevel:

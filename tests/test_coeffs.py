@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochint.coeffs import (
-    TENSOR_ENTRY_BUDGET,
+    TENSOR_WORK_BUDGET,
     CoeffTensor,
     KernelSpec,
     TensorBudgetError,
@@ -25,9 +27,14 @@ from stochint.coeffs import (
     tensor_to_csv,
     tensor_to_json,
     trig_coeff,
+    _fiber_square_sum,
+    _outer_series,
+    _pair_bands,
+    _product_rows,
 )
 from stochint.errors import kernel_norm
 
+import fraction_reference
 from monomial_reference import monomial_bar
 
 # ---------------------------------------------------------------------------
@@ -239,6 +246,48 @@ class TestSeriesRoute:
             assert type(tensor.bar(j)) is Fraction
 
 
+@st.composite
+def spec_and_order(draw, max_entries: int = 400):
+    k = draw(st.integers(1, 5))
+    weights = tuple(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    q = draw(st.integers(0, int(round(max_entries ** (1 / k))) - 1))
+    return KernelSpec(k, weights), q
+
+
+class TestIntegerEngine:
+    """The integer-scaled engine against the Fraction route, ``==`` cell by cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_and_order())
+    def test_tensor_and_bar_coeff(self, case):
+        spec, q = case
+        values = coeff_tensor(spec, q).values
+        expected = fraction_reference.coeff_tensor(spec, q)
+        for j in np.ndindex(*values.shape):
+            assert values[j] == expected[j] and type(values[j]) is Fraction
+            assert bar_coeff(spec, j) == expected[j]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        q=st.integers(0, 12),
+    )
+    def test_pair_band_rows(self, weights, q):
+        bands, trace, _ = _pair_bands(weights, q)
+        rows, expected_trace = fraction_reference.pair_band_rows(weights, q)
+        assert [(b.offset, b.start, *b.exact) for b in bands] == rows
+        assert trace == expected_trace
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_and_order(max_entries=50), st.data())
+    def test_fiber_square_sum(self, case, data):
+        spec, q = case
+        prefix = tuple(data.draw(st.lists(st.integers(0, 6), min_size=spec.k - 1,
+                                          max_size=spec.k - 1)))
+        h = _outer_series(spec, prefix, _product_rows())
+        assert _fiber_square_sum(h, q) == fraction_reference.fiber_square_sum(spec, prefix, q)
+
+
 class TestCoeffTensor:
     def test_entries_match_bar_coeff(self):
         spec = KernelSpec(2, (1, 0))
@@ -260,9 +309,23 @@ class TestCoeffTensor:
         assert np.array_equal(a.values, b.values)
 
     def test_budget_guard(self):
-        assert (25 + 1) ** 5 > TENSOR_ENTRY_BUDGET
+        assert 5 * (25 + 1) ** 5 > TENSOR_WORK_BUDGET
         with pytest.raises(TensorBudgetError):
             coeff_tensor(KernelSpec.unweighted(5), 25)
+
+    @pytest.mark.parametrize("k,q", [(3, 199), (5, 25), (4, 40), (2, 2000), (1, 10**7)])
+    def test_budget_refuses_before_any_work(self, k, q, monkeypatch):
+        def no_work():
+            raise AssertionError("the engine started")
+
+        monkeypatch.setattr("stochint.coeffs._product_rows", no_work)
+        with pytest.raises(TensorBudgetError):
+            coeff_tensor(KernelSpec.unweighted(k), q)
+
+    @pytest.mark.parametrize("k,q", [(1, 2000), (2, 400), (3, 60), (3, 100), (4, 15), (5, 10)])
+    def test_budget_admits(self, k, q):
+        # Sizes whose build and serialisation were timed when the budget was fitted.
+        assert k * (q + 1) ** k <= TENSOR_WORK_BUDGET
 
     def test_float_values_and_truncation(self):
         spec = KernelSpec.unweighted(2)
@@ -340,6 +403,32 @@ class TestSerialization:
     def test_json_deterministic(self):
         tensor = coeff_tensor(KernelSpec.unweighted(2), 3)
         assert tensor_to_json(tensor) == tensor_to_json(tensor)
+
+    @pytest.mark.parametrize(
+        "weights,q",
+        [((0,), 0), ((3,), 4), ((0, 0), 0), ((1, 0), 5), ((0, 2), 7), ((0, 0, 0), 4),
+         ((2, 1, 0), 3), ((0, 1, 0, 0), 2), ((0,) * 5, 1)],
+    )
+    def test_writers_match_library_serializers(self, weights, q):
+        # The direct writers against json.dumps and csv.writer on the same
+        # document, negative numerators included.
+        tensor = coeff_tensor(KernelSpec(len(weights), weights), q)
+        cells = [(list(j), tensor.bar(j)) for j in np.ndindex(*tensor.values.shape)]
+        assert q == 0 or any(v < 0 for _, v in cells)
+        doc = {
+            "k": len(weights), "weights": list(weights), "q": q,
+            "index_order": "innermost_first",
+            "entries": [
+                {"j": j, "num": v.numerator, "den": v.denominator, "float": float(v)}
+                for j, v in cells
+            ],
+        }
+        assert tensor_to_json(tensor) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f"j{i + 1}" for i in range(len(weights))] + ["bar"])
+        writer.writerows(j + [f"{v.numerator}/{v.denominator}"] for j, v in cells)
+        assert tensor_to_csv(tensor) == buf.getvalue()
 
     def test_csv_cells(self):
         spec = KernelSpec.unweighted(2)
