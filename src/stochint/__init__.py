@@ -12,7 +12,6 @@ from .basis import RatPoly, legendre_poly, product_expand
 from .coeffs import (
     CoeffTensor,
     KernelSpec,
-    QuadratureError,
     ScaledTensor,
     TensorBudgetError,
     bar_coeff,
@@ -94,7 +93,6 @@ __all__ = [
     # coefficients
     "CoeffTensor",
     "KernelSpec",
-    "QuadratureError",
     "ScaledTensor",
     "TensorBudgetError",
     "bar_coeff",

@@ -57,9 +57,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
-from .coeffs import (
-    KernelSpec, QuadratureError, TensorBudgetError, coeff_tensor, tensor_to_csv, tensor_to_json,
-)
+from .coeffs import KernelSpec, TensorBudgetError, coeff_tensor, tensor_to_csv, tensor_to_json
 from .errors import SERIES_KINDS, SeriesCapError, series_error
 from .oracle import (
     GridTooCoarseError, OracleBudgetError, SimConfig, VALIDATION_CASES, validate_expansion,
@@ -474,9 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     prog = f"stochint {args.command}"
     try:
         reply = args.func(args)
-    except (
-        TensorBudgetError, QSelectCapError, QuadratureError, OracleBudgetError, SeriesCapError
-    ) as exc:
+    except (TensorBudgetError, QSelectCapError, OracleBudgetError, SeriesCapError) as exc:
         sys.stderr.write(f"{prog}: resource cap: {exc}\n")
         return EXIT_RESOURCE
     except GridTooCoarseError as exc:

@@ -49,10 +49,18 @@ By orthogonality the outermost level is a lookup: with
 :math:`h = w_{l_k} F_{k-1} = \sum_n h_n P_n`,
 :math:`\bar C_{j_k \ldots j_1} = 2 h_{j_k} / (2 j_k + 1)`.
 
-``bar_coeff`` computes single entries, ``coeff_tensor`` dense tensors (each
-prefix series is built once and fills its whole :math:`j_k` fiber), and
-``trig_coeff`` the analogous coefficient for the trigonometric basis by
-nested high-precision Gauss-Legendre quadrature.
+``bar_coeff`` computes single entries and ``coeff_tensor`` dense tensors
+(each prefix series is built once and fills its whole :math:`j_k` fiber).
+
+``trig_coeff`` is the analogous coefficient for the trigonometric basis,
+exact in :math:`\mathbb{Q}[1/\pi]`.  Each level's integrand is a sum of
+terms :math:`u^n \cos(2\pi f u)` and :math:`u^n \sin(2\pi f u)` with
+coefficients in :math:`\mathbb{Q}[1/\pi]`: a basis function multiplies by
+the product-to-sum rules (frequencies :math:`f \pm r`), a weight shifts
+:math:`n`, and :math:`\int_0^u` integrates by parts, each
+:math:`1/(2\pi f)` adding one power of :math:`1/\pi`.  Its :math:`\bar C`
+is :math:`(-1)^L 2^{L+k}` times the unit-interval integral and its norm is
+:math:`\sqrt2` per nonzero index, so it takes the same scaling law.
 
 ``scale_coeff`` is the one route from :math:`\bar C` to a float: it
 evaluates the scaling law above as
@@ -71,7 +79,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
@@ -85,7 +95,6 @@ __all__ = [
     "CoeffTensor",
     "ScaledTensor",
     "TensorBudgetError",
-    "QuadratureError",
     "TENSOR_WORK_BUDGET",
     "bar_coeff",
     "coeff_tensor",
@@ -104,14 +113,6 @@ TENSOR_WORK_BUDGET = 5_000_000
 
 class TensorBudgetError(Exception):
     """Requested dense tensor exceeds the work budget."""
-
-
-class QuadratureError(Exception):
-    """Nested quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float) -> None:
-        super().__init__(message)
-        self.achieved = achieved
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,6 +324,16 @@ def _triple_square_sum_float(q: int) -> float:
     return math.fsum(parts)
 
 
+def _checked_index(spec: KernelSpec, j) -> tuple[int, ...]:
+    """``j`` as a tuple, after checking that it is a multi-index of ``spec``."""
+    j = tuple(j)
+    if len(j) != spec.k:
+        raise ValueError("multi-index length must equal multiplicity")
+    if any(x < 0 for x in j):
+        raise ValueError("basis indices must be nonnegative")
+    return j
+
+
 def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
     r"""Exact rational coefficient :math:`\bar C` for one multi-index.
 
@@ -333,12 +344,7 @@ def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
     Returns:
         The exact nested integral over the simplex in ``[-1, 1]``.
     """
-    j = tuple(j)
-    if len(j) != spec.k:
-        raise ValueError("multi-index length must equal multiplicity")
-    if any(x < 0 for x in j):
-        raise ValueError("basis indices must be nonnegative")
-    return _bar_coeffs(spec, [j])[0]
+    return _bar_coeffs(spec, [_checked_index(spec, j)])[0]
 
 
 def _bar_coeffs(spec: KernelSpec, js: list[tuple[int, ...]]) -> list[Fraction]:
@@ -434,8 +440,8 @@ def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
     work = spec.k * n**spec.k
     if work > TENSOR_WORK_BUDGET:
         raise TensorBudgetError(
-            f"dense tensor of {n**spec.k} entries at multiplicity {spec.k} has work {work}, "
-            f"over the budget {TENSOR_WORK_BUDGET}"
+            f"dense tensor of {Decimal(n**spec.k):.3e} entries at multiplicity {spec.k} has "
+            f"work {Decimal(work):.3e}, over the budget {TENSOR_WORK_BUDGET}"
         )
     values = np.empty((n,) * spec.k, dtype=object)
     rows = _product_rows()
@@ -522,121 +528,81 @@ def _pair_bands(weights: tuple[int, int], q: int) -> tuple[tuple[_Band, ...], Fr
 
 
 # ---------------------------------------------------------------------------
-# Trigonometric coefficients by nested Gauss-Legendre quadrature
+# Trigonometric coefficients, exact in Q[1/pi]
 # ---------------------------------------------------------------------------
 
-_GL_NODES = 24
+# A term is the key (f, s, n, p) of a dict holding its rational coefficient:
+# u**n * cos(2 pi f u) (s = 0) or u**n * sin(2 pi f u) (s = 1), times pi**-p.
 
 
-@lru_cache(maxsize=None)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+def _trig_times_basis(terms: dict, j: int, l: int) -> dict:
+    """Multiply by ``u**l`` and basis function ``j`` without its sqrt(2), product to sum."""
+    r, b = (j + 1) // 2, j % 2
+    out = defaultdict(Fraction)
+    for (f, s, n, p), c in terms.items():
+        kind = s ^ b
+        for g, sign in ((f + r, -1 if s & b else 1), (f - r, -1 if b > s else 1)):
+            if g < 0:
+                g, sign = -g, -sign if kind else sign
+            if g or not kind:
+                out[g, kind, n + l, p] += sign * c / 2
+    return out
 
 
-@lru_cache(maxsize=None)
-def _cumulative_matrix(n: int) -> np.ndarray:
-    """Map values at Gauss-Legendre nodes to cumulative integrals.
+def _trig_integral(terms: dict) -> dict:
+    """``int_0^u`` of each term, by parts; each ``1/(2 pi f)`` adds one power of ``1/pi``."""
+    out = defaultdict(Fraction)
+    for (f, s, n, p), c in terms.items():
+        if not f:
+            out[0, 0, n + 1, p] += c / (n + 1)
+            continue
+        while True:
+            c, p = c / (2 * f), p + 1
+            sign = -1 if s else 1  # the antiderivative of cos is sin, of sin is -cos
+            out[f, 1 - s, n, p] += sign * c
+            if not n:
+                if s:
+                    out[0, 0, 0, p] += c  # cos(0) at the lower limit
+                break
+            c, s, n = -sign * n * c, 1 - s, n - 1
+    return out
 
-    Row ``i`` gives the quadrature of the degree ``n-1`` interpolant from
-    the panel start ``-1`` to node ``i`` (panel in local coordinates).
+
+def _trig_bar(spec: KernelSpec, j: tuple[int, ...]) -> tuple[Fraction, ...]:
+    r"""Exact trigonometric :math:`\bar C`; entry ``p`` multiplies :math:`\pi^{-p}`.
+
+    The basis functions of :func:`trig_coeff` lose their :math:`\sqrt2`.  At
+    :math:`u = 1` only the cosine terms remain, as :math:`\sin(2\pi f) = 0`
+    and :math:`\cos(2\pi f) = 1`.
     """
-    nodes, weights = _gl_rule(n)
-    # Legendre-coefficient projection of the interpolant
-    proj = np.empty((n, n))
-    for deg in range(n):
-        pvals = np.polynomial.legendre.legval(nodes, [0.0] * deg + [1.0])
-        proj[deg] = (2 * deg + 1) / 2.0 * weights * pvals
-    # antiderivative of P_deg vanishing at -1: (P_{deg+1} - P_{deg-1})/(2 deg + 1)
-    cum = np.zeros((n, n))
-    for deg in range(n):
-        if deg == 0:
-            anti = np.polynomial.legendre.legval(nodes, [1.0, 1.0])  # x + 1
-        else:
-            hi = np.polynomial.legendre.legval(nodes, [0.0] * (deg + 1) + [1.0])
-            lo = np.polynomial.legendre.legval(nodes, [0.0] * (deg - 1) + [1.0])
-            anti = (hi - lo) / (2 * deg + 1)
-        cum += np.outer(anti, proj[deg])
-    return cum
+    terms = {(0, 0, 0, 0): Fraction(1)}
+    for l, idx in zip(spec.weights, j):
+        terms = _trig_integral(_trig_times_basis(terms, idx, l))
+    at_one = defaultdict(Fraction)
+    for (_, s, _, p), c in terms.items():
+        if not s:
+            at_one[p] += c
+    scale = (-2) ** spec.total_weight * 2**spec.k
+    return tuple(scale * at_one[p] for p in range(max(at_one, default=0) + 1))
 
 
-def _trig_basis_values(j: int, u: np.ndarray) -> np.ndarray:
-    if j == 0:
-        return np.ones_like(u)
-    r = (j + 1) // 2
-    if j % 2 == 1:
-        return math.sqrt(2.0) * np.sin(2.0 * math.pi * r * u)
-    return math.sqrt(2.0) * np.cos(2.0 * math.pi * r * u)
-
-
-def _nested_trig_integral(spec: KernelSpec, j: tuple[int, ...], panels: int) -> float:
-    """Nested simplex integral in unit coordinates with ``panels`` panels."""
-    n = _GL_NODES
-    nodes, weights = _gl_rule(n)
-    cum = _cumulative_matrix(n)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = 0.5 / panels
-    u = (edges[:-1, None] + half) + half * nodes[None, :]  # (panels, n)
-
-    running = np.ones_like(u)
-    for level in range(spec.k):
-        g = _trig_basis_values(j[level], u) * u ** spec.weights[level] * running
-        panel_ints = half * g @ weights  # (panels,)
-        starts = np.concatenate(([0.0], np.cumsum(panel_ints)))
-        if level == spec.k - 1:
-            return float(starts[-1])
-        running = starts[:-1, None] + half * g @ cum.T
-    raise AssertionError("unreachable")
-
-
-def trig_coeff(
-    spec: KernelSpec,
-    j: tuple[int, ...],
-    dt: float,
-    tol: float = 1e-12,
-) -> float:
+def trig_coeff(spec: KernelSpec, j: tuple[int, ...], dt: float) -> float:
     r"""Scaled coefficient ``C`` for the trigonometric basis.
 
     The basis on an interval of length ``dt`` is
     :math:`\{1, \sqrt2 \sin(2\pi r u), \sqrt2 \cos(2\pi r u)\}/\sqrt{dt}`
     with ``u`` the normalized coordinate; index ``2r-1`` is the sine and
-    ``2r`` the cosine of frequency ``r``.  Computed by nested panelwise
-    Gauss-Legendre quadrature, doubling the panel count until two
-    successive refinements agree.
+    ``2r`` the cosine of frequency ``r``.  The exact :func:`_trig_bar` is
+    summed in floats and scaled by the law of :func:`scale_coeff`.
 
     Args:
         spec: kernel description (weights innermost first).
         j: basis multi-index, innermost first.
         dt: interval length.
-        tol: absolute tolerance in units of ``dt**(L + k/2)``.
-
-    Raises:
-        QuadratureError: if refinement stalls before reaching ``tol``;
-            the achieved difference is attached to the exception.
     """
-    j = tuple(j)
-    if len(j) != spec.k:
-        raise ValueError("multi-index length must equal multiplicity")
-    if any(x < 0 for x in j):
-        raise ValueError("basis indices must be nonnegative")
-    _check_interval(dt)
-
-    max_freq = max(((idx + 1) // 2 for idx in j), default=0)
-    panels = max(4, 2 * max_freq)
-    prev = _nested_trig_integral(spec, j, panels)
-    achieved = math.inf
-    for _ in range(8):
-        panels *= 2
-        cur = _nested_trig_integral(spec, j, panels)
-        achieved = abs(cur - prev)
-        if achieved <= tol / 4.0:
-            sign = (-1) ** spec.total_weight
-            return sign * cur * dt ** spec.scale_exponent
-        prev = cur
-    raise QuadratureError(
-        f"quadrature did not converge below {tol} (achieved {achieved:.3e})",
-        achieved,
-    )
+    j = _checked_index(spec, j)
+    bar = math.fsum(float(c) / math.pi**p for p, c in enumerate(_trig_bar(spec, j)))
+    return _scale(bar, spec, math.sqrt(2 ** sum(map(bool, j))), dt)
 
 
 # ---------------------------------------------------------------------------

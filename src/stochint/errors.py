@@ -233,10 +233,14 @@ _MACHEP = 2.0**-53
 def _hurwitz_zeta(x: float, q: float) -> float:
     r"""Hurwitz zeta :math:`\zeta(x, q) = \sum_{n \ge 0} (n+q)^{-x}` for ``x > 1, q > 0``.
 
-    Moshier's Cephes ``zeta(x, q)``, operation for operation: direct terms
-    until ``q + i > 9`` (at least nine), then the Euler-Maclaurin tail.
-    Keeping Cephes' order gives the same bits as ``scipy.special.zeta``.
+    Moshier's Cephes ``zeta(x, q)`` as scipy ships it, operation for
+    operation: above ``q = 1e8`` the first two terms of the asymptotic
+    expansion, else direct terms until ``q + i > 9`` (at least nine), then
+    the Euler-Maclaurin tail.  Keeping that order gives the same bits as
+    ``scipy.special.zeta``.
     """
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
     s = q**-x
     a = q
     i = 0
@@ -297,7 +301,7 @@ TRIG_SERIES_CAP = 1_000_000
 
 
 class SeriesCapError(Exception):
-    """A closed error series was asked for an order above its cap."""
+    """An error series, or the exact triple constant, was asked for an order above its cap."""
 
 
 def _frequency_interaction_sums(q: int) -> tuple[float, float]:
@@ -378,9 +382,10 @@ def _series_single_trig_weighted(q: int, dt: float) -> float:
 def _trig_partial_sums(q: int) -> tuple[float, float, float, float]:
     """``(h2, h4, s_b, s_c)``: the sums of ``1/r²`` and ``1/r⁴`` over ``r = 1..q``
     and :func:`_frequency_interaction_sums`, shared by the weighted trig series."""
+    s_b, s_c = _frequency_interaction_sums(q)  # first: its cap is checked before any work
     h2 = float(np.pi**2 / 6.0) - _tail_sum_squares(q)
     h4 = float(np.pi**4 / 90.0) - _tail_sum_fourths(q)
-    return (h2, h4, *_frequency_interaction_sums(q))
+    return h2, h4, s_b, s_c
 
 
 def _triple_trig_common(q: int) -> tuple[float, float, float]:
@@ -439,6 +444,13 @@ def series_error(kind: str, q: int, dt: float) -> float:
     ``pair_legendre_weighted_equal``, ``pair_trig``, ``pair_trig_tail``,
     ``pair_trig_weighted``, ``single_trig_weighted``, ``triple_trig``,
     ``triple_trig_tail``.
+
+    Raises:
+        ValueError: unknown kind, negative ``q``, an interval length that is
+            not positive and finite, or an order or interval length at which
+            the error has no finite float value (such as ``q = 10**400``).
+        SeriesCapError: ``triple_trig``, ``triple_trig_tail`` or
+            ``pair_trig_weighted`` above :data:`TRIG_SERIES_CAP`, before any work.
     """
     try:
         fn = _SERIES[kind]
@@ -447,4 +459,10 @@ def series_error(kind: str, q: int, dt: float) -> float:
     if q < 0:
         raise ValueError("truncation order must be nonnegative")
     _check_interval(dt)
-    return fn(q, dt)
+    try:
+        value = fn(q, dt)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the {kind} error at q={q}, dt={dt!r} has no finite float value")
+    return value

@@ -40,6 +40,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -514,7 +515,7 @@ def validate_expansion(
     normals = cfg.paths * max(case.components) * cfg.steps * (2 ** (max_doublings + 1) - 1)
     if normals > NORMALS_BUDGET:
         raise OracleBudgetError(
-            f"validating {case_name!r} could draw {normals:.3e} normals, "
+            f"validating {case_name!r} could draw {Decimal(normals):.3e} normals, "
             f"more than the budget of {NORMALS_BUDGET:.3e}"
         )
 

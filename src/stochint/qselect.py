@@ -31,6 +31,8 @@ evaluates this sum in floats (relative error about 1e-14 up to ``q = 30``)
 and recomputes it exactly only when the float left-hand side lies within
 :data:`TIE_REL_TOL` of the threshold.  The float sum costs O(q³), so its
 scan stops at :data:`TRIPLE_FLOAT_CAP` whatever the condition's own cap.
+The exact sum grows about eightfold per doubling of ``q``, so a near-tie
+above :data:`TRIPLE_EXACT_CAP` raises :class:`~stochint.errors.SeriesCapError`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import _triple_square_sum, _triple_square_sum_float
-from .errors import series_error
+from .errors import SeriesCapError, series_error
 
 __all__ = [
     "Condition",
@@ -47,6 +49,7 @@ __all__ = [
     "QSelectCapError",
     "CONDITION_IDS",
     "TIE_REL_TOL",
+    "TRIPLE_EXACT_CAP",
     "TRIPLE_FLOAT_CAP",
     "TRIPLE_REL_TOL",
     "condition_lhs",
@@ -62,6 +65,10 @@ TRIPLE_REL_TOL = 2e-3
 #: A float left-hand side this close to the threshold (relative) is
 #: recomputed exactly; the float triple constant is good to about 1e-14.
 TIE_REL_TOL = 1e-10
+
+#: Highest order at which a near-tie is recomputed exactly.  The exact
+#: triple sum took 0.92 s at q = 60 and 7.2 s at q = 120 on a 2-vCPU host.
+TRIPLE_EXACT_CAP = 60
 
 #: Highest order the triple Legendre scan probes.  The float Parseval sum is
 #: O(q³): one probe took 0.38 s at q = 256 and 3.05 s at q = 512.
@@ -179,6 +186,11 @@ def _probe(cond_id: str, q: int, dt: float) -> tuple[float, str]:
     threshold = dt**exponent * (1.0 + tol)
     if abs(value - threshold) > TIE_REL_TOL * threshold:
         return value, "float_parseval"
+    if q > TRIPLE_EXACT_CAP:
+        raise SeriesCapError(
+            f"{cond_id} at q={q} is a near-tie, and the exact check is capped at "
+            f"q <= {TRIPLE_EXACT_CAP}"
+        )
     return exact(q, dt), "exact"
 
 
@@ -195,6 +207,7 @@ def scan_detail(cond: Condition) -> QScanResult:
     Raises:
         QSelectCapError: if the cap itself is not admissible: ``cond.cap``,
             or :data:`TRIPLE_FLOAT_CAP` for ``triple_legendre_dt4`` if lower.
+        SeriesCapError: a probe above :data:`TRIPLE_EXACT_CAP` is a near-tie.
     """
     _, exponent, offset, tol, _ = _CONDITIONS[cond.id]
     cap = min(cond.cap, _SCAN_CAPS.get(cond.id, cond.cap))

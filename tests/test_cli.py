@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import hashlib
 import os
@@ -9,10 +10,13 @@ import stat
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochint.cli import (
     EXIT_OK,
@@ -23,7 +27,7 @@ from stochint.cli import (
     _parser,
     main,
 )
-from stochint.errors import series_error
+from stochint.errors import SERIES_KINDS, TRIG_SERIES_CAP, series_error
 from stochint.tables import compute_q_table
 
 from conftest import printed_match
@@ -208,6 +212,18 @@ class TestQTable:
         assert out == ""
         assert repr(condition) in err
 
+    def test_near_tie_above_exact_cap_exits_resource_promptly(self, capsys):
+        # This step puts a tie at q = 200 (_triple_constant_float(200) / (1 +
+        # TRIPLE_REL_TOL)); the exact check there took 47.7 s.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "q-table", "--table", "39", "--dt", "0.0006239769400897539"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "q=200 is a near-tie" in err and "Traceback" not in err
+
 
 class TestFloatInputs:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -268,6 +284,73 @@ class TestBadFlags:
         assert out == ""
         assert all(word in err for word in named.split())
         assert list(tmp_path.iterdir()) == []
+
+
+HUGE = "1" + "0" * 400
+
+
+class TestHugeIntegers:
+    """Integer flags with no float answer their documented exit, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, expected, named",
+        [
+            (("validate", "--case", "pair_distinct", "--paths", HUGE), EXIT_RESOURCE, "normals"),
+            (("error-table", "--kind", "triple_trig", "--q", HUGE), EXIT_RESOURCE, "cap"),
+            (("coeffs", "--k", "5", "--q", "1" + "0" * 900), EXIT_RESOURCE, "budget"),
+            *(
+                (("error-table", "--kind", kind, "--q", HUGE), EXIT_USAGE, f"q={HUGE}")
+                for kind in ("pair_legendre", "pair_trig", "pair_legendre_weighted",
+                             "single_trig_weighted")
+            ),
+        ],
+        ids=["validate-paths", "triple_trig", "coeffs-k5", "pair_legendre", "pair_trig",
+             "pair_legendre_weighted", "single_trig_weighted"],
+    )
+    def test_documented_exit(self, capsys, argv, expected, named):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == expected
+        assert out == ""
+        assert named in err and "Traceback" not in err
+
+
+def _strict_constant(name: str) -> float:
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_ORDERS = st.one_of(
+    st.integers(0, 12),
+    st.integers(0, 10**400),
+    st.sampled_from([TRIG_SERIES_CAP, TRIG_SERIES_CAP + 1, 10**8, 10**200, 2**1024, 10**400]),
+)
+_DT_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "1", "0.5", "1e400", "x"]),
+    st.floats().map(repr),
+)
+
+
+class TestErrorTableFuzz:
+    """``error-table --kind`` over orders up to 10**400 and any ``--dt`` text.
+
+    Every kind is O(1) or capped at ``TRIG_SERIES_CAP``, so no case starts
+    unbounded work.
+    """
+
+    @settings(max_examples=200, deadline=5000)
+    @given(kind=st.sampled_from(SERIES_KINDS), qs=st.lists(_ORDERS, max_size=4), dt=_DT_TEXT)
+    def test_exit_code_and_strict_json(self, kind, qs, dt):
+        argv = ["error-table", "--kind", kind, "--q", ",".join(map(str, qs)), "--dt", dt]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
+        if code == EXIT_OK:
+            doc = json.loads(out.getvalue(), parse_constant=_strict_constant)
+            assert doc["q"] == qs and len(doc["values"]) == len(qs)
+        else:
+            assert out.getvalue() == ""
 
 
 class TestValidate:

@@ -31,10 +31,12 @@ from stochint.coeffs import (
     _outer_series,
     _pair_bands,
     _product_rows,
+    _trig_bar,
 )
 from stochint.errors import kernel_norm
 
 import fraction_reference
+import trig_quadrature_reference
 from monomial_reference import monomial_bar
 
 # ---------------------------------------------------------------------------
@@ -382,6 +384,61 @@ class TestTrigCoeff:
         c12 = trig_coeff(spec, (1, 2), 1.0)
         c21 = trig_coeff(spec, (2, 1), 1.0)
         assert c12 == pytest.approx(-c21, rel=1e-10)
+
+
+class TestExactTrig:
+    """``trig_coeff`` is the float value of the exact ``_trig_bar`` in Q[1/pi]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_quadrature_reference(self, data):
+        k = data.draw(st.integers(1, 4))
+        spec = KernelSpec(k, tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))))
+        j = tuple(data.draw(st.lists(st.integers(0, 8), min_size=k, max_size=k)))
+        reference = trig_quadrature_reference.trig_coeff(spec, j, 1.0)
+        assert trig_coeff(spec, j, 1.0) == pytest.approx(reference, rel=0, abs=1e-12)
+
+    def test_exact_spot_values(self):
+        # -1/(2 pi) after normalisation: bar * 2 (two sqrt(2)) / 2**(L + k).
+        assert _trig_bar(KernelSpec.unweighted(2), (1, 2)) == (0, -1)
+        assert trig_coeff(KernelSpec.unweighted(2), (1, 2), 1.0) == -1 / (2 * math.pi)
+        # The constant entry is basis independent: the Legendre bar.
+        weighted = KernelSpec(2, (1, 0))
+        assert _trig_bar(weighted, (0, 0)) == (bar_coeff(weighted, (0, 0)),)
+        # Frequency 20 cannot cancel against 1 + 2 + 3: the coefficient is exactly zero.
+        assert all(c == 0 for c in _trig_bar(KernelSpec.unweighted(4), (20, 1, 2, 3)))
+        assert trig_coeff(KernelSpec.unweighted(4), (20, 1, 2, 3), 1.0) == 0.0
+
+    def test_scaling_law(self):
+        # One interval scaling: C(dt) = dt**(L + k/2) * C(1), through scale_coeff's law.
+        spec, j = KernelSpec(3, (1, 0, 2)), (2, 0, 5)
+        bar = math.fsum(float(c) / math.pi**p for p, c in enumerate(_trig_bar(spec, j)))
+        expected = bar * 0.3**spec.scale_exponent / 2 ** (spec.total_weight + spec.k) * 2.0
+        assert trig_coeff(spec, j, 0.3) == expected
+
+    def test_rejects_bad_arguments(self):
+        spec = KernelSpec.unweighted(2)
+        for j, dt in (((1,), 1.0), ((1, -1), 1.0), ((1, 2), 0.0), ((1, 2), math.nan)):
+            with pytest.raises(ValueError):
+                trig_coeff(spec, j, dt)
+
+    @pytest.mark.parametrize(
+        "weights, j", [((0, 0), (1, 2)), ((1, 0), (0, 1)), ((2, 1), (3, 4))]
+    )
+    def test_matches_sympy_nested_integral(self, weights, j):
+        sympy = pytest.importorskip("sympy")
+        spec = KernelSpec(2, weights)
+        u = sympy.symbols("u0:3")
+        inner = sympy.Integer(1)
+        for r, (l, idx) in enumerate(zip(spec.weights, j)):
+            f = (idx + 1) // 2
+            phi = 1 if idx == 0 else (sympy.sin if idx % 2 else sympy.cos)(2 * sympy.pi * f * u[r])
+            upper = u[r + 1] if r < spec.k - 1 else 1
+            inner = sympy.integrate(u[r] ** l * phi * inner, (u[r], 0, upper))
+        expected = (-2) ** spec.total_weight * 2**spec.k * inner
+        exact = sum(sympy.Rational(c.numerator, c.denominator) / sympy.pi**p
+                    for p, c in enumerate(_trig_bar(spec, j)))
+        assert sympy.simplify(expected - exact) == 0
 
 
 class TestSerialization:

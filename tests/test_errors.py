@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochint.coeffs import KernelSpec, coeff_tensor, scaled_tensor
+from stochint.coeffs import KernelSpec, coeff_tensor, scaled_tensor, trig_coeff
 from stochint.errors import (
     SERIES_KINDS,
     TRIG_SERIES_CAP,
@@ -201,6 +201,25 @@ class TestClosedSeries:
         assert math.isfinite(series_error(kind, TRIG_SERIES_CAP, 1.0))
         with pytest.raises(SeriesCapError, match="cap"):
             series_error(kind, TRIG_SERIES_CAP + 1, 1.0)
+        # 10**400 has no float: any work before the cap check would overflow.
+        with pytest.raises(SeriesCapError, match="cap"):
+            series_error(kind, 10**400, 1.0)
+
+    @pytest.mark.parametrize(
+        "kind", ["pair_legendre", "pair_legendre_weighted", "pair_legendre_weighted_equal",
+                 "pair_trig", "pair_trig_tail", "single_trig_weighted"],
+    )
+    def test_order_without_a_float_is_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"q={10**400}"):
+            series_error(kind, 10**400, 1.0)
+        # Finite at an order that has a float (weighted-equal cancels to 0 there).
+        assert 0.0 <= series_error(kind, 10**200, 1.0) < 1e-199
+
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    def test_overflowing_interval_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="no finite float"):
+            series_error(kind, 2, 1e300)
+        assert series_error(kind, 2, 1e-300) == 0.0
 
     def test_known_kinds(self):
         assert set(SERIES_KINDS) == {
@@ -386,6 +405,18 @@ class TestPolygammaPort:
         ]
         assert mismatched == []
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bit_identical_to_scipy_beyond_1e8(self, n):
+        # scipy's asymptotic branch, up to arguments whose tail sums underflow.
+        from scipy.special import polygamma
+
+        x = np.logspace(8, 300, 2001)
+        reference = polygamma(n, x)
+        mismatched = [
+            xi for xi, ref in zip(x.tolist(), reference.tolist()) if _polygamma(n, xi) != ref
+        ]
+        assert mismatched == []
+
     def test_import_does_not_load_scipy(self):
         import stochint
 
@@ -400,3 +431,25 @@ class TestPolygammaPort:
         for q in self.QS[::97] + [10**8]:
             assert _tail_sum_squares(q) == float(polygamma(1, q + 1))
             assert _tail_sum_fourths(q) == float(polygamma(3, q + 1)) / 6.0
+
+
+class TestTrigSeriesAgainstExactCoefficients:
+    """The pair and single trig series are ``I_k - sum C**2`` over ``{0..2q}**k``.
+
+    ``triple_trig`` and ``pair_trig_weighted`` keep other index sets (at
+    ``q = 1`` the triple series reads 0.062884 and the full-grid sum 0.063205),
+    so they are not tied to this sum.
+    """
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [("pair_trig", KernelSpec.unweighted(2)), ("single_trig_weighted", KernelSpec(1, (1,)))],
+        ids=["pair_trig", "single_trig_weighted"],
+    )
+    def test_series_is_the_full_grid_tail(self, kind, spec, q):
+        kept = math.fsum(
+            trig_coeff(spec, j, 1.0) ** 2
+            for j in itertools.product(range(2 * q + 1), repeat=spec.k)
+        )
+        assert series_error(kind, q, 1.0) == pytest.approx(kernel_norm(spec, 1.0) - kept, rel=1e-14)

@@ -10,6 +10,7 @@ from stochint.qselect import (
     CONDITION_IDS,
     Condition,
     QSelectCapError,
+    TRIPLE_EXACT_CAP,
     TRIPLE_FLOAT_CAP,
     TRIPLE_REL_TOL,
     condition_lhs,
@@ -21,6 +22,7 @@ from stochint.qselect import (
     _triple_constant_float,
     _triple_square_sum,
 )
+from stochint.errors import SeriesCapError
 from stochint.tables import Q_TABLES
 
 from monomial_reference import triple_shell_sums
@@ -163,6 +165,19 @@ class TestScan:
         assert (detail.minimal_q, detail.reported_q, detail.lhs_at_minimal) == linear_scan(
             Condition("triple_legendre_dt4", dt)
         )
+
+    def test_near_tie_above_exact_cap_is_resource_error(self, monkeypatch):
+        # The exact sum grows eightfold per doubling of q; above the cap a
+        # near-tie raises before any exact work.
+        def no_exact_work(q):
+            raise AssertionError(f"exact triple sum at q={q}")
+
+        monkeypatch.setattr("stochint.qselect._triple_square_sum", no_exact_work)
+        q = TRIPLE_EXACT_CAP + 1
+        dt = _triple_constant_float(q) / (1.0 + TRIPLE_REL_TOL)
+        with pytest.raises(SeriesCapError, match=f"q={q} is a near-tie"):
+            _probe("triple_legendre_dt4", q, dt)
+        assert _probe("triple_legendre_dt4", q - 1, dt)[1] == "float_parseval"
 
     def test_threads_match_serial(self):
         conds = [Condition("pair_legendre_dt3", 2**-e) for e in range(5, 10)]
