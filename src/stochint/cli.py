@@ -13,7 +13,8 @@ Subcommands
     Minimal truncation orders of the numbered order tables.
 ``validate``
     Coupled Monte Carlo validation of named expansions; exits nonzero
-    when any z-score reaches 3.
+    when any z-score reaches 3.  Its ``--threads`` sets the number of
+    oracle worker processes; no other subcommand has that flag.
 ``export``
     Writes a coefficient tensor to a file together with a run manifest.
 
@@ -30,11 +31,12 @@ is a miss.  Cache entries, which processes share, are written to a unique
 name and renamed into place, so a reader sees a whole entry or none.
 
 The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
-below 2, ``--threads`` below 1, a negative ``--q``, ``--seed`` or
-``--weights`` entry, a ``--dt`` that is not positive and finite) and
-unknown ``--case`` or ``--kind`` names before any work starts; the library
-rejects unknown table numbers.  Each subcommand answers a document, its
-CSV rows and the manifest parameters, and one renderer writes the payload.
+below 2, ``--threads`` below 1, a ``--k`` outside 1..5, a negative ``--q``,
+``--seed`` or ``--weights`` entry, a ``--dt`` that is not positive and
+finite) and unknown ``--case`` or ``--kind`` names before any work starts;
+the library rejects unknown table numbers.  Each subcommand answers a
+document, its CSV rows and the manifest parameters, and one renderer writes
+the payload.
 
 Exit codes: 0 success; 1 usage error; 2 validation failure; 3 resource
 cap exceeded.
@@ -209,13 +211,14 @@ def _floats(text: str) -> list[float]:
     return [_positive(part) for part in text.split(",") if part != ""]
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """Argument type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """Argument type: an integer from ``low`` to ``high``."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, not {text}")
+        if not low <= value <= high:
+            bound = f"at least {low}" if high == math.inf else f"{low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {text}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -403,17 +406,12 @@ def build_parser() -> _Parser:
             "--output", required=output_required,
             help="write payload to this file (with manifest)",
         )
-        p.add_argument(
-            "--threads", type=_at_least(1),
-            help="validate: oracle worker processes (default: usable CPUs); outputs do not "
-            "depend on it.  Other subcommands accept it and ignore it",
-        )
 
     p = sub.add_parser("coeffs", help="exact coefficient tensors and reference grids")
     p.add_argument("--table", type=int, help="numbered coefficient grid (4..36)")
-    p.add_argument("--k", type=int, help="multiplicity of the kernel")
+    p.add_argument("--k", type=_int_in(1, 5), help="multiplicity of the kernel (1..5)")
     p.add_argument("--weights", type=_ints, help="comma-separated weight exponents")
-    p.add_argument("--q", type=_at_least(0), default=2, help="truncation order per index")
+    p.add_argument("--q", type=_int_in(0), default=2, help="truncation order per index")
     common(p)
     p.set_defaults(func=_cmd_coeffs)
 
@@ -438,17 +436,21 @@ def build_parser() -> _Parser:
         "--case", action="append", type=_known("case", sorted(VALIDATION_CASES)),
         help="named validation case (repeatable; default all)",
     )
-    p.add_argument("--paths", type=_at_least(1), default=20000)
-    p.add_argument("--steps", type=_at_least(2), default=1024)
-    p.add_argument("--seed", type=_at_least(0), default=42)
+    p.add_argument("--paths", type=_int_in(1), default=20000)
+    p.add_argument("--steps", type=_int_in(2), default=1024)
+    p.add_argument("--seed", type=_int_in(0), default=42)
     p.add_argument("--dt", type=_positive, default=0.5)
+    p.add_argument(
+        "--threads", type=_int_in(1),
+        help="oracle worker processes (default: usable CPUs); outputs do not depend on it",
+    )
     common(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("export", help="write a coefficient tensor with manifest")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(1, 5), required=True, help="multiplicity (1..5)")
     p.add_argument("--weights", type=_ints)
-    p.add_argument("--q", type=_at_least(0), required=True)
+    p.add_argument("--q", type=_int_in(0), required=True)
     common(p, output_required=True)
     p.set_defaults(func=_cmd_export)
     return parser

@@ -105,9 +105,13 @@ __all__ = [
     "tensor_to_csv",
 ]
 
-#: Dense tensors refuse to materialize when their work, entries times
-#: multiplicity, exceeds this.  Building and serialising a tensor took 0.8 to
-#: 3.1 us per unit of work on a 2-vCPU host, so the budget is 4 to 16 s.
+#: Dense tensors refuse to materialize when their work exceeds this.  With
+#: ``n = q + 1`` and total weight ``L``, the work is ``(k + L) * n**k`` (each
+#: output cell and series row, lengthened by ``L``) plus, for each weight pass
+#: at level ``r``, its ``n**r`` series of length up to ``L + r*n + 1``; all
+#: times ``1 + L/512``, as the integers grow with ``L``.  Building and
+#: serialising a tensor took 0.3 to 3.1 us per unit of work on a 2-vCPU host,
+#: so the budget is 16 s at most.
 TENSOR_WORK_BUDGET = 5_000_000
 
 
@@ -431,13 +435,18 @@ def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
             speed-up.
 
     Raises:
-        TensorBudgetError: before any work, if ``k * (q+1)**k`` exceeds
-            :data:`TENSOR_WORK_BUDGET`.
+        TensorBudgetError: before any work, if the work exceeds
+            :data:`TENSOR_WORK_BUDGET`, or if ``L + k`` exceeds 1023.
     """
     if q < 0:
         raise ValueError("truncation order must be nonnegative")
-    n = q + 1
-    work = spec.k * n**spec.k
+    n, total = q + 1, spec.total_weight
+    if total + spec.k > 1023:  # |bar| <= 2**(L + k) / k!, so every float field stays finite
+        raise TensorBudgetError(
+            f"total weight {total} plus multiplicity {spec.k} is over 1023: floats would overflow"
+        )
+    passes = sum(n**r * l * (total + r * n + 1) for r, l in enumerate(spec.weights))
+    work = ((spec.k + total) * n**spec.k + passes) * (512 + total) // 512
     if work > TENSOR_WORK_BUDGET:
         raise TensorBudgetError(
             f"dense tensor of {Decimal(n**spec.k):.3e} entries at multiplicity {spec.k} has "

@@ -177,10 +177,8 @@ def exact_error(
     return kernel_norm(tensor.spec, tensor.dt) - correlation
 
 
-def error_bound(tensor: ScaledTensor, q: int | None = None, k: int | None = None) -> float:
+def error_bound(tensor: ScaledTensor, q: int | None = None) -> float:
     r"""Upper bound :math:`k!\,(I_k - \sum_j C_j^2)` valid for any pattern."""
-    if k is not None and k != tensor.spec.k:
-        raise ValueError("explicit multiplicity does not match tensor")
     values, q = _truncated(tensor, q)
     tail = kernel_norm(tensor.spec, tensor.dt) - float(np.sum(values * values))
     return math.factorial(tensor.spec.k) * tail

@@ -12,7 +12,7 @@ This module assembles those truncated sums from coefficient tensors and
 seeded Gaussian draws, together with the special closed forms that need no
 general tensor: exact single integrals, the banded double series for
 time-weighted pairs, Hermite-polynomial diagonal forms, trigonometric
-Milstein-style forms, and the Ito/Stratonovich conversion corrections.
+Milstein-style forms, and the Ito/Stratonovich conversion by one exact rule.
 
 All banded pair series come from one exact band table in
 :mod:`stochint.coeffs`: with :math:`L = l_1 + l_2` it keeps the cells with
@@ -352,43 +352,50 @@ def pair_series_support(q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermite diagonal forms (all components equal)
+# Ito <-> Stratonovich conversion and Hermite diagonal forms
 # ---------------------------------------------------------------------------
 
 
-def hermite_diagonal(
-    k: int, l: int, i1: int, draws: NoiseDraws, dt: float, calculus: str = "strat"
-):
-    r"""Closed form for the all-equal-component integral with weight ``l``.
+def _conversion_terms(components: tuple[int, ...], weights: tuple[int, ...]):
+    r"""Ito minus Stratonovich as exact terms ``((levels, p), factor)``.
 
-    Uses the exact single integral :math:`I = \sum_{j \le l} C_j \zeta_j`
-    and :math:`\Delta = \int_t^T (t-s)^{2l} ds = dt^{2l+1}/(2l+1)`:
-
-    * ``k=3``: Stratonovich :math:`I^3/6`, Ito :math:`(I^3 - 3 I \Delta)/6`;
-    * ``k=4``: Stratonovich :math:`I^4/24`,
-      Ito :math:`(I^4 - 6 I^2 \Delta + 3 \Delta^2)/24`.
+    Each nonempty set of disjoint adjacent pairs of equal components adds
+    :math:`(-1/2)^{\#\text{pairs}}` times the Stratonovich integral with each
+    pair contracted into one ``ds`` level (component 0) of weight
+    :math:`l_r + l_{r+1}`.  Between the times ``a < b`` of its neighbours, a
+    ``ds`` level of weight ``L`` integrates out to
+    :math:`((t-a)^{L+1} - (t-b)^{L+1})/(L+1)`: a weight on each neighbour,
+    except that the first part vanishes at the inner end (``a = t``) and the
+    second is the constant :math:`(-dt)^{L+1}` at the outer end.  A term is
+    ``factor * dt**p`` times the Stratonovich integral of ``levels``,
+    ``(component, weight)`` innermost first; equal terms are merged.
     """
-    if k not in (3, 4):
-        raise ValueError("Hermite diagonal forms implemented for k in {3, 4}")
-    if calculus not in ("ito", "strat"):
-        raise ValueError("calculus must be 'ito' or 'strat'")
-    if l < 0:
-        raise ValueError("weight exponent must be nonnegative")
-    row = draws.row(i1, l + 1)
-    single = _exact_single(l, row, dt)
-    delta = dt ** (2 * l + 1) / (2 * l + 1)
-    if k == 3:
-        if calculus == "strat":
-            return single**3 / 6.0
-        return (single**3 - 3.0 * single * delta) / 6.0
-    if calculus == "strat":
-        return single**4 / 24.0
-    return (single**4 - 6.0 * single**2 * delta + 3.0 * delta**2) / 24.0
-
-
-# ---------------------------------------------------------------------------
-# Ito <-> Stratonovich conversion
-# ---------------------------------------------------------------------------
+    k, merged = len(components), {}
+    for matching in _matchings(tuple(range(1, k + 1))):
+        starts = {a - 1 for a, b in matching if b == a + 1 and components[a - 1] == components[a]}
+        if not matching or len(starts) < len(matching):
+            continue
+        levels = tuple(
+            (0, weights[r] + weights[r + 1]) if r in starts else (components[r], weights[r])
+            for r in range(k)
+            if r - 1 not in starts
+        )
+        stack = [(levels, 0, Fraction(-1, 2) ** len(matching))]
+        while stack:
+            levels, p, factor = stack.pop()
+            r = next((r for r, (c, _) in enumerate(levels) if c == 0), None)
+            if r is None:
+                merged[levels, p] = merged.get((levels, p), 0) + factor
+                continue
+            n = levels[r][1] + 1
+            for s, part in ((r - 1, factor / n), (r + 1, -factor / n)):
+                if 0 <= s < len(levels):  # neighbour s takes the weight (t - a)**n or (t - b)**n
+                    c, l = levels[s]
+                    rest = levels[:s] + ((c, l + n),) + levels[s + 1 :]
+                    stack.append((rest[:r] + rest[r + 1 :], p, part))
+                elif s > r:  # the outer end: (t - T)**n = (-dt)**n; the inner end adds 0
+                    stack.append((levels[:r], p + n, part * (-1) ** n))
+    return [(key, factor) for key, factor in merged.items() if factor]
 
 
 def ito_strat_convert(
@@ -402,65 +409,51 @@ def ito_strat_convert(
 ):
     """Convert between Ito and Stratonovich values of one integral.
 
-    Implemented cases: every pair weight of :data:`DOUBLE_SERIES_WEIGHTS`
-    (deterministic correction at equal components), the unweighted triple
-    (correction built from exact single integrals, needs ``draws``), and
-    the unweighted quadruple (correction built from truncated pair series,
-    needs ``draws`` and ``q``).  ``direction`` is ``"ito_to_strat"`` or
-    ``"strat_to_ito"``; the correction is ``Ito - Stratonovich``.
+    ``direction`` is ``"ito_to_strat"`` or ``"strat_to_ito"``.  The shift
+    ``Ito - Stratonovich`` sums the exact terms of :func:`_conversion_terms`.
+    A term with no level is a constant; one whose levels share a component
+    and a weight is :math:`I^m/m!` of the exact single integral; a pair is
+    :func:`legendre_double_series` at order ``q``.  Both read ``draws``; any
+    other term raises ``ValueError``.
     """
     if direction not in ("ito_to_strat", "strat_to_ito"):
         raise ValueError("direction must be 'ito_to_strat' or 'strat_to_ito'")
-    weights = tuple(weights)
-    comps = pattern.components
-    k = len(comps)
-    if len(weights) != k:
-        raise ValueError("weights length must match pattern length")
+    weights = KernelSpec(pattern.k, tuple(weights)).weights  # checks k, length and signs
+    shift = 0.0
+    for (levels, p), factor in _conversion_terms(pattern.components, weights):
+        if not levels:
+            term = 1.0
+        elif draws is None:
+            raise ValueError(f"the conversion term {levels} needs Gaussian draws")
+        elif len(set(levels)) == 1:
+            (c, l), m = levels[0], len(levels)
+            term = _exact_single(l, draws.row(c, l + 1), dt) ** m / math.factorial(m)
+        elif len(levels) == 2 and q is not None:
+            (c1, l1), (c2, l2) = levels
+            term = legendre_double_series((l1, l2), IndexPattern((c1, c2)), draws, q, dt)
+        else:
+            raise ValueError(f"no conversion formula for the term {levels} at q={q}")
+        shift = shift + factor.numerator * dt**p / factor.denominator * term
+    return value + shift if direction == "strat_to_ito" else value - shift
 
-    if k == 2 and weights in DOUBLE_SERIES_WEIGHTS:
-        shift = 0.0
-        if comps[0] == comps[1]:
-            # Ito - Strat = -(1/2) * int_t^T w1(s) w2(s) ds with w_l(s) = (t-s)^l.
-            total = sum(weights)
-            shift = -0.5 * (-1.0) ** total * dt ** (total + 1) / (total + 1)
-    elif k == 3 and weights == (0, 0, 0):
-        if draws is None:
-            raise ValueError("triple conversion needs Gaussian draws")
-        shift = 0.0
-        if comps[0] == comps[1]:
-            shift = shift + _exact_single(1, draws.row(comps[2], 2), dt) / 2.0
-        if comps[1] == comps[2]:
-            i0 = _exact_single(0, draws.row(comps[0], 1), dt)
-            i1 = _exact_single(1, draws.row(comps[0], 2), dt)
-            shift = shift - (dt * i0 + i1) / 2.0
-    elif k == 4 and weights == (0, 0, 0, 0):
-        if draws is None or q is None:
-            raise ValueError("quadruple conversion needs Gaussian draws and a truncation order")
-        shift = 0.0
-        if comps[0] == comps[1]:
-            shift = shift + 0.5 * legendre_double_series(
-                (1, 0), IndexPattern((comps[2], comps[3])), draws, q, dt, "strat"
-            )
-        if comps[1] == comps[2]:
-            tail = IndexPattern((comps[0], comps[3]))
-            shift = shift - 0.5 * (
-                legendre_double_series((1, 0), tail, draws, q, dt, "strat")
-                - legendre_double_series((0, 1), tail, draws, q, dt, "strat")
-            )
-        if comps[2] == comps[3]:
-            head = IndexPattern((comps[0], comps[1]))
-            shift = shift - 0.5 * (
-                dt * legendre_double_series((0, 0), head, draws, q, dt, "strat")
-                + legendre_double_series((0, 1), head, draws, q, dt, "strat")
-            )
-        if comps[0] == comps[1] and comps[2] == comps[3]:
-            shift = shift + dt * dt / 8.0
-    else:
-        raise ValueError(f"no conversion formula for k={k}, weights={weights}")
 
-    if direction == "strat_to_ito":
-        return value + shift
-    return value - shift
+def hermite_diagonal(
+    k: int, l: int, i1: int, draws: NoiseDraws, dt: float, calculus: str = "strat"
+):
+    r"""Closed form for the all-equal-component integral with weight ``l >= 0``.
+
+    Stratonovich is :math:`I^k/k!` of the exact single integral
+    :math:`I = \sum_{j \le l} C_j \zeta_j`, and Ito adds the exact
+    :func:`ito_strat_convert` shift, in which the weighted pair terms cancel.
+    """
+    if k not in (3, 4):
+        raise ValueError("Hermite diagonal forms implemented for k in {3, 4}")
+    if calculus not in ("ito", "strat"):
+        raise ValueError("calculus must be 'ito' or 'strat'")
+    strat = _exact_single(l, draws.row(i1, l + 1), dt) ** k / math.factorial(k)  # l < 0 raises
+    if calculus == "strat":
+        return strat
+    return ito_strat_convert(strat, IndexPattern((i1,) * k), (l,) * k, dt, "strat_to_ito", draws)
 
 
 # ---------------------------------------------------------------------------

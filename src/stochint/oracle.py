@@ -524,9 +524,12 @@ def validate_expansion(
     steps = cfg.steps
     for _ in range(max_doublings + 1):
         grid = replace(cfg, steps=steps)
-        mse, stderr, mse_half = _case_mse(
-            _chunk_map(_chunk_sums, [(case_name, grid, idx) for idx in chunks], workers)
-        )
+        try:
+            mse, stderr, mse_half = _case_mse(
+                _chunk_map(_chunk_sums, [(case_name, grid, idx) for idx in chunks], workers)
+            )
+        except OverflowError:  # a float power of dt overflows where numpy gives inf
+            mse = stderr = mse_half = math.inf
         if not all(map(math.isfinite, (mse, stderr, mse_half))):
             raise ValueError(
                 f"mean-square error or its standard error is not finite at dt={cfg.dt!r}; "

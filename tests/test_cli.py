@@ -9,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -28,6 +29,7 @@ from stochint.cli import (
     main,
 )
 from stochint.errors import SERIES_KINDS, TRIG_SERIES_CAP, series_error
+from stochint.oracle import VALIDATION_CASES
 from stochint.tables import compute_q_table
 
 from conftest import printed_match
@@ -268,10 +270,15 @@ class TestBadFlags:
             (("coeffs", "--k", "2", "--weights=-1,0"), "--weights -1,0"),
             (("error-table", "--kind", "pair_trig", "--q", "-1,2"), "--q -1,2"),
             (("q-table", "--table", "37", "--dt", "-1,2"), "--dt -1"),
+            (("coeffs", "--k", "0"), "--k"),
+            (("coeffs", "--k", "6"), "--k"),
+            (("coeffs", "--k", "1" + "0" * 20), "--k"),
+            (("export", "--k", "1" + "0" * 20, "--q", "1", "--output", "out.json"), "--k"),
         ],
         ids=["paths", "steps", "threads", "seed", "threads-coeffs", "q-coeffs", "q-export",
              "table-coeffs", "table-error", "table-q", "kind", "case-after-good-case",
-             "negative-weights", "negative-weights-joined", "negative-q-list", "negative-dt-list"],
+             "negative-weights", "negative-weights-joined", "negative-q-list", "negative-dt-list",
+             "k-zero", "k-six", "k-huge-coeffs", "k-huge-export"],
     )
     def test_usage_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv, named):
         # The last case would validate pair_distinct on 10^5 paths for
@@ -298,14 +305,21 @@ class TestHugeIntegers:
             (("validate", "--case", "pair_distinct", "--paths", HUGE), EXIT_RESOURCE, "normals"),
             (("error-table", "--kind", "triple_trig", "--q", HUGE), EXIT_RESOURCE, "cap"),
             (("coeffs", "--k", "5", "--q", "1" + "0" * 900), EXIT_RESOURCE, "budget"),
+            (("coeffs", "--k", HUGE), EXIT_USAGE, "--k"),
+            (("coeffs", "--k", "1", "--weights", "1600", "--q", "0"), EXIT_RESOURCE, "1023"),
+            (("coeffs", "--k", "1", "--weights", "4000", "--q", "0"), EXIT_RESOURCE, "1023"),
+            (("coeffs", "--k", "1", "--weights", HUGE, "--q", "0"), EXIT_RESOURCE, "1023"),
+            (("coeffs", "--k", "2", "--weights", "0,1000", "--q", "3"), EXIT_RESOURCE, "budget"),
+            (("coeffs", "--k", "2", "--weights", "1000,0", "--q", "40"), EXIT_RESOURCE, "budget"),
             *(
                 (("error-table", "--kind", kind, "--q", HUGE), EXIT_USAGE, f"q={HUGE}")
                 for kind in ("pair_legendre", "pair_trig", "pair_legendre_weighted",
                              "single_trig_weighted")
             ),
         ],
-        ids=["validate-paths", "triple_trig", "coeffs-k5", "pair_legendre", "pair_trig",
-             "pair_legendre_weighted", "single_trig_weighted"],
+        ids=["validate-paths", "triple_trig", "coeffs-k5", "coeffs-k-huge", "weights-1600",
+             "weights-4000", "weights-huge", "weights-outer-1000", "weights-inner-1000",
+             "pair_legendre", "pair_trig", "pair_legendre_weighted", "single_trig_weighted"],
     )
     def test_documented_exit(self, capsys, argv, expected, named):
         start = time.perf_counter()
@@ -351,6 +365,116 @@ class TestErrorTableFuzz:
             assert doc["q"] == qs and len(doc["values"]) == len(qs)
         else:
             assert out.getvalue() == ""
+
+
+def _run_fuzzed(argv: list[str], fmt: str) -> tuple[int, str]:
+    """``main(argv)``: its exit code is documented, its stderr has no traceback, and
+    in json format its stdout, if any, is strict JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RESOURCE)
+    assert "Traceback" not in err.getvalue()
+    if fmt == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_strict_constant)
+    return code, out.getvalue()
+
+
+_SMALL = st.integers(0, 3)
+# A negative entry, and entries whose total the tensor refuses (L + k over 1023).
+_ODD = st.sampled_from([-1, 1600, 10**20, 10**400])
+
+
+def _k_and_weights(k: int):
+    """``(k, weights)``: no weights, ``k`` small ones (or one too many), or odd ones."""
+    n = min(max(k, 0), 6)
+    weights = st.one_of(
+        st.none(),
+        st.lists(_SMALL, min_size=n, max_size=n + 1),
+        st.lists(st.one_of(_SMALL, _ODD), min_size=n, max_size=n),
+    )
+    return st.tuples(st.just(str(k)), weights.map(lambda ws: None if ws is None else ",".join(map(str, ws))))
+
+
+_TENSOR_FLAGS = st.one_of(
+    st.integers(1, 5), st.sampled_from([0, 6, -1, 10**20, 10**400])
+).flatmap(_k_and_weights)
+_TENSOR_Q = st.one_of(
+    st.integers(0, 6).map(str), st.sampled_from(["-1", "2000", "10000000", HUGE, "1e3", "x"])
+)
+
+
+class TestTensorFuzz:
+    """``coeffs --k`` and ``export`` over any ``--k``, ``--weights``, ``--q`` and ``--format``.
+
+    Every admitted request is small, and the rest are refused before any work.
+    """
+
+    @settings(max_examples=150, deadline=5000)
+    @given(
+        command=st.sampled_from(["coeffs", "export"]), flags=_TENSOR_FLAGS, q=_TENSOR_Q,
+        fmt=st.sampled_from(["json", "csv", "xml"]),
+    )
+    def test_exit_code_and_strict_json(self, command, flags, q, fmt):
+        k, weights = flags
+        argv = [command, "--k", k, "--q", q, "--format", fmt]
+        if weights is not None:
+            argv += ["--weights", weights]
+        if command == "coeffs":
+            code, out = _run_fuzzed(argv, fmt)
+            assert (out != "") == (code == EXIT_OK)
+            return
+        with tempfile.TemporaryDirectory() as workdir:
+            code, out = _run_fuzzed(argv + ["--output", os.path.join(workdir, "out")], fmt)
+            assert out == ""
+            written = sorted(os.listdir(workdir))
+            assert written == (["out", "out.manifest.json"] if code == EXIT_OK else [])
+            if fmt == "json" and code == EXIT_OK:
+                json.loads(Path(workdir, "out").read_text(), parse_constant=_strict_constant)
+
+
+# A validation either is tiny (one 512-path chunk, so no worker is forked, on a
+# coarse grid) or could draw more normals than NORMALS_BUDGET at every case, and is
+# refused before drawing.  A middling pair, such as 10**4 paths and steps, would
+# run for minutes, so none is drawn.
+_REFUSED_PATHS = ["10000000000", HUGE]
+_REFUSED_STEPS = ["100000000000", HUGE]
+_TINY_PATHS = st.integers(1, 512).map(str)
+_TINY_STEPS = st.integers(1, 32).map(lambda half: str(2 * half))
+_BAD_COUNT = st.sampled_from(["0", "-1", "1", "3", "nan", "1e3", "x"])
+
+
+class TestValidateFuzz:
+    """``validate`` over paths, steps, dt, seed, cases and up to two threads."""
+
+    @settings(max_examples=100, deadline=5000)
+    @given(
+        run=st.one_of(
+            st.tuples(_TINY_PATHS, _TINY_STEPS),
+            st.one_of(
+                st.tuples(st.sampled_from(_REFUSED_PATHS), _TINY_STEPS),
+                st.tuples(_TINY_PATHS, st.sampled_from(_REFUSED_STEPS)),
+            ),
+            st.one_of(st.tuples(_BAD_COUNT, _TINY_STEPS), st.tuples(_TINY_PATHS, _BAD_COUNT)),
+        ),
+        dt=st.one_of(st.floats(1e-3, 2.0).map(repr), _DT_TEXT),
+        seed=st.one_of(st.integers(-1, 2**64), st.just(10**400)).map(str),
+        cases=st.lists(st.sampled_from(sorted(VALIDATION_CASES) + ["nope"]), max_size=2),
+        threads=st.one_of(st.none(), st.sampled_from(["0", "1", "2"])),
+        fmt=st.sampled_from(["json", "csv"]),
+    )
+    def test_exit_code_and_strict_json(self, run, dt, seed, cases, threads, fmt):
+        paths, steps = run
+        argv = ["validate", "--paths", paths, "--steps", steps, "--dt", dt, "--seed", seed,
+                "--format", fmt]
+        for case in cases:
+            argv += ["--case", case]
+        if threads is not None:
+            argv += ["--threads", threads]
+        code, out = _run_fuzzed(argv, fmt)
+        assert out != "" or code != EXIT_OK
+        if paths in _REFUSED_PATHS or steps in _REFUSED_STEPS:
+            assert code in (EXIT_USAGE, EXIT_RESOURCE)
 
 
 class TestValidate:
@@ -401,6 +525,17 @@ class TestValidate:
         assert code == EXIT_USAGE
         assert out == ""
         assert "not finite" in err
+
+    def test_overflowing_power_of_dt_is_usage_error(self, capsys):
+        # The weighted pair series raises dt to the third power, which
+        # overflows as a Python float before numpy sees it.
+        code, out, err = run_cli(
+            capsys, "validate", "--case", "pair_equal_weighted",
+            "--steps", "2", "--paths", "1", "--dt", "1e300",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "dt, paths",

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochint.coeffs import (
     KernelSpec,
@@ -32,6 +35,7 @@ from stochint.expansion import (
     trig_milstein,
 )
 
+from conversion_reference import hermite_ito, pair_shift, quadruple_shift, triple_shift
 from pair_series_reference import HAND_FORMS
 from single_form_reference import single_form
 
@@ -568,13 +572,31 @@ class TestConversion:
             ito_strat_convert(
                 0.0, IndexPattern((1, 1, 1)), (0, 0, 0), DT, "strat_to_ito"
             )
+        draws = draw_noise(4, 4, 0)
         with pytest.raises(ValueError):
             ito_strat_convert(
-                0.0, IndexPattern((1, 1, 1, 1)), (0, 0, 0, 0), DT, "strat_to_ito",
-                draws=draw_noise(4, 1, 0),
+                0.0, IndexPattern((1, 1, 2, 3)), (0, 0, 0, 0), DT, "strat_to_ito", draws=draws
             )
         with pytest.raises(ValueError):
-            ito_strat_convert(0.0, IndexPattern((1, 2)), (2, 1), DT, "strat_to_ito")
+            ito_strat_convert(
+                0.0, IndexPattern((1, 1, 2, 3, 4)), (0,) * 5, DT, "strat_to_ito",
+                draws=draws, q=2,
+            )
+
+    def test_rule_extends_the_hand_cases(self):
+        # Weights outside the pair table, and the all-equal quadruple without q.
+        assert ito_strat_convert(1.25, IndexPattern((1, 2)), (2, 1), DT, "strat_to_ito") == 1.25
+        assert ito_strat_convert(
+            0.0, IndexPattern((1, 1)), (2, 1), DT, "strat_to_ito"
+        ) == pytest.approx(DT**4 / 8.0, rel=1e-15)
+        draws = draw_noise(4, 1, 0)
+        single = legendre_closed_single(0, 1, draws, DT)
+        shift = ito_strat_convert(
+            0.0, IndexPattern((1, 1, 1, 1)), (0, 0, 0, 0), DT, "strat_to_ito", draws=draws
+        )
+        assert shift == pytest.approx(
+            hermite_diagonal(4, 0, 1, draws, DT, "ito") - single**4 / 24.0, rel=1e-12, abs=1e-15
+        )
 
     def test_pair_shifts_are_exact_constants(self):
         # Ito - Strat = -(1/2) int w1 w2 over the interval.
@@ -649,6 +671,54 @@ class TestConversion:
                 acc += (ito - conv) ** 2
             rms[q] = math.sqrt(acc / n)
         assert rms[10] < 0.2 * rms[0]
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_STEPS = st.floats(1e-3, 1.0)
+
+
+class TestConversionRule:
+    """The one conversion rule reproduces the hand forms of ``conversion_reference``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.sampled_from(DOUBLE_SERIES_WEIGHTS),
+        comps=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+        dt=_STEPS,
+    )
+    def test_pairs(self, weights, comps, dt):
+        shift = ito_strat_convert(0.0, IndexPattern(comps), weights, dt, "strat_to_ito")
+        assert shift == pytest.approx(pair_shift(comps, weights, dt), rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(comps=st.sampled_from(list(itertools.product((1, 2, 3), repeat=3))),
+           seed=_SEEDS, dt=_STEPS)
+    def test_unweighted_triples(self, comps, seed, dt):
+        draws = draw_noise(2, 3, seed)
+        shift = ito_strat_convert(
+            0.0, IndexPattern(comps), (0, 0, 0), dt, "strat_to_ito", draws=draws
+        )
+        assert shift == pytest.approx(triple_shift(comps, draws, dt), rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(comps=st.sampled_from(list(itertools.product((1, 2), repeat=4))),
+           q=st.integers(0, 8), seed=_SEEDS, dt=_STEPS)
+    def test_unweighted_quadruples(self, comps, q, seed, dt):
+        draws = draw_noise(q + 3, 2, seed)
+        shift = ito_strat_convert(
+            0.0, IndexPattern(comps), (0, 0, 0, 0), dt, "strat_to_ito", draws=draws, q=q
+        )
+        assert shift == pytest.approx(
+            quadruple_shift(comps, draws, q, dt), rel=1e-12, abs=1e-15
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from((3, 4)), l=st.integers(0, 3), seed=_SEEDS, dt=_STEPS)
+    def test_hermite_diagonal(self, k, l, seed, dt):
+        draws = draw_noise(3, 1, seed)
+        assert hermite_diagonal(k, l, 1, draws, dt, "ito") == pytest.approx(
+            hermite_ito(k, l, 1, draws, dt), rel=1e-12, abs=1e-15
+        )
 
 
 class TestTrigForms:
