@@ -45,7 +45,7 @@ from .expansion import (
     ito_strat_convert,
     legendre_closed_single,
     legendre_double_series,
-    pair_series_support,
+    pair_series_tensor,
     strat_expansion,
     trig_milstein,
 )
@@ -124,7 +124,7 @@ __all__ = [
     "ito_strat_convert",
     "legendre_closed_single",
     "legendre_double_series",
-    "pair_series_support",
+    "pair_series_tensor",
     "strat_expansion",
     "trig_milstein",
     # oracle

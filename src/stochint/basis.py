@@ -3,10 +3,10 @@ r"""Exact rational polynomial arithmetic and Legendre polynomials.
 Everything in this module is computed over arbitrary-precision rationals;
 floating point appears nowhere.  The module supplies dense rational
 polynomials, antiderivatives with zero constant term, exact definite
-integrals, Legendre polynomials :math:`P_n` generated by the three-term
-recurrence
+integrals, Legendre polynomials :math:`P_n` from their explicit sum
 
-.. math:: x P_j(x) = \frac{(j+1) P_{j+1}(x) + j P_{j-1}(x)}{2j+1},
+.. math:: P_n(x) = 2^{-n} \sum_{k \le n/2} (-1)^k \binom{n}{k}
+          \binom{2n - 2k}{n}\, x^{n - 2k},
 
 and the product linearization
 
@@ -152,12 +152,13 @@ def definite_integral(p: RatPoly, a: int | Fraction, b: int | Fraction) -> Fract
     return anti(b) - anti(a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def legendre_poly(n: int) -> RatPoly:
     r"""Legendre polynomial :math:`P_n` with exact rational coefficients.
 
-    Generated by the three-term recurrence; normalized so
-    :math:`P_n(1) = 1`.
+    Built from the explicit sum in the module docstring, with no recursion
+    and no lower :math:`P_j`; normalized so :math:`P_n(1) = 1`.  The cache
+    keeps the 128 polynomials used last.
 
     Args:
         n: polynomial index, ``n >= 0``.
@@ -167,15 +168,11 @@ def legendre_poly(n: int) -> RatPoly:
     """
     if n < 0:
         raise ValueError("Legendre index must be nonnegative")
-    if n == 0:
-        return RatPoly.one()
-    if n == 1:
-        return RatPoly.x()
-    prev, cur = legendre_poly(n - 2), legendre_poly(n - 1)
-    # (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}  with  j = n - 1
-    j = n - 1
-    xc = (RatPoly.x() * cur).scale(Fraction(2 * j + 1, j + 1))
-    return xc - prev.scale(Fraction(j, j + 1))
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        term = math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+        coeffs[n - 2 * k] = Fraction(-term if k % 2 else term, 2**n)
+    return RatPoly.from_coeffs(coeffs)
 
 
 def _common_multiple(pairs) -> int:

@@ -33,10 +33,11 @@ name and renamed into place, so a reader sees a whole entry or none.
 The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
 below 2, ``--threads`` below 1, a ``--k`` outside 1..5, a negative ``--q``,
 ``--seed`` or ``--weights`` entry, a ``--dt`` that is not positive and
-finite) and unknown ``--case`` or ``--kind`` names before any work starts;
-the library rejects unknown table numbers.  Each subcommand answers a
-document, its CSV rows and the manifest parameters, and one renderer writes
-the payload.
+finite) and unknown ``--case`` or ``--kind`` names before any work starts,
+naming the value; a token such as ``-1,0``, ``-inf`` or ``-nan`` is read as
+a value, not as a flag.  The library rejects unknown table numbers.  Each
+subcommand answers a document, its CSV rows and the manifest parameters, and
+one renderer writes the payload.
 
 Exit codes: 0 success; 1 usage error; 2 validation failure; 3 resource
 cap exceeded.
@@ -81,14 +82,15 @@ EXIT_RESOURCE = 3
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with status 1.
 
-    A token that starts with ``-`` and a digit, such as ``-1,0``, is read as
-    a value: no flag of this tool looks like that, and the range checks
-    then name the flag and the value.
+    A token that starts with ``-`` and a digit, such as ``-1,0``, or that is
+    ``-inf``, ``-infinity`` or ``-nan`` in any case, is read as a value: no
+    flag of this tool looks like that, and the range checks then name the
+    flag and the value.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)\b)", re.I)
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)

@@ -67,7 +67,7 @@ evaluates the scaling law above as
 ``bar * dt**(L + k/2) / 2**(L + k) * prod(sqrt(2 j_r + 1))``, in that order,
 and ``scaled_tensor`` is its vectorisation, bit for bit.  The pair-series
 band table stores ``scale_coeff`` at ``dt = 1``; its readers multiply by
-``dt ** spec.scale_exponent``, as :math:`C(dt) = dt^{L + k/2} C(1)`.
+``_dt_power(dt, spec.scale_exponent)``, as :math:`C(dt) = dt^{L + k/2} C(1)`.
 
 The one float twin of the exact engine is ``_triple_square_sum_float``: the
 unweighted triple Parseval sum of ``_triple_square_sum`` with float
@@ -114,6 +114,9 @@ __all__ = [
 #: so the budget is 16 s at most.
 TENSOR_WORK_BUDGET = 5_000_000
 
+#: Weight pairs for which the banded double series is implemented.
+DOUBLE_SERIES_WEIGHTS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
+
 
 class TensorBudgetError(Exception):
     """Requested dense tensor exceeds the work budget."""
@@ -158,6 +161,15 @@ def _check_interval(dt: float) -> None:
     """Reject an interval length that is not a positive finite float (NaN too)."""
     if not 0 < dt < math.inf:
         raise ValueError("interval length must be positive and finite")
+
+
+def _dt_power(dt: float, exponent: float) -> float:
+    """``dt ** exponent`` after checking ``dt``; a power that overflows raises ``ValueError``."""
+    _check_interval(dt)
+    try:
+        return dt**exponent
+    except OverflowError:
+        raise ValueError(f"interval length {dt!r} to the power {exponent} is not finite") from None
 
 
 class _Series(NamedTuple):
@@ -383,8 +395,7 @@ class CoeffTensor:
 
 def _scale(bar, spec: KernelSpec, norm, dt: float):
     """The scaling law on a float ``bar`` and ``norm``, or on arrays of them."""
-    _check_interval(dt)
-    return bar * dt ** spec.scale_exponent / 2 ** (spec.total_weight + spec.k) * norm
+    return bar * _dt_power(dt, spec.scale_exponent) / 2 ** (spec.total_weight + spec.k) * norm
 
 
 def scale_coeff(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) -> float:
@@ -482,8 +493,24 @@ class _Band(NamedTuple):
     unit: np.ndarray
 
 
+class _BandTable(NamedTuple):
+    bands: tuple[_Band, ...]
+    trace: Fraction
+    needed: int
+
+
+def _band_table(weights, q: int) -> _BandTable:
+    """:func:`_pair_bands` for a supported weight pair and order; every reader goes through it."""
+    weights = tuple(weights)
+    if weights not in DOUBLE_SERIES_WEIGHTS:
+        raise ValueError(f"unsupported weight pair {weights}; supported: {DOUBLE_SERIES_WEIGHTS}")
+    if q < 0:
+        raise ValueError("truncation order must be nonnegative")
+    return _pair_bands(weights, q)
+
+
 @lru_cache(maxsize=128)
-def _pair_bands(weights: tuple[int, int], q: int) -> tuple[tuple[_Band, ...], Fraction, int]:
+def _pair_bands(weights: tuple[int, int], q: int) -> _BandTable:
     r"""Band table of the truncated pair series with ``weights`` at order ``q``.
 
     With :math:`L = l_1 + l_2` the series keeps the nonzero cells
@@ -495,10 +522,9 @@ def _pair_bands(weights: tuple[int, int], q: int) -> tuple[tuple[_Band, ...], Fr
     reason the ``(1, 1)`` series also keeps its ``(1, 1)`` cell at ``q = 0``.
     Each inner index ``a`` has one Legendre series, read by orthogonality.
 
-    Returns the bands by offset, the exact sum of the kept diagonal cells
-    at ``dt = 1``, ``sum((2a+1) * bar_aa) / 2**(L+2)`` (the mean of the
-    Stratonovich series at equal components), and the number of Gaussians
-    per component that the series reads.
+    Returns the ``bands`` by offset, the ``trace`` (the exact kept diagonal
+    sum ``sum((2a+1) * bar_aa) / 2**(L+2)`` at ``dt = 1``, the Stratonovich
+    mean at equal components) and ``needed``, the Gaussians per component.
     """
     spec = KernelSpec(2, weights)
     total = spec.total_weight
@@ -533,7 +559,7 @@ def _pair_bands(weights: tuple[int, int], q: int) -> tuple[tuple[_Band, ...], Fr
         ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start)), Fraction(0)
     )
     needed = max(b.start + b.unit.shape[1] + b.offset for b in bands)
-    return tuple(bands), trace / 2 ** (total + 2), needed
+    return _BandTable(tuple(bands), trace / 2 ** (total + 2), needed)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ When all components are pairwise distinct :math:`G` is trivial and
 This module provides
 
 * :func:`kernel_norm` — the exact simplex norm :math:`I_k`,
-* :func:`exact_error` — the permutation-sum error above, with an optional
-  support mask for expansions that keep a sparse index set,
+* :func:`exact_error` — the permutation-sum error above, of a coefficient
+  tensor or of a pair series' :func:`~stochint.expansion.pair_series_tensor`,
 * :func:`error_bound` — the :math:`k!` bound,
 * :func:`series_error` — the closed-form error expressions for the pair,
   triple and weighted kernels in both the Legendre and trigonometric
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import KernelSpec, ScaledTensor, _check_interval
+from .coeffs import KernelSpec, ScaledTensor, _check_interval, _dt_power
 
 __all__ = [
     "EqualityPattern",
@@ -72,8 +72,7 @@ def kernel_norm_exact(spec: KernelSpec) -> Fraction:
 
 def kernel_norm(spec: KernelSpec, dt: float) -> float:
     """Squared simplex norm ``I_k`` of the weighted kernel for length ``dt``."""
-    _check_interval(dt)
-    return float(kernel_norm_exact(spec)) * dt ** (2 * spec.total_weight + spec.k)
+    return float(kernel_norm_exact(spec)) * _dt_power(dt, 2 * spec.total_weight + spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,6 @@ def exact_error(
     tensor: ScaledTensor,
     pattern: EqualityPattern,
     q: int | None = None,
-    support: np.ndarray | None = None,
 ) -> float:
     r"""Exact mean-square error of the truncated expansion.
 
@@ -154,9 +152,6 @@ def exact_error(
         tensor: interval-scaled coefficients.
         pattern: equality pattern of the Wiener components.
         q: truncation order; defaults to the tensor's own order.
-        support: optional boolean mask on ``{0..q}^k`` selecting which
-            coefficients the approximation actually keeps (entries outside
-            the mask are treated as dropped).
 
     Returns:
         ``I_k - sum_j C_j * sum_{sigma in G} C_{sigma(j)}`` with ``G`` the
@@ -165,11 +160,6 @@ def exact_error(
     if pattern.k != tensor.spec.k:
         raise ValueError("pattern multiplicity does not match tensor")
     values, q = _truncated(tensor, q)
-    if support is not None:
-        support = np.asarray(support, dtype=bool)
-        if support.shape != values.shape:
-            raise ValueError(f"support shape {support.shape} != {values.shape}")
-        values = np.where(support, values, 0.0)
     mirror = np.zeros_like(values)
     for sigma in pattern.position_permutations():
         mirror = mirror + np.transpose(values, axes=[s - 1 for s in sigma])
@@ -199,7 +189,6 @@ def error_report(
     pattern: EqualityPattern,
     q: int | None = None,
     series_kind: str | None = None,
-    support: np.ndarray | None = None,
 ) -> ErrorReport:
     """Bundle :func:`exact_error`, :func:`error_bound`, :func:`series_error`."""
     _, q = _truncated(tensor, q)
@@ -207,7 +196,7 @@ def error_report(
     if series_kind is not None:
         series = series_error(series_kind, q, tensor.dt)
     return ErrorReport(
-        exact=exact_error(tensor, pattern, q, support=support),
+        exact=exact_error(tensor, pattern, q),
         bound=error_bound(tensor, q),
         series=series,
         kernel_norm=kernel_norm(tensor.spec, tensor.dt),

@@ -14,10 +14,9 @@ general tensor: exact single integrals, the banded double series for
 time-weighted pairs, Hermite-polynomial diagonal forms, trigonometric
 Milstein-style forms, and the Ito/Stratonovich conversion by one exact rule.
 
-All banded pair series come from one exact band table in
-:mod:`stochint.coeffs`: with :math:`L = l_1 + l_2` it keeps the cells with
-:math:`|a - b| \le L + 1` and :math:`\min(a, b) \le q`, and adjusts the
-corner cells ``(q, q+1)``, ``(q+1, q)``.  One evaluator sums it by band.
+All banded pair series come from the one exact band table of
+:mod:`stochint.coeffs`.  One evaluator sums it by band, and
+:func:`pair_series_tensor` lays it out as a dense tensor.
 """
 
 from __future__ import annotations
@@ -29,7 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeffs import KernelSpec, ScaledTensor, _pair_bands, bar_coeff, scale_coeff
+from .coeffs import (
+    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _check_interval, _dt_power,
+    bar_coeff, scale_coeff,
+)
 from .errors import EqualityPattern, _tail_sum_fourths, _tail_sum_squares
 
 __all__ = [
@@ -42,15 +44,11 @@ __all__ = [
     "legendre_closed_single",
     "legendre_double_series",
     "diagonal_trace",
-    "pair_series_support",
+    "pair_series_tensor",
     "hermite_diagonal",
     "ito_strat_convert",
     "trig_milstein",
 ]
-
-#: Weight pairs for which the banded double series is implemented.
-DOUBLE_SERIES_WEIGHTS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2))
-
 
 @dataclass(frozen=True)
 class IndexPattern:
@@ -265,16 +263,14 @@ def diagonal_trace(weights: tuple[int, int], q: int, dt: float) -> float:
     r"""Sum :math:`\sum_i C_{ii}(dt)` of the diagonal cells the pair series keeps.
 
     This is the deterministic term the Ito expansion subtracts at equal
-    components (the mean of the truncated Gaussian product sum).  The kept
-    diagonal is :math:`i \le q`, except that the ``(1, 1)`` series also
-    keeps :math:`C_{11}` at ``q = 0``.  As ``q`` grows the sum converges to
-    the exact Ito-Stratonovich conversion constant: ``dt/2`` for ``(0,0)``
-    (already exact at ``q=0``), ``-dt^2/4`` for ``(1,0)``/``(0,1)``, and
-    ``dt^3/6`` for each of ``(1,1)``, ``(2,0)``, ``(0,2)``.
+    components (the mean of the truncated Gaussian product sum).  As ``q``
+    grows it converges to the exact Ito-Stratonovich conversion constant:
+    ``dt/2`` for ``(0,0)`` (already exact at ``q=0``), ``-dt^2/4`` for
+    ``(1,0)``/``(0,1)``, and ``dt^3/6`` for each of ``(1,1)``, ``(2,0)``,
+    ``(0,2)``.
     """
-    weights = tuple(weights)
-    _, trace, _ = _pair_bands(weights, q)
-    return float(trace) * dt ** KernelSpec(2, weights).scale_exponent
+    trace = _band_table(weights, q).trace
+    return float(trace) * _dt_power(dt, KernelSpec(2, tuple(weights)).scale_exponent)
 
 
 def legendre_double_series(
@@ -298,16 +294,11 @@ def legendre_double_series(
     truncated Ito expansion has mean zero and its mean-square error
     matches the closed error series at every ``q``.
     """
-    weights = tuple(weights)
-    if weights not in DOUBLE_SERIES_WEIGHTS:
-        raise ValueError(f"unsupported weight pair {weights}; supported: {DOUBLE_SERIES_WEIGHTS}")
     if pattern.k != 2:
         raise ValueError("double series requires a pair pattern")
-    if q < 0:
-        raise ValueError("truncation order must be nonnegative")
     if calculus not in ("ito", "strat"):
         raise ValueError("calculus must be 'ito' or 'strat'")
-    bands, _, needed = _pair_bands(weights, q)
+    bands, _, needed = _band_table(weights, q)
     z1 = draws.row(pattern.components[0], needed)
     z2 = draws.row(pattern.components[1], needed)
     same = pattern.components[0] == pattern.components[1]
@@ -322,33 +313,30 @@ def legendre_double_series(
             if d:
                 terms = terms + z1[..., a + d : a + d + n] * z2[..., a : a + n] * lower
         total = total + np.sum(terms, axis=-1)
-    value = dt ** KernelSpec(2, weights).scale_exponent * total
+    value = _dt_power(dt, KernelSpec(2, tuple(weights)).scale_exponent) * total
     if calculus == "ito" and same:
         value = value - diagonal_trace(weights, q, dt)
     return value
 
 
-def pair_series_support(q: int) -> np.ndarray:
-    """Index support of the single-time-weight pair series at order ``q``.
+def pair_series_tensor(weights: tuple[int, int], q: int, dt: float) -> ScaledTensor:
+    r"""The truncated pair series as a dense tensor: its kept cells, zero elsewhere.
 
-    Boolean mask on ``{0..q+2}^2``: the diagonal up to ``q``, the first
-    off-diagonals up to ``(q-1, q)``, and the second-off-diagonal pairs
-    ``(i, i+2)`` up to ``i = q``.  For weights ``(1, 0)`` / ``(0, 1)`` and
-    ``q >= 1`` this is the band rule of the series (its corner cells
-    vanish), so the truncated series equals the coefficient tensor masked
-    to this set and the masked form of :func:`exact_error
-    <stochint.errors.exact_error>` reproduces its mean-square error.  The
-    double-weight forms reach one band further and adjust their corner
-    cells, so this mask does not describe them.
+    It is on ``{0..n-1}^2``, ``n`` the Gaussians per component that
+    :func:`legendre_double_series` reads, and its expansions at order
+    ``n - 1`` are that series.  Its :func:`~stochint.errors.exact_error` is
+    the series' mean-square error only where every kept cell is a kernel
+    coefficient: weights ``(0, 0)`` at any ``q``, ``(1, 0)`` and ``(0, 1)``
+    at ``q >= 1``.  The adjusted corner cells of the other cases are not.
     """
-    n = q + 3
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(q + 1):
-        mask[i, i] = True
-        mask[i, i + 2] = mask[i + 2, i] = True
-    for i in range(1, q + 1):
-        mask[i - 1, i] = mask[i, i - 1] = True
-    return mask
+    bands, _, n = _band_table(weights, q)
+    values = np.zeros((n, n))
+    for band in bands:
+        a = np.arange(band.start, band.start + band.unit.shape[1])
+        values[a + band.offset, a] = band.unit[1]  # zero at offset 0, where the next line wins
+        values[a, a + band.offset] = band.unit[0]
+    spec = KernelSpec(2, tuple(weights))
+    return ScaledTensor(spec, n - 1, dt, values * _dt_power(dt, spec.scale_exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +406,7 @@ def ito_strat_convert(
     """
     if direction not in ("ito_to_strat", "strat_to_ito"):
         raise ValueError("direction must be 'ito_to_strat' or 'strat_to_ito'")
+    _check_interval(dt)
     weights = KernelSpec(pattern.k, tuple(weights)).weights  # checks k, length and signs
     shift = 0.0
     for (levels, p), factor in _conversion_terms(pattern.components, weights):
@@ -433,7 +422,7 @@ def ito_strat_convert(
             term = legendre_double_series((l1, l2), IndexPattern((c1, c2)), draws, q, dt)
         else:
             raise ValueError(f"no conversion formula for the term {levels} at q={q}")
-        shift = shift + factor.numerator * dt**p / factor.denominator * term
+        shift = shift + factor.numerator * _dt_power(dt, p) / factor.denominator * term
     return value + shift if direction == "strat_to_ito" else value - shift
 
 
@@ -486,6 +475,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
     """
     if q < 0:
         raise ValueError("truncation order must be nonnegative")
+    _check_interval(dt)
     sqrt2 = math.sqrt(2.0)
 
     if kind == "I1":
@@ -494,7 +484,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
         xi, _ = _tail_values(draws, c, need_mu=False)
         r = np.arange(1, q + 1)
         sine_sum = np.sum(z[..., 2 * r - 1] / r, axis=-1) if q >= 1 else 0.0
-        return -(dt**1.5) / 2.0 * (
+        return -_dt_power(dt, KernelSpec(1, (1,)).scale_exponent) / 2.0 * (
             z[..., 0] - sqrt2 / math.pi * (sine_sum + math.sqrt(_tail_sum_squares(q)) * xi)
         )
 
@@ -505,7 +495,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
         r = np.arange(1, q + 1)
         sine_sum = np.sum(z[..., 2 * r - 1] / r, axis=-1) if q >= 1 else 0.0
         cos_sum = np.sum(z[..., 2 * r] / r**2, axis=-1) if q >= 1 else 0.0
-        return dt**2.5 * (
+        return _dt_power(dt, KernelSpec(1, (2,)).scale_exponent) * (
             z[..., 0] / 3.0
             + (cos_sum + math.sqrt(_tail_sum_fourths(q)) * mu) / (sqrt2 * math.pi**2)
             - (sine_sum + math.sqrt(_tail_sum_squares(q)) * xi) / (sqrt2 * math.pi)

@@ -47,7 +47,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .basis import legendre_poly
-from .coeffs import KernelSpec, _check_interval, _pair_bands, coeff_tensor, scaled_tensor
+from .coeffs import KernelSpec, _band_table, _check_interval, coeff_tensor, scaled_tensor
 from .errors import series_error
 from .expansion import IndexPattern, NoiseDraws, _expansion_core, legendre_double_series
 from .qselect import triple_legendre_error_constant
@@ -283,7 +283,7 @@ class _Case:
     @property
     def jmax(self) -> int:
         """The highest basis index the expansion reads."""
-        return _pair_bands(self.spec.weights, self.q)[2] - 1 if self.banded else self.q
+        return _band_table(self.spec.weights, self.q).needed - 1 if self.banded else self.q
 
 
 @lru_cache(maxsize=8)
@@ -499,8 +499,9 @@ def validate_expansion(
         OracleBudgetError: the run could draw more than :data:`NORMALS_BUDGET`
             normals; nothing is drawn.
         ValueError: unknown case, a calculus other than Ito, odd step count,
-            fewer than one worker, or a mean-square error or standard error
-            that is not finite (the integrals overflow at ``cfg.dt``).
+            fewer than one worker, a mean-square error or standard error
+            that is not finite (the integrals overflow at ``cfg.dt``), or a
+            standard error of zero at the grid that ends the run.
     """
     try:
         case = VALIDATION_CASES[case_name]
@@ -524,12 +525,9 @@ def validate_expansion(
     steps = cfg.steps
     for _ in range(max_doublings + 1):
         grid = replace(cfg, steps=steps)
-        try:
-            mse, stderr, mse_half = _case_mse(
-                _chunk_map(_chunk_sums, [(case_name, grid, idx) for idx in chunks], workers)
-            )
-        except OverflowError:  # a float power of dt overflows where numpy gives inf
-            mse = stderr = mse_half = math.inf
+        mse, stderr, mse_half = _case_mse(
+            _chunk_map(_chunk_sums, [(case_name, grid, idx) for idx in chunks], workers)
+        )
         if not all(map(math.isfinite, (mse, stderr, mse_half))):
             raise ValueError(
                 f"mean-square error or its standard error is not finite at dt={cfg.dt!r}; "
@@ -537,8 +535,13 @@ def validate_expansion(
             )
         bias = abs(mse - mse_half)
         if bias <= stderr / 3.0:
+            if not stderr:
+                raise ValueError(
+                    f"the standard error is zero at dt={cfg.dt!r} and paths={cfg.paths}, "
+                    "so the z-score is undefined"
+                )
             theory = case.theory(case.q, cfg.dt)
-            z = (mse - theory) / stderr if stderr > 0 else math.inf
+            z = (mse - theory) / stderr
             return ValidationReport(
                 case=case_name,
                 q=case.q,

@@ -7,6 +7,9 @@ each ``_series_lw`` takes the Gaussian rows ``z1``, ``z2`` (extra leading
 axes pass through), the truncation order ``q`` and the interval length
 ``dt``.  :data:`HAND_FORMS` maps a weight pair to its form and its reach,
 the number of Gaussians per component beyond ``q`` that the form reads.
+:func:`pair_series_support` is the hand-written index mask of the
+single-weight forms that :func:`stochint.expansion.pair_series_tensor`
+replaced.
 """
 
 from __future__ import annotations
@@ -131,3 +134,23 @@ HAND_FORMS = {
     (2, 0): (_series_20, 4),
     (0, 2): (_series_02, 4),
 }
+
+
+def pair_series_support(q: int) -> np.ndarray:
+    """Index support of the single-time-weight pair series at order ``q``.
+
+    Boolean mask on ``{0..q+2}^2``: the diagonal up to ``q``, the first
+    off-diagonals up to ``(q-1, q)``, and the second-off-diagonal pairs
+    ``(i, i+2)`` up to ``i = q``.  For weights ``(1, 0)`` / ``(0, 1)`` and
+    ``q >= 1`` this is the band rule of the series (its corner cells
+    vanish).  At ``q = 0`` the series also keeps the adjusted corner cells
+    ``(0, 1)`` and ``(1, 0)``, which this mask leaves out.
+    """
+    n = q + 3
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(q + 1):
+        mask[i, i] = True
+        mask[i, i + 2] = mask[i + 2, i] = True
+    for i in range(1, q + 1):
+        mask[i - 1, i] = mask[i, i - 1] = True
+    return mask

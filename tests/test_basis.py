@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,22 @@ class TestLegendreFamily:
             n - 1
         ).scale(n)
         assert lhs == rhs
+
+    def test_cold_build_needs_no_recursion(self):
+        # Building P_n recursed once per lower index; under a recursion
+        # limit a little above the current stack depth, P_300 needs none.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        legendre_poly.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            p = legendre_poly(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert p.degree == 300 and p(1) == 1
+        assert legendre_poly.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("n", range(11))
     def test_endpoint_values(self, n):

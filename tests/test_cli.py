@@ -250,6 +250,10 @@ class TestFloatInputs:
         assert out == ""
 
 
+#: Spellings of negative infinity and NaN that the parser must read as values.
+NEGATIVE_SPECIALS = ("-inf", "-Infinity", "-NAN")
+
+
 class TestBadFlags:
     @pytest.mark.parametrize(
         "argv, named",
@@ -274,11 +278,17 @@ class TestBadFlags:
             (("coeffs", "--k", "6"), "--k"),
             (("coeffs", "--k", "1" + "0" * 20), "--k"),
             (("export", "--k", "1" + "0" * 20, "--q", "1", "--output", "out.json"), "--k"),
+            *(
+                (argv + ("--dt", value), f"--dt {value}")
+                for argv in (("error-table", "--kind", "pair_trig", "--q", "1"), ("validate",))
+                for value in NEGATIVE_SPECIALS
+            ),
         ],
         ids=["paths", "steps", "threads", "seed", "threads-coeffs", "q-coeffs", "q-export",
              "table-coeffs", "table-error", "table-q", "kind", "case-after-good-case",
              "negative-weights", "negative-weights-joined", "negative-q-list", "negative-dt-list",
-             "k-zero", "k-six", "k-huge-coeffs", "k-huge-export"],
+             "k-zero", "k-six", "k-huge-coeffs", "k-huge-export",
+             *(f"{cmd}-dt{value}" for cmd in ("error", "validate") for value in NEGATIVE_SPECIALS)],
     )
     def test_usage_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv, named):
         # The last case would validate pair_distinct on 10^5 paths for
@@ -290,6 +300,7 @@ class TestBadFlags:
         assert code == EXIT_USAGE
         assert out == ""
         assert all(word in err for word in named.split())
+        assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -525,6 +536,16 @@ class TestValidate:
         assert code == EXIT_USAGE
         assert out == ""
         assert "not finite" in err
+
+    def test_zero_standard_error_is_usage_error(self, capsys):
+        # At 1e-300 every squared difference underflows to zero, so the
+        # z-score has no finite value to print.
+        code, out, err = run_cli(
+            capsys, "validate", "--steps", "2", "--paths", "1", "--dt", "1e-300",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "standard error is zero" in err and "Traceback" not in err
 
     def test_overflowing_power_of_dt_is_usage_error(self, capsys):
         # The weighted pair series raises dt to the third power, which

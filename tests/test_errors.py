@@ -27,7 +27,7 @@ from stochint.errors import (
     series_error,
 )
 from stochint.errors import _polygamma, _tail_sum_fourths, _tail_sum_squares
-from stochint.expansion import pair_series_support
+from stochint.expansion import pair_series_tensor
 
 from monomial_reference import kernel_norm_simplex
 
@@ -105,17 +105,12 @@ class TestExactError:
             assert exact == pytest.approx(closed, rel=1e-12)
 
     def test_banded_weighted_pair_matches_closed_series(self):
+        # At q >= 1 every kept cell of the (1, 0) series is a coefficient.
         dt = 0.5
-        spec = KernelSpec(2, (1, 0))
         for q in (1, 2, 5, 9):
-            tensor = scaled_tensor(coeff_tensor(spec, q + 2), dt)
-            mask = pair_series_support(q)
-            distinct = exact_error(
-                tensor, EqualityPattern.distinct(2), q=q + 2, support=mask
-            )
-            equal = exact_error(
-                tensor, EqualityPattern.all_equal(2), q=q + 2, support=mask
-            )
+            tensor = pair_series_tensor((1, 0), q, dt)
+            distinct = exact_error(tensor, EqualityPattern.distinct(2))
+            equal = exact_error(tensor, EqualityPattern.all_equal(2))
             assert distinct == pytest.approx(
                 series_error("pair_legendre_weighted", q, dt), rel=1e-11
             )
@@ -145,16 +140,6 @@ class TestExactError:
             tensor = scaled_tensor(coeff_tensor(spec, q, threads=4), 1.0)
             value = exact_error(tensor, EqualityPattern.distinct(spec.k), q=q)
             assert value == pytest.approx(expected, rel=1e-7)
-
-    def test_support_shape_checked(self):
-        tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 3), 0.5)
-        with pytest.raises(ValueError):
-            exact_error(
-                tensor,
-                EqualityPattern.distinct(2),
-                q=3,
-                support=np.ones((2, 2), dtype=bool),
-            )
 
     def test_pattern_multiplicity_checked(self):
         tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 2), 0.5)

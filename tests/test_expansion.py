@@ -30,13 +30,13 @@ from stochint.expansion import (
     ito_strat_convert,
     legendre_closed_single,
     legendre_double_series,
-    pair_series_support,
+    pair_series_tensor,
     strat_expansion,
     trig_milstein,
 )
 
 from conversion_reference import hermite_ito, pair_shift, quadruple_shift, triple_shift
-from pair_series_reference import HAND_FORMS
+from pair_series_reference import HAND_FORMS, pair_series_support
 from single_form_reference import single_form
 
 DT = 0.6
@@ -129,12 +129,33 @@ class TestClosedSingles:
         with pytest.raises(ValueError):
             legendre_closed_single(4, 1, draws, DT)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf, 1e300])
     def test_rejects_bad_interval(self, dt):
-        # The coefficients come from scale_coeff, which rejects the interval.
-        draws = draw_noise(q_max=3, m=1, seed=0)
-        with pytest.raises(ValueError, match="interval length"):
-            legendre_closed_single(1, 1, draws, dt)
+        # Every expansion that takes dt checks it, and a power of dt that
+        # overflows (each call below raises one at 1e300) is not finite.
+        draws = draw_noise(q_max=8, m=2, seed=0)
+        calls = [
+            lambda: legendre_closed_single(3, 1, draws, dt),
+            lambda: legendre_double_series((1, 0), IndexPattern((1, 2)), draws, 2, dt),
+            lambda: diagonal_trace((1, 0), 2, dt),
+            lambda: pair_series_tensor((1, 0), 2, dt),
+            lambda: hermite_diagonal(3, 1, 1, draws, dt),
+            lambda: ito_strat_convert(0.0, IndexPattern((1, 1)), (1, 1), dt, "strat_to_ito", draws),
+            lambda: trig_milstein("I1", IndexPattern((1,)), draws, 2, dt),
+            lambda: trig_milstein("I2", IndexPattern((1,)), draws, 2, dt),
+        ]
+        if dt == 1e300:
+            match = "not finite"
+        else:  # these raise no power of dt that overflows at 1e300
+            match = "interval length"
+            calls += [
+                lambda: trig_milstein("I00", IndexPattern((1, 2)), draws, 2, dt),
+                lambda: ito_strat_convert(0.0, IndexPattern((1, 1)), (0, 0), dt, "strat_to_ito"),
+                lambda: ito_strat_convert(0.0, IndexPattern((1, 2)), (0, 0), dt, "strat_to_ito"),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_batched(self):
         seeds = [5, 6, 7]
@@ -307,16 +328,13 @@ class TestDoubleSeries:
     @pytest.mark.parametrize("weights", [(1, 0), (0, 1)])
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_single_weight_equals_masked_contraction(self, weights, q):
-        # For one time-weight factor and q >= 1 the truncated series is
-        # exactly the tensor restricted to its banded support.
-        spec = KernelSpec(2, weights)
-        tensor = scaled_tensor(coeff_tensor(spec, q + 2), DT)
-        masked = np.where(pair_series_support(q), tensor.truncated(q + 2), 0.0)
+        # The contraction of the dense view is the banded series.
+        view = pair_series_tensor(weights, q, DT).values
         draws = draw_noise(q_max=q + 3, m=2, seed=33)
         z1 = draws.zeta[0, : q + 3]
         z2 = draws.zeta[1, : q + 3]
         series = legendre_double_series(weights, IndexPattern((1, 2)), draws, q, DT)
-        assert series == pytest.approx(float(z1 @ masked @ z2), rel=1e-12)
+        assert series == pytest.approx(float(z1 @ view @ z2), rel=1e-12)
 
     def test_double_weight_boundary_is_adjusted(self):
         # The (2, 0) form keeps an outermost off-diagonal cell with a
@@ -342,6 +360,21 @@ class TestDoubleSeries:
         # Interior cells agree with the plain coefficients.
         assert eff[0, 0] == pytest.approx(full[0, 0], rel=1e-12)
         assert eff[0, 2] == pytest.approx(full[0, 2], rel=1e-12)
+
+    @pytest.mark.parametrize("weights", DOUBLE_SERIES_WEIGHTS)
+    def test_dense_view_expansions_match_band_evaluator(self, weights):
+        # The Wick evaluator on the dense view and the band evaluator sum
+        # the same series, in both calculi.
+        seeds = range(60, 68)
+        batch = batched_draws(seeds, q_max=12, m=2)
+        singles = [draw_noise(12, 2, s) for s in seeds]
+        for q in range(9):
+            view = pair_series_tensor(weights, q, DT)
+            for pattern in (IndexPattern((1, 2)), IndexPattern((2, 2))):
+                for calculus, expand in (("strat", strat_expansion), ("ito", ito_expansion)):
+                    band = legendre_double_series(weights, pattern, batch, q, DT, calculus)
+                    wick = [expand(view, pattern, d, view.q) for d in singles]
+                    assert band == pytest.approx(wick, rel=1e-12)
 
     def test_ito_subtracts_retained_trace(self):
         draws = draw_noise(q_max=9, m=1, seed=3)
@@ -512,17 +545,35 @@ class TestDiagonalIdentities:
 
 
 class TestSupportMask:
+    """The dense view against the hand-written mask of the single-weight series."""
+
     def test_shape_and_cells(self):
-        mask = pair_series_support(2)
-        assert mask.shape == (5, 5)
-        assert mask[0, 0] and mask[1, 1] and mask[2, 2]
-        assert mask[0, 2] and mask[2, 0] and mask[2, 4] and mask[4, 2]
-        assert mask[0, 1] and mask[1, 0] and mask[1, 2] and mask[2, 1]
-        assert not mask[3, 3] and not mask[0, 3] and not mask[4, 4]
+        # At q >= 1 the view is the coefficient tensor restricted to the mask.
+        for weights in ((1, 0), (0, 1)):
+            for q in range(1, 7):
+                view = pair_series_tensor(weights, q, 1.0).values
+                full = scaled_tensor(coeff_tensor(KernelSpec(2, weights), q + 2), 1.0)
+                mask = pair_series_support(q)
+                assert view.shape == mask.shape
+                assert not np.any(view[~mask])
+                assert np.array_equal(view, np.where(mask, full.values, 0.0))
 
     def test_q0(self):
+        # At q = 0 the series also keeps the corner cells (0, 1) and (1, 0),
+        # adjusted by the unweighted coefficient; the mask leaves them out.
         mask = pair_series_support(0)
         assert mask.sum() == 3  # (0,0), (0,2), (2,0)
+        for weights in ((1, 0), (0, 1)):
+            spec = KernelSpec(2, weights)
+            view = pair_series_tensor(weights, 0, 1.0).values
+            assert view.shape == mask.shape
+            for j in ((0, 1), (1, 0)):
+                adjusted = bar_coeff(spec, j) + bar_coeff(KernelSpec.unweighted(2), j)
+                assert not mask[j]
+                assert view[j] == scale_coeff(adjusted, spec, j, 1.0)
+            assert np.count_nonzero(view[~mask]) == 1
+            full = scaled_tensor(coeff_tensor(spec, 2), 1.0)
+            assert np.array_equal(view[mask], full.values[mask])
 
 
 class TestHermiteDiagonal:
