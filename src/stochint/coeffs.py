@@ -37,8 +37,8 @@ is built from three rules:
 
 * multiplication by :math:`P_j` uses the product linearization of
   :mod:`stochint.basis` as integer rows over one denominator
-  (``basis._product_rows``), which each engine call computes and drops
-  when it returns;
+  (``basis._product_rows``), which each walk computes and drops when it
+  ends;
 * each weight factor :math:`-(1+x)` uses
   :math:`x P_n = ((n+1) P_{n+1} + n P_{n-1}) / (2n+1)`;
 * integration from :math:`-1` uses
@@ -49,8 +49,10 @@ By orthogonality the outermost level is a lookup: with
 :math:`h = w_{l_k} F_{k-1} = \sum_n h_n P_n`,
 :math:`\bar C_{j_k \ldots j_1} = 2 h_{j_k} / (2 j_k + 1)`.
 
-``bar_coeff`` computes single entries and ``coeff_tensor`` dense tensors
-(each prefix series is built once and fills its whole :math:`j_k` fiber).
+One depth-first walk, ``_outer_series``, builds every prefix series and
+reuses the levels a prefix shares with the one before it.  ``bar_coeff``,
+``coeff_tensor`` (each prefix fills its :math:`j_k` fiber), the coefficient
+tables, the triple sum and the pair-series band table all read it.
 
 ``trig_coeff`` is the analogous coefficient for the trigonometric basis,
 exact in :math:`\mathbb{Q}[1/\pi]`.  Each level's integrand is a sum of
@@ -84,7 +86,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -242,12 +244,22 @@ def _integral(series: _Series) -> _Series:
     return _reduced(out, series.den * scale)
 
 
-def _outer_series(spec: KernelSpec, prefix: tuple[int, ...], rows: Callable) -> _Series:
-    """Series ``h = w_{l_k} F_{k-1}`` of the inner indices ``(j_1..j_{k-1})``."""
-    series = _ONE
-    for l, j in zip(spec.weights, prefix):
-        series = _integral(_times_legendre(_times_weight(series, l), j, rows))
-    return _times_weight(series, spec.weights[-1])
+def _outer_series(spec: KernelSpec, prefixes: Iterable[tuple[int, ...]]) -> Iterator:
+    """Yield ``(prefix, h)`` with ``h = w_{l_{r+1}} F_r`` for each prefix ``(j_1..j_r)``.
+
+    The one builder of prefix series.  Depth first: it keeps the levels a
+    prefix shares with the one before, so sorted prefixes build each level
+    once.  It holds one path and one product-row memo.
+    """
+    rows = _product_rows()
+    path = [((), _times_weight(_ONE, spec.weights[0]))]  # (prefix[:r], w_{l_{r+1}} F_r)
+    for prefix in prefixes:
+        while path[-1][0] != prefix[: len(path) - 1]:
+            path.pop()
+        for r in range(len(path), len(prefix) + 1):
+            series = _integral(_times_legendre(path[-1][1], prefix[r - 1], rows))
+            path.append((prefix[:r], _times_weight(series, spec.weights[r])))
+        yield prefix, path[-1][1]
 
 
 def _outer_coeffs(h: _Series, js) -> list[Fraction]:
@@ -272,10 +284,10 @@ def _triple_square_sum(q: int) -> Fraction:
     One Parseval fiber per inner pair ``(a, b)``; the near-tie check of the
     triple order scan reads it.
     """
-    spec, rows = KernelSpec.unweighted(3), _product_rows()
+    pairs = itertools.product(range(q + 1), repeat=2)
     return sum(
-        ((2 * a + 1) * (2 * b + 1) * _fiber_square_sum(_outer_series(spec, (a, b), rows), q)
-         for a in range(q + 1) for b in range(q + 1)),
+        ((2 * a + 1) * (2 * b + 1) * _fiber_square_sum(h, q)
+         for (a, b), h in _outer_series(KernelSpec.unweighted(3), pairs)),
         Fraction(0),
     )
 
@@ -360,13 +372,9 @@ def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
     Returns:
         The exact nested integral over the simplex in ``[-1, 1]``.
     """
-    return _bar_coeffs(spec, [_checked_index(spec, j)])[0]
-
-
-def _bar_coeffs(spec: KernelSpec, js: list[tuple[int, ...]]) -> list[Fraction]:
-    """:func:`bar_coeff` of each multi-index in ``js``, unchecked, with one product-row memo."""
-    rows = _product_rows()
-    return [_outer_coeffs(_outer_series(spec, j[:-1], rows), j[-1:])[0] for j in js]
+    j = _checked_index(spec, j)
+    [(_, h)] = _outer_series(spec, [j[:-1]])
+    return _outer_coeffs(h, j[-1:])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,8 +443,8 @@ def scaled_tensor(tensor: CoeffTensor, dt: float) -> ScaledTensor:
 def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
     r"""All exact coefficients :math:`\bar C` for ``j in {0..q}^k``.
 
-    A depth-first walk over the inner indices builds each prefix series
-    once and fills the whole :math:`j_k` fiber from it by orthogonality.
+    The walk over the inner indices builds each prefix series once and
+    fills the whole :math:`j_k` fiber from it by orthogonality.
 
     Args:
         spec: kernel description.
@@ -464,17 +472,8 @@ def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
             f"work {Decimal(work):.3e}, over the budget {TENSOR_WORK_BUDGET}"
         )
     values = np.empty((n,) * spec.k, dtype=object)
-    rows = _product_rows()
-
-    def fill(prefix: tuple[int, ...], series: _Series) -> None:
-        weighted = _times_weight(series, spec.weights[len(prefix)])
-        if len(prefix) == spec.k - 1:
-            values[prefix] = _outer_coeffs(weighted, range(n))
-            return
-        for j in range(n):
-            fill(prefix + (j,), _integral(_times_legendre(weighted, j, rows)))
-
-    fill((), _ONE)
+    for prefix, h in _outer_series(spec, itertools.product(range(n), repeat=spec.k - 1)):
+        values[prefix] = _outer_coeffs(h, range(n))
     return CoeffTensor(spec=spec, q=q, values=values)
 
 
@@ -528,8 +527,7 @@ def _pair_bands(weights: tuple[int, int], q: int) -> _BandTable:
     """
     spec = KernelSpec(2, weights)
     total = spec.total_weight
-    rows = _product_rows()
-    series = [_outer_series(spec, (a,), rows) for a in range(q + total + 2)]
+    series = [h for _, h in _outer_series(spec, ((a,) for a in range(q + total + 2)))]
 
     def cell(a: int, b: int) -> Fraction:
         value = _outer_coeffs(series[a], (b,))[0]

@@ -195,28 +195,25 @@ def _expansion_core(
     return total
 
 
-def _tensor_rows(tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int):
+def _tensor_expansion(
+    tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int, corrections: bool
+):
+    """A float for one draw, an array over the batch axis of batched draws."""
     if tensor.spec.k != pattern.k:
         raise ValueError("tensor multiplicity does not match index pattern")
-    values = tensor.truncated(q)
     rows = [draws.row(c, q + 1)[..., : q + 1] for c in pattern.components]
-    return values, rows
+    value = _expansion_core(tensor.truncated(q), pattern.components, rows, corrections)
+    return value if np.ndim(value) else float(value)
 
 
-def ito_expansion(
-    tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int
-) -> float:
+def ito_expansion(tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int):
     """Truncated Ito expansion: product sum with all pairing corrections."""
-    values, rows = _tensor_rows(tensor, pattern, draws, q)
-    return float(_expansion_core(values, pattern.components, rows, corrections=True))
+    return _tensor_expansion(tensor, pattern, draws, q, corrections=True)
 
 
-def strat_expansion(
-    tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int
-) -> float:
+def strat_expansion(tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int):
     """Truncated Stratonovich expansion: the plain product sum."""
-    values, rows = _tensor_rows(tensor, pattern, draws, q)
-    return float(_expansion_core(values, pattern.components, rows, corrections=False))
+    return _tensor_expansion(tensor, pattern, draws, q, corrections=False)
 
 
 # ---------------------------------------------------------------------------

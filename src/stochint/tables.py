@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffs import KernelSpec, _bar_coeffs
+from .coeffs import KernelSpec, _outer_coeffs, _outer_series
 from .errors import series_error
 from .qselect import Condition, min_q_many
 
@@ -92,9 +92,9 @@ def compute_coeff_table(number: int) -> list[list[Fraction]]:
         raise ValueError(
             f"no coefficient table {number}; available: 4..36"
         ) from None
-    rows, cols = layout.rows, layout.cols
-    cells = _bar_coeffs(layout.spec, [layout.js(r, c) for r in range(rows) for c in range(cols)])
-    return [cells[r * cols : (r + 1) * cols] for r in range(rows)]
+    grid = [[layout.js(r, c) for c in range(layout.cols)] for r in range(layout.rows)]
+    series = dict(_outer_series(layout.spec, sorted({j[:-1] for row in grid for j in row})))
+    return [[_outer_coeffs(series[j[:-1]], j[-1:])[0] for j in row] for row in grid]
 
 
 @dataclass(frozen=True)

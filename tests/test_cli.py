@@ -580,6 +580,23 @@ class TestValidate:
         assert "not finite" in proc.stderr
         assert "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("case", ["pair_distinct", "triple_distinct"])
+    def test_too_small_interval_is_refused_before_any_draw(self, case):
+        # sqrt((2j+1)/dt) is inf at a subnormal dt; the basis matrix would
+        # multiply it by zero Legendre values and warn.
+        import stochint
+
+        env = dict(os.environ, PYTHONPATH=str(Path(stochint.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochint.cli", "validate", "--case", case,
+             "--steps", "2", "--paths", "1", "--dt", "1e-320"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert "interval length dt=1e-320 is too small" in proc.stderr
+        assert "Warning" not in proc.stderr and "overflow" not in proc.stderr
+
     def test_threads_do_not_change_payload_or_manifest(self, tmp_path, capsys):
         argv = ["validate", "--case", "pair_distinct", "--case", "triple_distinct",
                 "--steps", "64", "--paths", "1300", "--seed", "5"]

@@ -30,10 +30,12 @@ from stochint.coeffs import (
     _fiber_square_sum,
     _outer_series,
     _pair_bands,
-    _product_rows,
     _trig_bar,
+    _triple_square_sum,
 )
+from stochint import coeffs as coeffs_module
 from stochint.errors import kernel_norm
+from stochint.tables import compute_coeff_table
 
 import fraction_reference
 import trig_quadrature_reference
@@ -286,8 +288,48 @@ class TestIntegerEngine:
         spec, q = case
         prefix = tuple(data.draw(st.lists(st.integers(0, 6), min_size=spec.k - 1,
                                           max_size=spec.k - 1)))
-        h = _outer_series(spec, prefix, _product_rows())
+        [(_, h)] = _outer_series(spec, [prefix])
         assert _fiber_square_sum(h, q) == fraction_reference.fiber_square_sum(spec, prefix, q)
+
+
+class TestPrefixWalk:
+    """``_outer_series`` reuses the levels a prefix shares with the one before it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_any_order_matches_one_prefix_walks(self, weights, data):
+        spec = KernelSpec(len(weights), tuple(weights))
+        prefix = st.lists(st.integers(0, 4), max_size=spec.k - 1).map(tuple)
+        prefixes = data.draw(st.lists(prefix, max_size=12))
+        walked = list(_outer_series(spec, prefixes))
+        assert [p for p, _ in walked] == prefixes
+        for p, h in walked:
+            [(_, alone)] = _outer_series(spec, [p])
+            assert h == alone
+
+    def test_series_steps(self, monkeypatch):
+        # A step is one integration: one level of one prefix series.
+        calls = 0
+        integral = coeffs_module._integral
+
+        def counted(series):
+            nonlocal calls
+            calls += 1
+            return integral(series)
+
+        monkeypatch.setattr(coeffs_module, "_integral", counted)
+        compute_coeff_table(4)  # 7 x 7 cells with inner prefixes (col, row)
+        assert calls == 7 + 49
+        for weights, q in [((0, 0, 0), 6), ((1, 0, 0, 1), 3), ((0, 2), 5), ((3,), 4)]:
+            calls = 0
+            coeff_tensor(KernelSpec(len(weights), weights), q)
+            assert calls == sum((q + 1) ** r for r in range(1, len(weights)))
+        calls = 0
+        _triple_square_sum(5)
+        assert calls == 6 + 6**2
 
 
 class TestCoeffTensor:

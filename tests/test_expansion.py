@@ -240,6 +240,24 @@ class TestTensorExpansions:
         with pytest.raises(ValueError):
             ito_expansion(tensor, IndexPattern((1, 2)), draws, 4)
 
+    @pytest.mark.parametrize(
+        "weights,components",
+        [((0, 0), (1, 1)), ((1, 0), (1, 2)), ((1, 0, 0), (1, 2, 3)), ((1, 0, 0), (1, 1, 2)),
+         ((0, 0, 0), (1, 1, 1))],
+    )
+    def test_batch_equals_loop_over_single_draws(self, weights, components):
+        spec = KernelSpec(len(weights), weights)
+        tensor = scaled_tensor(coeff_tensor(spec, 4), DT)
+        pattern = IndexPattern(components)
+        seeds = [3, 4, 5]
+        batch = batched_draws(seeds, q_max=6, m=3)
+        for expand in (strat_expansion, ito_expansion):
+            values = expand(tensor, pattern, batch, 4)
+            singles = [expand(tensor, pattern, draw_noise(6, 3, s), 4) for s in seeds]
+            assert all(type(v) is float for v in singles)
+            assert values.shape == (3,)
+            assert values == pytest.approx(singles, rel=1e-12)
+
     def test_second_moment_matches_parseval_mass(self):
         # Statistical check of the distinct-pair truncated expansion:
         # its variance equals the retained squared coefficient mass.
