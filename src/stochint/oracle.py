@@ -2,7 +2,8 @@ r"""Monte Carlo ground truth for iterated stochastic integrals.
 
 Simulates iterated Ito/Stratonovich integrals with weights
 :math:`(t-s)^{l_r}` by fine discretization of the Wiener paths (left-point
-rule for Ito, trapezoidal rule for Stratonovich) and statistically
+rule for Ito, trapezoidal rule for Stratonovich; inner levels by a cumulative
+sum, the outermost by a per-path dot product) and statistically
 validates the Ito spectral expansions: each path's Wiener increments are
 re-projected onto the Legendre basis, :math:`\zeta_j = \sum_l
 \varphi_j(\tau_l)\,\Delta W_l`, so the oracle integral and the expansion
@@ -183,39 +184,44 @@ def _nested_values(
 ) -> np.ndarray:
     """Iterated integral of one block; ``dw`` is ``(paths, m, steps)``, read at ``components``.
 
+    Each level reads a view of ``dw``.  Inner levels keep their integral on
+    the grid (a ``cumsum``); the outermost is a per-path dot product, by
+    ``einsum`` because ``@`` may round a row by how many rows share the call.
+
     For a pair with equal components the Ito rule adds the exact
     within-cell diagonal term :math:`\\sum_u w_1 w_2 (\\Delta W_u^2 - h)/2`
     (the cell-level analogue of the trapezoid rule's diagonal); the plain
     left-point rule drops the diagonal cells entirely, and that omission
     would dominate the smallest truncation errors being validated.
     """
-    dw = dw[:, [c - 1 for c in components], :]
     paths, _, n = dw.shape
     grid = np.linspace(0.0, dt, n + 1)
     running = None  # the inner integral on the grid; None stands for the constant 1
     for level, exponent in enumerate(spec.weights):
-        integrand = running
+        d = dw[:, components[level] - 1, :]
+        cell = running  # the integrand on the grid, then on the cells
         if exponent:
             w = _weight_values(exponent, grid)
-            integrand = w if running is None else w * running
-        if integrand is None:
-            step_terms = dw[:, level, :]
-        elif calculus == "ito":
-            step_terms = integrand[..., :n] * dw[:, level, :]
-        else:
-            step_terms = 0.5 * (integrand[..., :n] + integrand[..., 1:]) * dw[:, level, :]
+            cell = w if running is None else w * running
+        if cell is not None:
+            cell = cell[..., :n] if calculus == "ito" else 0.5 * (cell[..., :n] + cell[..., 1:])
+        if level == spec.k - 1:
+            break
         running = np.empty((paths, n + 1))
         running[:, 0] = 0.0
-        np.cumsum(step_terms, axis=1, out=running[:, 1:])
-    values = running[:, -1]
+        np.cumsum(d if cell is None else cell * d, axis=1, out=running[:, 1:])
+    if cell is None:
+        values = np.einsum("pu->p", d)
+    elif cell.ndim == 1:
+        values = np.einsum("pu,u->p", d, cell)
+    else:
+        values = np.einsum("pu,pu->p", cell, d)
     if spec.k == 2 and components[0] == components[1] and calculus == "ito":
         h = dt / n
         w_cell = _weight_values(spec.weights[0], grid[:n]) * _weight_values(
             spec.weights[1], grid[:n]
         )
-        values = values + 0.5 * np.sum(
-            w_cell[None, :] * (dw[:, 0, :] ** 2 - h), axis=1
-        )
+        values = values + 0.5 * np.einsum("pu,u->p", d * d - h, w_cell)
     return values
 
 

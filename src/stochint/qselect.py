@@ -243,9 +243,6 @@ def min_q(cond: Condition) -> int:
     return scan_detail(cond).reported_q
 
 
-def min_q_many(conds: list[Condition], threads: int = 1) -> list[int]:
-    """Reported minimal numbers of conditions; ``threads`` is accepted and ignored.
-
-    The scans hold the interpreter lock, so threads gave no speed-up.
-    """
+def min_q_many(conds: list[Condition]) -> list[int]:
+    """Reported minimal numbers of conditions, in order."""
     return [min_q(c) for c in conds]

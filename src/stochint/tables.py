@@ -183,7 +183,7 @@ Q_TABLES: dict[int, QTableSpec] = {
 def compute_q_table(
     number: int, dts: Sequence[float] | None = None, threads: int = 1
 ) -> dict[str, list[int]]:
-    """Minimal-order columns of one truncation-order table."""
+    """Minimal-order columns of one truncation-order table; ``threads`` is ignored."""
     try:
         table = Q_TABLES[number]
     except KeyError:
@@ -195,7 +195,7 @@ def compute_q_table(
     out: dict[str, list[int]] = {}
     for name, cond_id in table.columns:
         conds = [Condition(cond_id, dt) for dt in dts]
-        out[name] = min_q_many(conds, threads=threads)
+        out[name] = min_q_many(conds)
     return out
 
 

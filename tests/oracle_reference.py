@@ -8,6 +8,10 @@ built for each call.  :func:`reference_report` runs that route over the
 chunks in one process, doubling the grid as :func:`validate_expansion`
 does; :func:`simulate_iterated` and :func:`coupled_zeta` work whole chunks
 as the library functions of the same names once did.
+
+:func:`nested_values_stepwise` is the nested-integral kernel before the
+outermost level became a per-path dot product: it copies the block's
+components and keeps every level, the outermost too, on the whole grid.
 """
 
 from __future__ import annotations
@@ -26,7 +30,40 @@ from stochint.oracle import (
     _evaluator,
     _nested_values,
     _project,
+    _weight_values,
 )
+
+
+def nested_values_stepwise(spec, components, dw: np.ndarray, dt: float, calculus: str) -> np.ndarray:
+    """Iterated integral of one block with a ``cumsum`` at every level, read at its last column."""
+    dw = dw[:, [c - 1 for c in components], :]
+    paths, _, n = dw.shape
+    grid = np.linspace(0.0, dt, n + 1)
+    running = None  # the inner integral on the grid; None stands for the constant 1
+    for level, exponent in enumerate(spec.weights):
+        integrand = running
+        if exponent:
+            w = _weight_values(exponent, grid)
+            integrand = w if running is None else w * running
+        if integrand is None:
+            step_terms = dw[:, level, :]
+        elif calculus == "ito":
+            step_terms = integrand[..., :n] * dw[:, level, :]
+        else:
+            step_terms = 0.5 * (integrand[..., :n] + integrand[..., 1:]) * dw[:, level, :]
+        running = np.empty((paths, n + 1))
+        running[:, 0] = 0.0
+        np.cumsum(step_terms, axis=1, out=running[:, 1:])
+    values = running[:, -1]
+    if spec.k == 2 and components[0] == components[1] and calculus == "ito":
+        h = dt / n
+        w_cell = _weight_values(spec.weights[0], grid[:n]) * _weight_values(
+            spec.weights[1], grid[:n]
+        )
+        values = values + 0.5 * np.sum(
+            w_cell[None, :] * (dw[:, 0, :] ** 2 - h), axis=1
+        )
+    return values
 
 
 def wiener_chunk(cfg: SimConfig, m: int, idx: int) -> np.ndarray:

@@ -205,7 +205,7 @@ MANIFEST_DIGESTS: dict[str, str] = {
     "q-table-table": "c1630011a5e2522b7f4fd47b4d92751a1e5f8b8ff85553f7ec54bfe520eab410",
     "q-table-all-csv": "20c6d67940c546639f5e90e21e8c56ab0d294ce81180411904b9ebde7e7d0b73",
     "q-table-all-json": "5c39ce0bd721f4f41690766d73672af4c06b91dc47f4f7c4fd628e7cd06a8306",
-    "validate": "dc952f7d2533d3817847808e94461f441bbcddb6d33fc2299c0c752e0dea1f9e",
+    "validate": "9d36a44dfcfe729e0cf478cd163f9071bb237d8e67a83843e1f8d9e87cda971e",
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -33,10 +34,10 @@ from stochint.oracle import (
     validate_expansion,
     worker_count,
 )
-from stochint.oracle import _chunk_count, _chunk_map, _chunk_sums, _wiener_blocks
+from stochint.oracle import _chunk_count, _chunk_map, _chunk_sums, _nested_values, _wiener_blocks
 
 import oracle_reference
-from oracle_reference import chunk_sums, reference_report, wiener_chunk
+from oracle_reference import chunk_sums, nested_values_stepwise, reference_report, wiener_chunk
 
 DT = 0.5
 
@@ -159,6 +160,53 @@ class TestSimulation:
         a = simulate_iterated(spec, IndexPattern((1,)), cfg)
         b = simulate_iterated(spec, IndexPattern((1,)), cfg)
         assert np.array_equal(a, b)
+
+
+#: Component patterns of the kernel tests: all distinct, all equal, and a repeat.
+KERNEL_COMPONENTS = {
+    1: [(1,), (3,)],
+    2: [(1, 2), (2, 2), (3, 1)],
+    3: [(1, 2, 3), (2, 2, 2), (2, 1, 2), (3, 3, 1)],
+}
+
+#: One kernel case per route: outermost level without an integrand, with a
+#: grid-only one and with a per-path one; the equal-pair diagonal; repeats.
+KERNEL_SHAPES = [
+    ((0,), (1,)), ((2,), (3,)), ((0, 0), (1, 2)), ((1, 0), (1, 1)), ((0, 2), (2, 2)),
+    ((2, 1), (3, 1)), ((0, 0, 0), (1, 2, 3)), ((0, 1, 2), (1, 2, 3)),
+    ((1, 0, 0), (2, 1, 2)), ((2, 2, 1), (3, 3, 3)),
+]
+
+
+class TestNestedKernel:
+    """The kernel against the stepwise route it replaced, and its rows against any block."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("calculus", ["ito", "strat"])
+    @pytest.mark.parametrize("paths", [1, 64, 100])
+    def test_matches_stepwise_reference(self, k, calculus, paths):
+        dw = np.random.default_rng(100 * k + paths).standard_normal((paths, 3, 256)) * 0.04
+        for weights in itertools.product(range(3), repeat=k):
+            spec = KernelSpec(k, weights)
+            for components in KERNEL_COMPONENTS[k]:
+                new = _nested_values(spec, components, dw, DT, calculus)
+                old = nested_values_stepwise(spec, components, dw, DT, calculus)
+                assert new.shape == old.shape == (paths,)
+                assert np.all(np.abs(new - old) <= 1e-13 * np.max(np.abs(old)))
+
+    @pytest.mark.parametrize("steps", [2, 33, 2048])
+    @pytest.mark.parametrize("calculus", ["ito", "strat"])
+    @pytest.mark.parametrize("weights, components", KERNEL_SHAPES, ids=str)
+    def test_rows_do_not_depend_on_block(self, steps, calculus, weights, components):
+        dw = np.random.default_rng(steps).standard_normal((512, 3, steps)) * 0.04
+        spec = KernelSpec(len(weights), weights)
+        whole = _nested_values(spec, components, dw, DT, calculus)
+        for block in (1, 7, 64):
+            rows = [
+                _nested_values(spec, components, dw[start : start + block], DT, calculus)
+                for start in range(0, 512, block)
+            ]
+            assert np.array_equal(np.concatenate(rows), whole)
 
 
 class TestCoupledZeta:

@@ -179,10 +179,6 @@ class TestScan:
             _probe("triple_legendre_dt4", q, dt)
         assert _probe("triple_legendre_dt4", q - 1, dt)[1] == "float_parseval"
 
-    def test_threads_match_serial(self):
-        conds = [Condition("pair_legendre_dt3", 2**-e) for e in range(5, 10)]
-        assert min_q_many(conds, threads=4) == min_q_many(conds, threads=1)
-
 
 def _reference_grid() -> list[Condition]:
     """Every column of the order tables at their printed steps and at extra ones."""
@@ -252,8 +248,7 @@ class TestReferenceColumns:
     def test_pair_legendre_powers_of_two(self, printed):
         frozen = printed["q_tables"]["37"]
         qs = min_q_many(
-            [Condition("pair_legendre_dt3", 2.0**e) for e in frozen["dt_log2"]],
-            threads=4,
+            [Condition("pair_legendre_dt3", 2.0**e) for e in frozen["dt_log2"]]
         )
         assert qs == frozen["pol"]
 
@@ -261,19 +256,19 @@ class TestReferenceColumns:
         frozen = printed["q_tables"]["37"]
         dts = [2.0**e for e in frozen["dt_log2"]]
         assert (
-            min_q_many([Condition("pair_trig_tail_dt3", dt) for dt in dts], threads=4)
+            min_q_many([Condition("pair_trig_tail_dt3", dt) for dt in dts])
             == frozen["trig"]
         )
         assert (
-            min_q_many([Condition("pair_trig_dt3", dt) for dt in dts], threads=4)
+            min_q_many([Condition("pair_trig_dt3", dt) for dt in dts])
             == frozen["trig_star"]
         )
 
     def test_pair_to_trig_ratio_list(self, printed):
         frozen = printed["q_tables"]["37"]
         dts = [2.0**e for e in frozen["dt_log2"]]
-        pol = min_q_many([Condition("pair_legendre_dt3", dt) for dt in dts], threads=4)
-        trig = min_q_many([Condition("pair_trig_tail_dt3", dt) for dt in dts], threads=4)
+        pol = min_q_many([Condition("pair_legendre_dt3", dt) for dt in dts])
+        trig = min_q_many([Condition("pair_trig_tail_dt3", dt) for dt in dts])
         ratios = [round(p / t, 2) for p, t in zip(pol, trig)]
         assert ratios == [1.67, 2.25, 2.43, 2.36, 2.41, 2.43, 2.45, 2.45]
 
@@ -281,10 +276,10 @@ class TestReferenceColumns:
         frozen = printed["q_tables"]["39"]
         dts = [float(d) for d in frozen["dt"]]
         assert (
-            min_q_many([Condition("pair_legendre_dt4", dt) for dt in dts], threads=4)
+            min_q_many([Condition("pair_legendre_dt4", dt) for dt in dts])
             == frozen["q"]
         )
         assert (
-            min_q_many([Condition("triple_legendre_dt4", dt) for dt in dts], threads=4)
+            min_q_many([Condition("triple_legendre_dt4", dt) for dt in dts])
             == frozen["q1"]
         )
