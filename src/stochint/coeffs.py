@@ -49,20 +49,20 @@ By orthogonality the outermost level is a lookup: with
 :math:`h = w_{l_k} F_{k-1} = \sum_n h_n P_n`,
 :math:`\bar C_{j_k \ldots j_1} = 2 h_{j_k} / (2 j_k + 1)`.
 
-One depth-first walk, ``_outer_series``, builds every prefix series and
-reuses the levels a prefix shares with the one before it.  ``bar_coeff``,
-``coeff_tensor`` (each prefix fills its :math:`j_k` fiber), the coefficient
-tables, the triple sum and the pair-series band table all read it.
-
-``trig_coeff`` is the analogous coefficient for the trigonometric basis,
-exact in :math:`\mathbb{Q}[1/\pi]`.  Each level's integrand is a sum of
-terms :math:`u^n \cos(2\pi f u)` and :math:`u^n \sin(2\pi f u)` with
-coefficients in :math:`\mathbb{Q}[1/\pi]`: a basis function multiplies by
-the product-to-sum rules (frequencies :math:`f \pm r`), a weight shifts
-:math:`n`, and :math:`\int_0^u` integrates by parts, each
-:math:`1/(2\pi f)` adding one power of :math:`1/\pi`.  Its :math:`\bar C`
-is :math:`(-1)^L 2^{L+k}` times the unit-interval integral and its norm is
-:math:`\sqrt2` per nonzero index, so it takes the same scaling law.
+One depth-first walk, ``_outer_series``, builds the prefix series in both
+bases and reuses the levels a prefix shares with the one before it.
+``bar_coeff``, ``coeff_tensor`` (each prefix fills its :math:`j_k` fiber),
+the coefficient tables, the triple sum and the pair-series band table read
+its Legendre rule above.  ``trig_coeff`` walks the whole index with the
+trigonometric rule, exact in :math:`\mathbb{Q}[1/\pi]`: a level is a dict
+from ``(f, s, n, p)`` to the rational coefficient of :math:`u^n \cos(2\pi f u)`
+(``s = 0``) or :math:`u^n \sin(2\pi f u)` (``s = 1``) times :math:`\pi^{-p}`.
+A basis function multiplies by the product-to-sum rules (frequencies
+:math:`f \pm r`), :math:`\int_0^u` integrates by parts, each
+:math:`1/(2\pi f)` adding one power of :math:`1/\pi`, and a weight shifts
+:math:`n`.  Its :math:`\bar C` is :math:`(-1)^L 2^{L+k}` times the value at
+:math:`u = 1`, and its norm is :math:`\sqrt2` per nonzero index, so it
+takes the same scaling law.
 
 ``scale_coeff`` is the one route from :math:`\bar C` to a float: it
 evaluates the scaling law above as
@@ -85,7 +85,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -244,21 +244,27 @@ def _integral(series: _Series) -> _Series:
     return _reduced(out, series.den * scale)
 
 
-def _outer_series(spec: KernelSpec, prefixes: Iterable[tuple[int, ...]]) -> Iterator:
+def _legendre_step(rows: Callable, h: _Series, j: int, l: int) -> _Series:
+    """The Legendre level rule of :func:`_outer_series`: ``P_j``, ``int_{-1}^x``, ``w_l``."""
+    return _times_weight(_integral(_times_legendre(h, j, rows)), l)
+
+
+def _outer_series(spec: KernelSpec, prefixes: Iterable, start=None, step=None) -> Iterator:
     """Yield ``(prefix, h)`` with ``h = w_{l_{r+1}} F_r`` for each prefix ``(j_1..j_r)``.
 
-    The one builder of prefix series.  Depth first: it keeps the levels a
-    prefix shares with the one before, so sorted prefixes build each level
-    once.  It holds one path and one product-row memo.
+    The one prefix walk of both bases: ``start`` is ``w_{l_1}`` and
+    ``step(h, j, l)`` the next level (``l = 0`` past the last), by default
+    the Legendre rule.  Depth first, so sorted prefixes build each level once.
     """
-    rows = _product_rows()
-    path = [((), _times_weight(_ONE, spec.weights[0]))]  # (prefix[:r], w_{l_{r+1}} F_r)
+    if step is None:
+        start, step = _times_weight(_ONE, spec.weights[0]), partial(_legendre_step, _product_rows())
+    weights = (*spec.weights, 0)
+    path = [((), start)]  # (prefix[:r], w_{l_{r+1}} F_r)
     for prefix in prefixes:
         while path[-1][0] != prefix[: len(path) - 1]:
             path.pop()
         for r in range(len(path), len(prefix) + 1):
-            series = _integral(_times_legendre(path[-1][1], prefix[r - 1], rows))
-            path.append((prefix[:r], _times_weight(series, spec.weights[r])))
+            path.append((prefix[:r], step(path[-1][1], prefix[r - 1], weights[r])))
         yield prefix, path[-1][1]
 
 
@@ -284,12 +290,8 @@ def _triple_square_sum(q: int) -> Fraction:
     One Parseval fiber per inner pair ``(a, b)``; the near-tie check of the
     triple order scan reads it.
     """
-    pairs = itertools.product(range(q + 1), repeat=2)
-    return sum(
-        ((2 * a + 1) * (2 * b + 1) * _fiber_square_sum(h, q)
-         for (a, b), h in _outer_series(KernelSpec.unweighted(3), pairs)),
-        Fraction(0),
-    )
+    walk = _outer_series(KernelSpec.unweighted(3), itertools.product(range(q + 1), repeat=2))
+    return sum(((2 * a + 1) * (2 * b + 1) * _fiber_square_sum(h, q) for (a, b), h in walk), _ZERO)
 
 
 def _central_ratios(n: int) -> np.ndarray:
@@ -440,7 +442,7 @@ def scaled_tensor(tensor: CoeffTensor, dt: float) -> ScaledTensor:
     return ScaledTensor(spec=tensor.spec, q=tensor.q, dt=dt, values=values)
 
 
-def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
+def coeff_tensor(spec: KernelSpec, q: int) -> CoeffTensor:
     r"""All exact coefficients :math:`\bar C` for ``j in {0..q}^k``.
 
     The walk over the inner indices builds each prefix series once and
@@ -449,9 +451,6 @@ def coeff_tensor(spec: KernelSpec, q: int, threads: int = 1) -> CoeffTensor:
     Args:
         spec: kernel description.
         q: truncation order (inclusive).
-        threads: accepted for compatibility and ignored; the exact
-            arithmetic holds the interpreter lock, so threads gave no
-            speed-up.
 
     Raises:
         TensorBudgetError: before any work, if the work exceeds
@@ -552,10 +551,7 @@ def _pair_bands(weights: tuple[int, int], q: int) -> _BandTable:
             )
             unit.flags.writeable = False  # shared by every caller through the cache
             bands.append(_Band(d, lo, rows, unit))
-    diagonal = bands[0]
-    trace = sum(
-        ((2 * a + 1) * c for a, c in enumerate(diagonal.exact[0], diagonal.start)), Fraction(0)
-    )
+    trace = sum(((2 * a + 1) * c for a, c in enumerate(bands[0].exact[0], bands[0].start)), _ZERO)
     needed = max(b.start + b.unit.shape[1] + b.offset for b in bands)
     return _BandTable(tuple(bands), trace / 2 ** (total + 2), needed)
 
@@ -564,12 +560,8 @@ def _pair_bands(weights: tuple[int, int], q: int) -> _BandTable:
 # Trigonometric coefficients, exact in Q[1/pi]
 # ---------------------------------------------------------------------------
 
-# A term is the key (f, s, n, p) of a dict holding its rational coefficient:
-# u**n * cos(2 pi f u) (s = 0) or u**n * sin(2 pi f u) (s = 1), times pi**-p.
-
-
-def _trig_times_basis(terms: dict, j: int, l: int) -> dict:
-    """Multiply by ``u**l`` and basis function ``j`` without its sqrt(2), product to sum."""
+def _trig_times_basis(terms: dict, j: int) -> dict:
+    """Multiply by basis function ``j`` without its sqrt(2), product to sum."""
     r, b = (j + 1) // 2, j % 2
     out = defaultdict(Fraction)
     for (f, s, n, p), c in terms.items():
@@ -578,7 +570,7 @@ def _trig_times_basis(terms: dict, j: int, l: int) -> dict:
             if g < 0:
                 g, sign = -g, -sign if kind else sign
             if g or not kind:
-                out[g, kind, n + l, p] += sign * c / 2
+                out[g, kind, n, p] += sign * c / 2
     return out
 
 
@@ -601,22 +593,32 @@ def _trig_integral(terms: dict) -> dict:
     return out
 
 
-def _trig_bar(spec: KernelSpec, j: tuple[int, ...]) -> tuple[Fraction, ...]:
-    r"""Exact trigonometric :math:`\bar C`; entry ``p`` multiplies :math:`\pi^{-p}`.
+def _trig_step(terms: dict, j: int, l: int) -> dict:
+    """The trigonometric level rule of :func:`_outer_series`: basis ``j``, ``int_0^u``, ``u**l``."""
+    terms = _trig_integral(_trig_times_basis(terms, j))
+    return {(f, s, n + l, p): c for (f, s, n, p), c in terms.items()} if l else terms
+
+
+def _trig_bars(spec: KernelSpec, cells: Iterable[tuple[int, ...]]) -> Iterator:
+    r"""Yield ``(j, bar)`` per cell: ``bar[p]`` multiplies :math:`\pi^{-p}` in :math:`\bar C_j`.
 
     The basis functions of :func:`trig_coeff` lose their :math:`\sqrt2`.  At
-    :math:`u = 1` only the cosine terms remain, as :math:`\sin(2\pi f) = 0`
-    and :math:`\cos(2\pi f) = 1`.
+    :math:`u = 1` only the cosine terms remain, as :math:`\sin 2\pi f = 0`.
     """
-    terms = {(0, 0, 0, 0): Fraction(1)}
-    for l, idx in zip(spec.weights, j):
-        terms = _trig_integral(_trig_times_basis(terms, idx, l))
-    at_one = defaultdict(Fraction)
-    for (_, s, _, p), c in terms.items():
-        if not s:
-            at_one[p] += c
     scale = (-2) ** spec.total_weight * 2**spec.k
-    return tuple(scale * at_one[p] for p in range(max(at_one, default=0) + 1))
+    start = {(0, 0, spec.weights[0], 0): Fraction(1)}
+    for j, terms in _outer_series(spec, cells, start, _trig_step):
+        at_one = defaultdict(Fraction)
+        for (_, s, _, p), c in terms.items():
+            if not s:
+                at_one[p] += c
+        yield j, tuple(scale * at_one[p] for p in range(max(at_one, default=0) + 1))
+
+
+def _trig_bar(spec: KernelSpec, j: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """:func:`_trig_bars` of the one cell ``j``."""
+    [(_, bar)] = _trig_bars(spec, [j])
+    return bar
 
 
 def trig_coeff(spec: KernelSpec, j: tuple[int, ...], dt: float) -> float:

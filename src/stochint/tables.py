@@ -180,10 +180,8 @@ Q_TABLES: dict[int, QTableSpec] = {
 }
 
 
-def compute_q_table(
-    number: int, dts: Sequence[float] | None = None, threads: int = 1
-) -> dict[str, list[int]]:
-    """Minimal-order columns of one truncation-order table; ``threads`` is ignored."""
+def compute_q_table(number: int, dts: Sequence[float] | None = None) -> dict[str, list[int]]:
+    """Minimal-order columns of one truncation-order table."""
     try:
         table = Q_TABLES[number]
     except KeyError:
@@ -199,11 +197,11 @@ def compute_q_table(
     return out
 
 
-def pol_over_trig_ratios(threads: int = 1) -> list[float]:
+def pol_over_trig_ratios() -> list[float]:
     """Per-interval ratio of polynomial to trigonometric truncation orders.
 
     Computed from the two comparable columns of the order table over
     dyadic interval lengths, rounded to two decimals.
     """
-    cols = compute_q_table(37, threads=threads)
+    cols = compute_q_table(37)
     return [round(p / t, 2) for p, t in zip(cols["pol"], cols["trig"])]

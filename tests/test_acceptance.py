@@ -92,7 +92,7 @@ def test_criterion_3_exact_error_constants(printed):
     start = time.perf_counter()
     mismatches = []
     for key, spec, q in cases:
-        tensor = scaled_tensor(coeff_tensor(spec, q, threads=4), 1.0)
+        tensor = scaled_tensor(coeff_tensor(spec, q), 1.0)
         value = exact_error(tensor, EqualityPattern.distinct(spec.k))
         text = printed["constants"][key]
         if not within_printed_unit(value, text):
@@ -110,7 +110,7 @@ def test_criterion_4_truncation_order_tables(printed):
     mismatches = []
     for number in (37, 39, 40):
         reference = printed["q_tables"][str(number)]
-        columns = compute_q_table(number, threads=4)
+        columns = compute_q_table(number)
         for name, values in columns.items():
             for i, (got, want) in enumerate(zip(values, reference[name])):
                 if got != want:
@@ -118,7 +118,7 @@ def test_criterion_4_truncation_order_tables(printed):
                         f"table {number} column {name} row {i}: "
                         f"computed {got}, reference {want}"
                     )
-    ratios = pol_over_trig_ratios(threads=4)
+    ratios = pol_over_trig_ratios()
     reference_ratios = printed["pol_over_trig_ratios"]
     assert len(ratios) == len(reference_ratios)
     for i, (value, text) in enumerate(zip(ratios, reference_ratios)):

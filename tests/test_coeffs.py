@@ -31,6 +31,8 @@ from stochint.coeffs import (
     _outer_series,
     _pair_bands,
     _trig_bar,
+    _trig_bars,
+    _trig_step,
     _triple_square_sum,
 )
 from stochint import coeffs as coeffs_module
@@ -38,6 +40,7 @@ from stochint.errors import kernel_norm
 from stochint.tables import compute_coeff_table
 
 import fraction_reference
+import trig_bar_reference
 import trig_quadrature_reference
 from monomial_reference import monomial_bar
 
@@ -302,13 +305,15 @@ class TestPrefixWalk:
     )
     def test_any_order_matches_one_prefix_walks(self, weights, data):
         spec = KernelSpec(len(weights), tuple(weights))
-        prefix = st.lists(st.integers(0, 4), max_size=spec.k - 1).map(tuple)
-        prefixes = data.draw(st.lists(prefix, max_size=12))
-        walked = list(_outer_series(spec, prefixes))
-        assert [p for p, _ in walked] == prefixes
-        for p, h in walked:
-            [(_, alone)] = _outer_series(spec, [p])
-            assert h == alone
+        trig = ({(0, 0, spec.weights[0], 0): Fraction(1)}, _trig_step)
+        for rule, longest in (((), spec.k - 1), (trig, spec.k)):
+            prefix = st.lists(st.integers(0, 4), max_size=longest).map(tuple)
+            prefixes = data.draw(st.lists(prefix, max_size=12))
+            walked = list(_outer_series(spec, prefixes, *rule))
+            assert [p for p, _ in walked] == prefixes
+            for p, h in walked:
+                [(_, alone)] = _outer_series(spec, [p], *rule)
+                assert h == alone
 
     def test_series_steps(self, monkeypatch):
         # A step is one integration: one level of one prefix series.
@@ -331,6 +336,36 @@ class TestPrefixWalk:
         _triple_square_sum(5)
         assert calls == 6 + 6**2
 
+    @pytest.mark.parametrize("k, n", [(1, 9), (2, 7), (3, 5), (4, 3)])
+    def test_trig_series_steps(self, k, n, monkeypatch):
+        # A dense trig grid builds each shared level once; the levelwise route builds k per cell.
+        calls = {coeffs_module: 0, trig_bar_reference: 0}
+        for module in calls:
+            integral = module._trig_integral
+
+            def counted(terms, module=module, integral=integral):
+                calls[module] += 1
+                return integral(terms)
+
+            monkeypatch.setattr(module, "_trig_integral", counted)
+        spec = KernelSpec.unweighted(k)
+        cells = list(itertools.product(range(n), repeat=k))
+        bars = [bar for _, bar in _trig_bars(spec, cells)]
+        assert calls[coeffs_module] == sum(n**r for r in range(1, k + 1))
+        assert bars == [trig_bar_reference.trig_bar_levelwise(spec, j) for j in cells]
+        assert calls[trig_bar_reference] == k * n**k
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_trig_bars_match_levelwise_reference(self, data):
+        k = data.draw(st.integers(1, 4))
+        spec = KernelSpec(k, tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))))
+        cell = st.lists(st.integers(0, 8), min_size=k, max_size=k).map(tuple)
+        cells = data.draw(st.lists(cell, min_size=1, max_size=6))
+        expected = [trig_bar_reference.trig_bar_levelwise(spec, j) for j in cells]
+        assert [bar for _, bar in _trig_bars(spec, cells)] == expected
+        assert [_trig_bar(spec, j) for j in cells] == expected
+
 
 class TestCoeffTensor:
     def test_entries_match_bar_coeff(self):
@@ -339,12 +374,6 @@ class TestCoeffTensor:
         assert tensor.q == 4
         for j in itertools.product(range(5), repeat=2):
             assert tensor.bar(j) == bar_coeff(spec, j)
-
-    def test_threads_match_serial(self):
-        spec = KernelSpec.unweighted(3)
-        serial = coeff_tensor(spec, 4, threads=1)
-        parallel = coeff_tensor(spec, 4, threads=4)
-        assert np.array_equal(serial.values, parallel.values)
 
     def test_determinism(self):
         spec = KernelSpec(2, (0, 1))

@@ -29,6 +29,7 @@ from stochint.errors import (
 from stochint.errors import _polygamma, _tail_sum_fourths, _tail_sum_squares
 from stochint.expansion import pair_series_tensor
 
+import trig_series_reference
 from monomial_reference import kernel_norm_simplex
 
 
@@ -137,7 +138,7 @@ class TestExactError:
             (KernelSpec.unweighted(5), 1, 0.007589521919879063),
         ]
         for spec, q, expected in cases:
-            tensor = scaled_tensor(coeff_tensor(spec, q, threads=4), 1.0)
+            tensor = scaled_tensor(coeff_tensor(spec, q), 1.0)
             value = exact_error(tensor, EqualityPattern.distinct(spec.k), q=q)
             assert value == pytest.approx(expected, rel=1e-7)
 
@@ -421,6 +422,9 @@ class TestPolygammaPort:
 class TestTrigSeriesAgainstExactCoefficients:
     """The pair and single trig series are ``I_k - sum C**2`` over ``{0..2q}**k``.
 
+    In floats against ``trig_coeff``, and exactly in Q[1/pi] through
+    ``trig_series_reference``.
+
     ``triple_trig`` and ``pair_trig_weighted`` keep other index sets (at
     ``q = 1`` the triple series reads 0.062884 and the full-grid sum 0.063205),
     so they are not tied to this sum.
@@ -438,3 +442,13 @@ class TestTrigSeriesAgainstExactCoefficients:
             for j in itertools.product(range(2 * q + 1), repeat=spec.k)
         )
         assert series_error(kind, q, 1.0) == pytest.approx(kernel_norm(spec, 1.0) - kept, rel=1e-14)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(trig_series_reference.SERIES))
+    def test_exact_form_is_the_exact_full_grid_tail(self, kind, q):
+        # One power of 1/pi at a time: both sides are tuples of rationals.
+        spec, exact_form = trig_series_reference.SERIES[kind]
+        form = exact_form(q)
+        assert form == trig_series_reference.full_grid_tail(spec, q)
+        value = math.fsum(float(c) / math.pi**p for p, c in enumerate(form))
+        assert series_error(kind, q, 1.0) == pytest.approx(value, rel=1e-14)

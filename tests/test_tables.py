@@ -140,12 +140,6 @@ class TestQTables:
         assert Q_TABLES[37].dts == tuple(2.0**e for e in range(-5, -13, -1))
         assert Q_TABLES[39].dts == Q_TABLES[40].dts
 
-    def test_threads_parity(self):
-        dts = Q_TABLES[39].dts[:2]
-        assert compute_q_table(39, dts=dts, threads=1) == compute_q_table(
-            39, dts=dts, threads=2
-        )
-
     def test_ratio_list_matches_columns(self):
         cols = compute_q_table(37)
         ratios = pol_over_trig_ratios()
