@@ -53,7 +53,6 @@ import os
 import re
 import stat
 import sys
-import uuid
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -298,7 +297,7 @@ def _read_entry(path: Path) -> tuple[str, str] | None:
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` beside ``path`` and rename it over ``path``; a failure leaves neither."""
     # A unique name opened like ``path`` would be, so the entry keeps the umask mode.
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)

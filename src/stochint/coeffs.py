@@ -396,9 +396,6 @@ class CoeffTensor:
         if self.values.shape != expected:
             raise ValueError(f"tensor shape {self.values.shape} != {expected}")
 
-    def bar(self, j: tuple[int, ...]) -> Fraction:
-        return self.values[tuple(j)]
-
     def float_values(self) -> np.ndarray:
         return self.values.astype(np.float64)
 

@@ -274,10 +274,12 @@ def _tail_sum_fourths(q: int) -> float:
 
 
 def _harmonic_prefixes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums ``H[m] = sum_{1..m} 1/i`` and ``H2[m] = sum 1/i^2``."""
+    """Prefix sums ``H[m] = sum_{1..m} 1/i`` and ``H2[m] = sum 1/i^2``,
+    summed into their arrays and squared in place: no array is copied."""
     inv = 1.0 / np.arange(1, n + 1)
-    h1 = np.concatenate(([0.0], np.cumsum(inv)))
-    h2 = np.concatenate(([0.0], np.cumsum(inv * inv)))
+    h1, h2 = np.zeros(n + 1), np.zeros(n + 1)
+    np.cumsum(inv, out=h1[1:])
+    np.cumsum(np.multiply(inv, inv, out=inv), out=h2[1:])
     return h1, h2
 
 
@@ -313,14 +315,16 @@ def _frequency_interaction_sums(q: int) -> tuple[float, float]:
         return 0.0, 0.0
     h1, h2 = _harmonic_prefixes(2 * q)
     l = np.arange(1, q + 1)
-    h1_diff = h1[q - l] - h1[q + l]
+    # h[q - l] and h[q + l] over l = 1..q, as views rather than gathered copies
+    below, above = slice(q - 1, None, -1), slice(q + 1, None)
+    h1_diff = h1[below] - h1[above]
     inner1 = (h1_diff + 1.5 / l) / (2.0 * l)
     s_b = float(np.sum(inner1 / l**2))
     inner2 = (
-        h2[l - 1]
-        + h2[q - l]
-        + h2[q + l]
-        - h2[l]
+        h2[:q]
+        + h2[below]
+        + h2[above]
+        - h2[1 : q + 1]
         - 1.0 / (4.0 * l**2)
         - h1_diff / l
         - 1.5 / l**2

@@ -30,15 +30,15 @@ The map runs in one pool of forked worker processes per process: the
 first validation that needs two or more workers forks it, later ones
 reuse it while the worker count is the same, and it is shut down as the
 process exits (or when the count changes, or a worker dies).  Nothing
-forks at import.  The parent adds the per-chunk sums in chunk order.
-That is the same sequence of float additions whatever the worker count,
-so a report is bit-identical for any number of workers.
+forks, and ``multiprocessing`` is not imported, until the first
+validation with two or more workers.  The parent adds the per-chunk sums
+in chunk order.  That is the same sequence of float additions whatever
+the worker count, so a report is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -450,11 +450,16 @@ def _drop_pool() -> None:
 
 
 def _fork_pool(workers: int):
-    """This process's pool of ``workers`` forked processes, made on first use and reused."""
+    """This process's pool of ``workers`` forked processes, made on first use and reused.
+
+    It imports ``multiprocessing`` and ``concurrent.futures`` when it first
+    runs, as :func:`_can_fork` does, so a process that never validates with
+    two or more workers loads neither.
+    """
     global _pool
     if _pool is None or (_pool.pid, _pool.workers) != (os.getpid(), workers):
         _drop_pool()
-        import multiprocessing.util  # with the executor, loaded on first use, not at import
+        import multiprocessing.util
         from concurrent.futures import ProcessPoolExecutor
 
         executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
@@ -465,21 +470,26 @@ def _fork_pool(workers: int):
     return _pool.executor
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork a pool: the platform has ``fork`` and
+    the process is not daemonic (a pool worker may not start processes)."""
+    import multiprocessing
+
+    daemonic = multiprocessing.current_process().daemon
+    return not daemonic and "fork" in multiprocessing.get_all_start_methods()
+
+
 def _chunk_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
     """``[fn(*task) for task in tasks]``, in task order.
 
     With more than one worker the tasks, ``fn`` included, are pickled to the
-    process's pool of forked workers (:func:`_fork_pool`).  One worker, a
-    platform without ``fork``, or a daemonic process (a pool worker, which
-    may not start processes of its own) maps in this process.  An exception
+    process's pool of forked workers (:func:`_fork_pool`).  One worker, or
+    a process that may not fork (:func:`_can_fork`), maps in this process;
+    one worker does so without importing ``multiprocessing``.  An exception
     in a worker is re-raised here and leaves the pool usable; a pool whose
     worker died is dropped, and the next call forks a new one.
     """
-    if (
-        workers == 1
-        or multiprocessing.current_process().daemon
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    if workers == 1 or not _can_fork():
         return [fn(*task) for task in tasks]
     from concurrent.futures.process import BrokenProcessPool
 

@@ -6,6 +6,7 @@ import io
 import json
 import hashlib
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from stochint.cli import (
     EXIT_VALIDATION,
     RunManifest,
     _parser,
+    _write_atomic,
     main,
 )
 from stochint.errors import SERIES_KINDS, TRIG_SERIES_CAP, series_error
@@ -737,6 +739,44 @@ class TestExport:
         with pytest.raises(OSError, match="disk full"):
             main(["export", "--k", "2", "--q", "3", "--output", str(tmp_path / "one.json")])
         assert list(cache.iterdir()) == []
+
+    def test_cache_writes_leave_only_the_entry(self, tmp_path, monkeypatch):
+        # One write, a write that fails before its rename, and two writes of
+        # one key in one process: the entry alone is left, never a *.tmp file.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        argv = ["export", "--k", "2", "--q", "3", "--output", str(tmp_path / "one.json")]
+        assert main(argv) == EXIT_OK
+        (entry,) = cache.iterdir()
+        assert entry.suffix == ".payload"
+        good_entry = entry.read_bytes()
+
+        entry.unlink()
+        real_replace = os.replace
+        temps = []
+
+        def failing_replace(src, dst):
+            temps.append(Path(src).name)
+            assert Path(src).read_bytes() == good_entry
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            main(argv)
+        assert list(cache.iterdir()) == []
+
+        def recording_replace(src, dst):
+            temps.append(Path(src).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        for _ in range(2):
+            _write_atomic(entry, good_entry.decode())
+            assert list(cache.iterdir()) == [entry]
+        assert entry.read_bytes() == good_entry
+        # a fresh name per write: the entry's name, 32 hex digits, ".tmp"
+        assert all(re.fullmatch(re.escape(entry.name) + r"\.[0-9a-f]{32}\.tmp", t) for t in temps)
+        assert len(set(temps)) == 3
 
     def test_cache_entry_follows_umask(self, capsys, tmp_path, monkeypatch):
         # Entries get the mode a plain write would give, so other users that

@@ -216,7 +216,7 @@ class TestScaling:
         tensor = _tensor(weights, q)
         values = scaled_tensor(tensor, dt).values
         for j in np.ndindex(*values.shape):
-            assert values[j] == scale_coeff(tensor.bar(j), tensor.spec, j, dt)
+            assert values[j] == scale_coeff(tensor.values[tuple(j)], tensor.spec, j, dt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,8 +249,8 @@ class TestSeriesRoute:
     def test_tensor_matches_monomial_route(self, weights, q):
         tensor = coeff_tensor(KernelSpec(len(weights), weights), q)
         for j in itertools.product(range(q + 1), repeat=len(weights)):
-            assert tensor.bar(j) == monomial_bar(weights, j)
-            assert type(tensor.bar(j)) is Fraction
+            assert tensor.values[tuple(j)] == monomial_bar(weights, j)
+            assert type(tensor.values[tuple(j)]) is Fraction
 
 
 @st.composite
@@ -373,7 +373,7 @@ class TestCoeffTensor:
         tensor = coeff_tensor(spec, 4)
         assert tensor.q == 4
         for j in itertools.product(range(5), repeat=2):
-            assert tensor.bar(j) == bar_coeff(spec, j)
+            assert tensor.values[tuple(j)] == bar_coeff(spec, j)
 
     def test_determinism(self):
         spec = KernelSpec(2, (0, 1))
@@ -404,7 +404,7 @@ class TestCoeffTensor:
         spec = KernelSpec.unweighted(2)
         tensor = coeff_tensor(spec, 5)
         floats = tensor.float_values()
-        assert floats[1, 0] == pytest.approx(float(tensor.bar((1, 0))), rel=1e-15)
+        assert floats[1, 0] == pytest.approx(float(tensor.values[1, 0]), rel=1e-15)
         st = scaled_tensor(tensor, 0.5)
         assert st.truncated(2).shape == (3, 3)
         assert st.truncated(5).shape == (6, 6)
@@ -524,7 +524,7 @@ class TestSerialization:
         assert len(doc["entries"]) == 9
         for entry in doc["entries"]:
             j = tuple(entry["j"])
-            expected = tensor.bar(j)
+            expected = tensor.values[j]
             assert Fraction(entry["num"], entry["den"]) == expected
             assert entry["float"] == pytest.approx(float(expected), rel=1e-15)
 
@@ -541,7 +541,7 @@ class TestSerialization:
         # The direct writers against json.dumps and csv.writer on the same
         # document, negative numerators included.
         tensor = coeff_tensor(KernelSpec(len(weights), weights), q)
-        cells = [(list(j), tensor.bar(j)) for j in np.ndindex(*tensor.values.shape)]
+        cells = [(list(j), tensor.values[tuple(j)]) for j in np.ndindex(*tensor.values.shape)]
         assert q == 0 or any(v < 0 for _, v in cells)
         doc = {
             "k": len(weights), "weights": list(weights), "q": q,
@@ -570,4 +570,4 @@ class TestSerialization:
         }
         for j, cell in cells.items():
             num, den = cell.split("/")
-            assert Fraction(int(num), int(den)) == tensor.bar(j)
+            assert Fraction(int(num), int(den)) == tensor.values[tuple(j)]

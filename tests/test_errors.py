@@ -29,6 +29,7 @@ from stochint.errors import (
 from stochint.errors import _polygamma, _tail_sum_fourths, _tail_sum_squares
 from stochint.expansion import pair_series_tensor
 
+import trig_interaction_reference
 import trig_series_reference
 from monomial_reference import kernel_norm_simplex
 
@@ -323,6 +324,19 @@ class TestClosedSeries:
             brute_c = sum(1.0 / (r * r - l * l) ** 2 for r, l in pairs)
             assert s_b == pytest.approx(brute_b, rel=1e-12, abs=1e-15)
             assert s_c == pytest.approx(brute_c, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 10, 99, 10**3, 10**4, 123_457, 10**6])
+    def test_interaction_sums_keep_their_bits(self, q):
+        # In-place prefixes and sliced reads against the copying route they replaced.
+        from stochint.errors import _frequency_interaction_sums, _harmonic_prefixes
+
+        for new, old in zip(_harmonic_prefixes(2 * q), trig_interaction_reference._harmonic_prefixes(2 * q)):
+            assert new.tobytes() == old.tobytes()
+        assert _frequency_interaction_sums(q) == trig_interaction_reference.frequency_interaction_sums(q)
+        for kind in ("triple_trig", "triple_trig_tail", "pair_trig_weighted"):
+            for dt in (1.0, 0.37):
+                reference = trig_interaction_reference.series_error_reference(kind, q, dt)
+                assert series_error(kind, q, dt) == reference
 
     def test_triple_trig_reconstruction_from_brute_sums(self):
         # Rebuild the triple error bracket from scratch using the brute

@@ -430,6 +430,28 @@ class TestWorkers:
         )
         assert proc.stdout.split() == ["0", "1", "False"]
 
+    def test_import_loads_no_pool_modules(self):
+        # Only a validation with two or more workers loads the pool's modules;
+        # this interpreter imports none of them before stochint does.
+        code = (
+            "import sys, stochint, stochint.cli\n"
+            "from stochint.oracle import SimConfig, validate_expansion\n"
+            "pool_modules = ('multiprocessing', 'concurrent.futures', 'uuid')\n"
+            "print(*[m in sys.modules for m in pool_modules])\n"
+            "cfg = SimConfig(steps=64, paths=1100, seed=2, dt=0.5)\n"
+            "serial = validate_expansion('pair_distinct', cfg, workers=1)\n"
+            "print(*[m in sys.modules for m in pool_modules])\n"
+            "pooled = validate_expansion('pair_distinct', cfg, workers=2)\n"
+            "import multiprocessing\n"
+            "print(len(multiprocessing.active_children()), pooled == serial)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stochint.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False False False", "False False False", "2 True"]
+
 
 class TestWholeChunkReference:
     """Sub-blocked chunks equal the whole-chunk route of ``oracle_reference``."""
