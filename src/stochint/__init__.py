@@ -23,12 +23,10 @@ from .coeffs import (
     trig_coeff,
 )
 from .errors import (
-    EqualityPattern,
-    ErrorReport,
+    IndexPattern,
     SERIES_KINDS,
     SeriesCapError,
     error_bound,
-    error_report,
     exact_error,
     kernel_norm,
     kernel_norm_exact,
@@ -36,7 +34,6 @@ from .errors import (
 )
 from .expansion import (
     DOUBLE_SERIES_WEIGHTS,
-    IndexPattern,
     NoiseDraws,
     diagonal_trace,
     draw_noise,
@@ -103,19 +100,16 @@ __all__ = [
     "tensor_to_json",
     "trig_coeff",
     # errors
-    "EqualityPattern",
-    "ErrorReport",
+    "IndexPattern",
     "SERIES_KINDS",
     "SeriesCapError",
     "error_bound",
-    "error_report",
     "exact_error",
     "kernel_norm",
     "kernel_norm_exact",
     "series_error",
     # expansions
     "DOUBLE_SERIES_WEIGHTS",
-    "IndexPattern",
     "NoiseDraws",
     "diagonal_trace",
     "draw_noise",

@@ -413,6 +413,7 @@ def scale_coeff(bar: Fraction, spec: KernelSpec, j: tuple[int, ...], dt: float) 
     The weight signs are already inside ``bar``.  This is the only place
     rationals become floats; :func:`scaled_tensor` is its vectorisation.
     """
+    j = _checked_index(spec, j)
     return _scale(float(bar), spec, math.prod(math.sqrt(2 * idx + 1) for idx in j), dt)
 
 
@@ -425,9 +426,12 @@ class ScaledTensor:
     dt: float
     values: np.ndarray = field(repr=False)
 
-    def truncated(self, q: int) -> np.ndarray:
-        if q > self.q:
-            raise ValueError(f"requested truncation {q} exceeds tensor order {self.q}")
+    def truncated(self, q: int | None = None) -> np.ndarray:
+        """The coefficients on ``{0..q}^k``; ``q`` defaults to the tensor's own order."""
+        if q is None:
+            q = self.q
+        if not 0 <= q <= self.q:
+            raise ValueError(f"truncation order {q} is outside 0..{self.q}")
         return self.values[(slice(0, q + 1),) * self.spec.k]
 
 

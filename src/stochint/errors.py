@@ -15,6 +15,9 @@ When all components are pairwise distinct :math:`G` is trivial and
 
 This module provides
 
+* :class:`IndexPattern` — the component labels :math:`(i_1, \dots, i_k)`,
+  which fix :math:`G`; the expansions of :mod:`stochint.expansion` take the
+  same pattern,
 * :func:`kernel_norm` — the exact simplex norm :math:`I_k`,
 * :func:`exact_error` — the permutation-sum error above, of a coefficient
   tensor or of a pair series' :func:`~stochint.expansion.pair_series_tensor`,
@@ -36,8 +39,7 @@ import numpy as np
 from .coeffs import KernelSpec, ScaledTensor, _check_interval, _dt_power
 
 __all__ = [
-    "EqualityPattern",
-    "ErrorReport",
+    "IndexPattern",
     "SERIES_KINDS",
     "SeriesCapError",
     "TRIG_SERIES_CAP",
@@ -46,7 +48,6 @@ __all__ = [
     "exact_error",
     "error_bound",
     "series_error",
-    "error_report",
 ]
 
 
@@ -76,131 +77,72 @@ def kernel_norm(spec: KernelSpec, dt: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Equality patterns and the permutation-sum error
+# Component patterns and the permutation-sum error
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class EqualityPattern:
-    """Partition of integration positions ``1..k`` by equal components.
+class IndexPattern:
+    """Wiener component labels ``(i_1, ..., i_k)``, innermost first."""
 
-    Positions in one group carry the same Wiener-process component; the
-    groups are disjoint and cover ``1..k``.
-    """
-
-    k: int
-    groups: tuple[tuple[int, ...], ...]
+    components: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen = [p for g in self.groups for p in g]
-        if sorted(seen) != list(range(1, self.k + 1)):
-            raise ValueError(f"groups {self.groups} are not a partition of 1..{self.k}")
-        object.__setattr__(
-            self,
-            "groups",
-            tuple(tuple(sorted(g)) for g in sorted(self.groups, key=min)),
-        )
+        if not self.components:
+            raise ValueError("at least one component required")
+        if any(c < 1 for c in self.components):
+            raise ValueError("component labels are 1-based")
+        object.__setattr__(self, "components", tuple(self.components))
 
-    @classmethod
-    def distinct(cls, k: int) -> "EqualityPattern":
-        return cls(k, tuple((p,) for p in range(1, k + 1)))
-
-    @classmethod
-    def all_equal(cls, k: int) -> "EqualityPattern":
-        return cls(k, (tuple(range(1, k + 1)),))
-
-    @classmethod
-    def from_components(cls, components) -> "EqualityPattern":
-        """Build the pattern from a concrete component tuple like ``(1, 2, 1)``."""
-        components = tuple(components)
-        buckets: dict[object, list[int]] = {}
-        for pos, c in enumerate(components, start=1):
-            buckets.setdefault(c, []).append(pos)
-        return cls(len(components), tuple(tuple(v) for v in buckets.values()))
-
-    def position_permutations(self) -> tuple[tuple[int, ...], ...]:
-        """All position maps that permute only within equality groups.
-
-        Each returned tuple ``sigma`` sends position ``r`` to
-        ``sigma[r - 1]``.
-        """
-        per_group = [itertools.permutations(g) for g in self.groups]
-        perms = []
-        for combo in itertools.product(*per_group):
-            sigma = [0] * self.k
-            for group, image in zip(self.groups, combo):
-                for src, dst in zip(group, image):
-                    sigma[src - 1] = dst
-            perms.append(tuple(sigma))
-        return tuple(perms)
+    @property
+    def k(self) -> int:
+        return len(self.components)
 
 
-def _truncated(tensor: ScaledTensor, q: int | None) -> tuple[np.ndarray, int]:
-    if q is None:
-        q = tensor.q
-    return tensor.truncated(q), q
+def _position_permutations(components: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The group ``G`` as ``np.transpose`` axis orders: each permutes only axes of equal components.
+
+    The axes of one component form a group, groups in order of first axis;
+    the orders run over the product of the groups' permutations, so
+    :func:`exact_error` adds its transposes in one fixed order.
+    """
+    groups: dict[int, list[int]] = {}
+    for axis, c in enumerate(components):
+        groups.setdefault(c, []).append(axis)
+    sources = [axis for group in groups.values() for axis in group]
+    return tuple(
+        tuple(dst for _, dst in sorted(zip(sources, itertools.chain(*images))))
+        for images in itertools.product(*map(itertools.permutations, groups.values()))
+    )
 
 
-def exact_error(
-    tensor: ScaledTensor,
-    pattern: EqualityPattern,
-    q: int | None = None,
-) -> float:
+def exact_error(tensor: ScaledTensor, pattern: IndexPattern, q: int | None = None) -> float:
     r"""Exact mean-square error of the truncated expansion.
 
     Args:
         tensor: interval-scaled coefficients.
-        pattern: equality pattern of the Wiener components.
+        pattern: Wiener components of the integral; only which are equal matters.
         q: truncation order; defaults to the tensor's own order.
 
     Returns:
         ``I_k - sum_j C_j * sum_{sigma in G} C_{sigma(j)}`` with ``G`` the
-        within-group position permutations of ``pattern``.
+        permutations of positions that carry equal components.
     """
     if pattern.k != tensor.spec.k:
         raise ValueError("pattern multiplicity does not match tensor")
-    values, q = _truncated(tensor, q)
+    values = tensor.truncated(q)
     mirror = np.zeros_like(values)
-    for sigma in pattern.position_permutations():
-        mirror = mirror + np.transpose(values, axes=[s - 1 for s in sigma])
+    for axes in _position_permutations(pattern.components):
+        mirror = mirror + np.transpose(values, axes=axes)
     correlation = float(np.sum(values * mirror))
     return kernel_norm(tensor.spec, tensor.dt) - correlation
 
 
 def error_bound(tensor: ScaledTensor, q: int | None = None) -> float:
     r"""Upper bound :math:`k!\,(I_k - \sum_j C_j^2)` valid for any pattern."""
-    values, q = _truncated(tensor, q)
+    values = tensor.truncated(q)
     tail = kernel_norm(tensor.spec, tensor.dt) - float(np.sum(values * values))
     return math.factorial(tensor.spec.k) * tail
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Exact error, its factorial bound, and optional closed-form value."""
-
-    exact: float
-    bound: float
-    series: float | None
-    kernel_norm: float
-
-
-def error_report(
-    tensor: ScaledTensor,
-    pattern: EqualityPattern,
-    q: int | None = None,
-    series_kind: str | None = None,
-) -> ErrorReport:
-    """Bundle :func:`exact_error`, :func:`error_bound`, :func:`series_error`."""
-    _, q = _truncated(tensor, q)
-    series = None
-    if series_kind is not None:
-        series = series_error(series_kind, q, tensor.dt)
-    return ErrorReport(
-        exact=exact_error(tensor, pattern, q),
-        bound=error_bound(tensor, q),
-        series=series,
-        kernel_norm=kernel_norm(tensor.spec, tensor.dt),
-    )
 
 
 # ---------------------------------------------------------------------------

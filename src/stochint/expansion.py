@@ -32,10 +32,10 @@ from .coeffs import (
     DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _check_interval, _dt_power,
     bar_coeff, scale_coeff,
 )
-from .errors import EqualityPattern, _tail_sum_fourths, _tail_sum_squares
+from .errors import IndexPattern, _tail_sum_fourths, _tail_sum_squares
 
 __all__ = [
-    "IndexPattern",
+    "IndexPattern",  # defined in stochint.errors, which reads it too
     "NoiseDraws",
     "DOUBLE_SERIES_WEIGHTS",
     "draw_noise",
@@ -49,27 +49,6 @@ __all__ = [
     "ito_strat_convert",
     "trig_milstein",
 ]
-
-@dataclass(frozen=True)
-class IndexPattern:
-    """Wiener component labels ``(i_1, ..., i_k)``, innermost first."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("at least one component required")
-        if any(c < 1 for c in self.components):
-            raise ValueError("component labels are 1-based")
-        object.__setattr__(self, "components", tuple(self.components))
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def equality_groups(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical partition of positions ``1..k`` by equal components."""
-        return EqualityPattern.from_components(self.components).groups
 
 
 @dataclass(frozen=True)
@@ -201,8 +180,9 @@ def _tensor_expansion(
     """A float for one draw, an array over the batch axis of batched draws."""
     if tensor.spec.k != pattern.k:
         raise ValueError("tensor multiplicity does not match index pattern")
+    values = tensor.truncated(q)  # checks q before any draw is read
     rows = [draws.row(c, q + 1)[..., : q + 1] for c in pattern.components]
-    value = _expansion_core(tensor.truncated(q), pattern.components, rows, corrections)
+    value = _expansion_core(values, pattern.components, rows, corrections)
     return value if np.ndim(value) else float(value)
 
 

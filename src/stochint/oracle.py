@@ -515,10 +515,11 @@ def validate_expansion(
         OracleBudgetError: the run could draw more than :data:`NORMALS_BUDGET`
             normals; nothing is drawn.
         ValueError: unknown case, a calculus other than Ito, odd step count,
-            an interval too small for finite basis functions, fewer than
-            one worker, a mean-square error or standard error
-            that is not finite (the integrals overflow at ``cfg.dt``), or a
-            standard error of zero at the grid that ends the run.
+            a negative ``max_doublings``, an interval too small for finite
+            basis functions, fewer than one worker, a mean-square error or
+            standard error that is not finite (the integrals overflow at
+            ``cfg.dt``), or a standard error of zero at the grid that ends
+            the run.
     """
     try:
         case = VALIDATION_CASES[case_name]
@@ -530,6 +531,8 @@ def validate_expansion(
         raise ValueError(f"validation checks Ito expansions only, not calculus={cfg.calculus!r}")
     if cfg.steps % 2:
         raise ValueError("step count must be even for the half-grid bias check")
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be nonnegative, not {max_doublings}")
     if not math.isfinite(math.sqrt((2 * case.jmax + 1) / cfg.dt)):
         raise ValueError(f"interval length dt={cfg.dt!r} is too small: sqrt((2j+1)/dt) is inf")
     normals = cfg.paths * max(case.components) * cfg.steps * (2 ** (max_doublings + 1) - 1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from stochint.basis import RatPoly, definite_integral, legendre_poly, product_expand
 from stochint.coeffs import KernelSpec, bar_coeff, coeff_tensor, scaled_tensor
-from stochint.errors import EqualityPattern, exact_error, kernel_norm, series_error
+from stochint.errors import exact_error, kernel_norm, series_error
 from stochint.expansion import (
     IndexPattern,
     NoiseDraws,
@@ -93,7 +93,7 @@ def test_criterion_3_exact_error_constants(printed):
     mismatches = []
     for key, spec, q in cases:
         tensor = scaled_tensor(coeff_tensor(spec, q), 1.0)
-        value = exact_error(tensor, EqualityPattern.distinct(spec.k))
+        value = exact_error(tensor, IndexPattern(tuple(range(1, spec.k + 1))))
         text = printed["constants"][key]
         if not within_printed_unit(value, text):
             mismatches.append(f"{key}: computed {value!r}, reference {text}")
@@ -222,7 +222,7 @@ def test_criterion_7_property_suites():
     # Parseval monotonicity and exact-error monotonicity in q.
     spec = KernelSpec.unweighted(2)
     tensor = scaled_tensor(coeff_tensor(spec, 12), 1.0)
-    pattern = EqualityPattern.distinct(2)
+    pattern = IndexPattern((1, 2))
     norm = kernel_norm(spec, 1.0)
     masses = [float(np.sum(tensor.truncated(q) ** 2)) for q in range(13)]
     errors = [exact_error(tensor, pattern, q) for q in range(13)]

@@ -196,6 +196,15 @@ class TestScaling:
         with pytest.raises(ValueError):
             kernel_norm(spec, dt)
 
+    def test_rejects_bad_index(self):
+        # A short index once scaled as if the missing entries were absent (0.433...).
+        spec = KernelSpec.unweighted(2)
+        for j in ((1,), (0, 0, 0)):
+            with pytest.raises(ValueError, match="multi-index length"):
+                scale_coeff(Fraction(1), spec, j, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            scale_coeff(Fraction(1), spec, (0, -1), 1.0)
+
     def test_scaling_is_power_law_in_dt(self):
         spec = KernelSpec(2, (1, 0))
         bar = bar_coeff(spec, (2, 1))
@@ -410,6 +419,10 @@ class TestCoeffTensor:
         assert st.truncated(5).shape == (6, 6)
         with pytest.raises(ValueError):
             st.truncated(6)
+        for q in (-1, -2):  # not read from the end
+            with pytest.raises(ValueError, match=f"truncation order {q} is outside 0..5"):
+                st.truncated(q)
+        assert np.array_equal(st.truncated(), st.values)  # the tensor's own order
 
     def test_parseval_partial_sums(self):
         # Retained squared mass grows with q and never exceeds the

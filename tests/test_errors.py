@@ -13,22 +13,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochint.coeffs import KernelSpec, coeff_tensor, scaled_tensor, trig_coeff
+from stochint.coeffs import (
+    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, coeff_tensor, scaled_tensor, trig_coeff,
+)
 from stochint.errors import (
     SERIES_KINDS,
     TRIG_SERIES_CAP,
-    EqualityPattern,
+    IndexPattern,
     SeriesCapError,
     error_bound,
-    error_report,
     exact_error,
     kernel_norm,
     kernel_norm_exact,
     series_error,
 )
-from stochint.errors import _polygamma, _tail_sum_fourths, _tail_sum_squares
+from stochint.errors import _polygamma, _position_permutations, _tail_sum_fourths, _tail_sum_squares
 from stochint.expansion import pair_series_tensor
 
+import error_pattern_reference
 import trig_interaction_reference
 import trig_series_reference
 from monomial_reference import kernel_norm_simplex
@@ -69,38 +71,67 @@ class TestKernelNorm:
         assert kernel_norm(spec, dt) == pytest.approx(dt**4 / 12.0, rel=1e-15)
 
 
-class TestEqualityPattern:
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            EqualityPattern(3, ((1, 2),))
-        with pytest.raises(ValueError):
-            EqualityPattern(2, ((1, 1), (2,)))
+def _set_partitions(k: int):
+    """Component labels of every partition of ``k`` positions, labelled by first position."""
+    if k == 1:
+        yield (1,)
+        return
+    for head in _set_partitions(k - 1):
+        for label in range(1, max(head) + 2):
+            yield head + (label,)
 
-    def test_constructors(self):
-        assert EqualityPattern.distinct(3).groups == ((1,), (2,), (3,))
-        assert EqualityPattern.all_equal(3).groups == ((1, 2, 3),)
-        assert EqualityPattern.from_components((1, 2, 1)).groups == ((1, 3), (2,))
+
+class TestEqualityPattern:
+    """The group ``G`` that :func:`exact_error` reads from an index pattern's labels."""
 
     def test_position_permutations_count(self):
         # Product of factorials of the group sizes.
-        assert len(EqualityPattern.distinct(3).position_permutations()) == 1
-        assert len(EqualityPattern.all_equal(3).position_permutations()) == 6
-        assert len(EqualityPattern.from_components((1, 1, 2)).position_permutations()) == 2
+        assert len(_position_permutations((1, 2, 3))) == 1
+        assert len(_position_permutations((1, 1, 1))) == 6
+        assert len(_position_permutations((1, 1, 2))) == 2
+        assert len(_position_permutations((3, 1, 3, 3, 1))) == 12
 
     def test_permutations_fix_groups(self):
-        pattern = EqualityPattern.from_components((1, 2, 1, 2))
-        for sigma in pattern.position_permutations():
-            assert sorted(sigma) == [1, 2, 3, 4]
-            # Positions 1,3 may swap with each other only; same for 2,4.
-            assert {sigma[0], sigma[2]} == {1, 3}
-            assert {sigma[1], sigma[3]} == {2, 4}
+        perms = _position_permutations((1, 2, 1, 2))
+        assert len(set(perms)) == 4
+        for axes in perms:
+            assert sorted(axes) == [0, 1, 2, 3]
+            # Axes 0,2 may swap with each other only; same for 1,3.
+            assert {axes[0], axes[2]} == {0, 2}
+            assert {axes[1], axes[3]} == {1, 3}
+
+    def test_labels_matter_only_through_equality(self):
+        assert _position_permutations((7, 2, 7)) == _position_permutations((1, 2, 1))
+        assert _position_permutations((2, 1, 2, 1)) == _position_permutations((1, 2, 1, 2))
+
+    def test_all_set_partitions(self):
+        assert [len(list(_set_partitions(k))) for k in range(1, 6)] == [1, 2, 5, 15, 52]
+
+    @pytest.mark.parametrize("k, q", [(1, 9), (2, 7), (3, 5), (4, 4), (5, 3)])
+    def test_exact_error_keeps_its_bits(self, k, q):
+        # Against the former EqualityPattern route, for every partition and every order.
+        rng = np.random.default_rng(k)
+        spec = KernelSpec.unweighted(k)
+        tensors = [
+            scaled_tensor(coeff_tensor(spec, q), 0.37),
+            scaled_tensor(coeff_tensor(KernelSpec(k, (1,) + (0,) * (k - 1)), q), 1.0),
+            ScaledTensor(spec, q, 0.5, rng.standard_normal((q + 1,) * k)),
+        ]
+        if k == 2:
+            tensors += [pair_series_tensor(w, 2, 0.37) for w in DOUBLE_SERIES_WEIGHTS]
+        for components in _set_partitions(k):
+            old = error_pattern_reference.EqualityPattern.from_components(components)
+            for tensor in tensors:
+                for order in [None, *range(tensor.q + 1)]:
+                    new = exact_error(tensor, IndexPattern(components), order)
+                    assert new == error_pattern_reference.exact_error(tensor, old, order)
 
 
 class TestExactError:
     def test_pair_distinct_matches_closed_series(self):
         dt = 0.5
         tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 50), dt)
-        pattern = EqualityPattern.distinct(2)
+        pattern = IndexPattern((1, 2))
         for q in (0, 1, 2, 5, 10, 25, 50):
             exact = exact_error(tensor, pattern, q=q)
             closed = series_error("pair_legendre", q, dt)
@@ -111,8 +142,8 @@ class TestExactError:
         dt = 0.5
         for q in (1, 2, 5, 9):
             tensor = pair_series_tensor((1, 0), q, dt)
-            distinct = exact_error(tensor, EqualityPattern.distinct(2))
-            equal = exact_error(tensor, EqualityPattern.all_equal(2))
+            distinct = exact_error(tensor, IndexPattern((1, 2)))
+            equal = exact_error(tensor, IndexPattern((1, 1)))
             assert distinct == pytest.approx(
                 series_error("pair_legendre_weighted", q, dt), rel=1e-11
             )
@@ -122,7 +153,7 @@ class TestExactError:
 
     def test_monotone_in_q(self):
         tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(3), 8), 0.5)
-        pattern = EqualityPattern.distinct(3)
+        pattern = IndexPattern((1, 2, 3))
         errors = [exact_error(tensor, pattern, q=q) for q in range(9)]
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert all(e > 0 for e in errors)
@@ -140,13 +171,22 @@ class TestExactError:
         ]
         for spec, q, expected in cases:
             tensor = scaled_tensor(coeff_tensor(spec, q), 1.0)
-            value = exact_error(tensor, EqualityPattern.distinct(spec.k), q=q)
+            value = exact_error(tensor, IndexPattern(tuple(range(1, spec.k + 1))), q=q)
             assert value == pytest.approx(expected, rel=1e-7)
 
     def test_pattern_multiplicity_checked(self):
         tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 2), 0.5)
         with pytest.raises(ValueError):
-            exact_error(tensor, EqualityPattern.distinct(3))
+            exact_error(tensor, IndexPattern((1, 2, 3)))
+
+    @pytest.mark.parametrize("q", [-1, -2, 5])
+    def test_order_outside_the_tensor_is_rejected(self, q):
+        # A negative order once sliced from the end: q = -2 read order 3 of this tensor.
+        tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 4), 0.5)
+        with pytest.raises(ValueError, match=f"truncation order {q} is outside 0..4"):
+            exact_error(tensor, IndexPattern((1, 2)), q=q)
+        with pytest.raises(ValueError, match=f"truncation order {q} is outside 0..4"):
+            error_bound(tensor, q=q)
 
 
 class TestErrorBound:
@@ -158,7 +198,7 @@ class TestErrorBound:
             (KernelSpec.unweighted(3), (1, 1, 1)),
         ]:
             tensor = scaled_tensor(coeff_tensor(spec, 6), dt)
-            pattern = EqualityPattern.from_components(comps)
+            pattern = IndexPattern(comps)
             for q in range(7):
                 assert error_bound(tensor, q=q) >= exact_error(
                     tensor, pattern, q=q
@@ -170,16 +210,6 @@ class TestErrorBound:
         values = tensor.truncated(4)
         tail = kernel_norm(tensor.spec, dt) - float(np.sum(values * values))
         assert error_bound(tensor, q=4) == pytest.approx(6.0 * tail, rel=1e-14)
-
-    def test_report_bundles_routes(self):
-        dt = 0.5
-        tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 4), dt)
-        report = error_report(
-            tensor, EqualityPattern.distinct(2), q=4, series_kind="pair_legendre"
-        )
-        assert report.exact == pytest.approx(report.series, rel=1e-12)
-        assert report.bound >= report.exact
-        assert report.kernel_norm == pytest.approx(dt * dt / 2.0, rel=1e-15)
 
 
 class TestClosedSeries:
@@ -439,9 +469,11 @@ class TestTrigSeriesAgainstExactCoefficients:
     In floats against ``trig_coeff``, and exactly in Q[1/pi] through
     ``trig_series_reference``.
 
-    ``triple_trig`` and ``pair_trig_weighted`` keep other index sets (at
-    ``q = 1`` the triple series reads 0.062884 and the full-grid sum 0.063205),
-    so they are not tied to this sum.
+    ``triple_trig`` is pinned exactly too: its pi**0 and pi**-2 parts are the
+    full-grid tail's, and its pi**-4 part is lower by a known rational, so
+    the series lies below the full grid's Parseval floor (at ``q = 1`` it
+    reads 0.062884 and the full-grid tail 0.063205).  ``triple_trig_tail``
+    and ``pair_trig_weighted`` are not tied to this sum yet.
     """
 
     @pytest.mark.parametrize("q", [1, 2, 3])
@@ -466,3 +498,15 @@ class TestTrigSeriesAgainstExactCoefficients:
         assert form == trig_series_reference.full_grid_tail(spec, q)
         value = math.fsum(float(c) / math.pi**p for p, c in enumerate(form))
         assert series_error(kind, q, 1.0) == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "q, gap", [(1, Fraction(1, 32)), (2, Fraction(89, 4608)), (3, Fraction(13297, 1036800))]
+    )
+    def test_triple_trig_exact_form(self, q, gap):
+        form = trig_series_reference.triple_trig(q)
+        tail = trig_series_reference.full_grid_tail(KernelSpec.unweighted(3), q)
+        assert len(form) == len(tail) == 5
+        assert form[:4] == tail[:4] and form[1] == form[3] == 0  # pi**0 to pi**-3; odd powers zero
+        assert tail[4] - form[4] == gap
+        value = math.fsum(float(c) / math.pi**p for p, c in enumerate(form))
+        assert series_error("triple_trig", q, 1.0) == pytest.approx(value, rel=1e-14)

@@ -94,10 +94,6 @@ class TestNoiseDraws:
         assert abs(zeta.mean()) < 4.0 / math.sqrt(n)
         assert abs(zeta.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
 
-    def test_equality_groups(self):
-        assert IndexPattern((1, 2, 1)).equality_groups() == ((1, 3), (2,))
-        assert IndexPattern((2, 2)).equality_groups() == ((1, 2),)
-
 
 class TestClosedSingles:
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
@@ -239,6 +235,15 @@ class TestTensorExpansions:
         draws = draw_noise(q_max=6, m=2, seed=1)
         with pytest.raises(ValueError):
             ito_expansion(tensor, IndexPattern((1, 2)), draws, 4)
+
+    @pytest.mark.parametrize("q", [-1, -2])
+    @pytest.mark.parametrize("expansion", [ito_expansion, strat_expansion])
+    def test_negative_order_rejected(self, expansion, q):
+        # A negative order once sliced from the end: q = -2 read order 2 of this tensor.
+        tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 3), DT)
+        draws = draw_noise(q_max=6, m=2, seed=1)
+        with pytest.raises(ValueError, match=f"truncation order {q} is outside 0..3"):
+            expansion(tensor, IndexPattern((1, 2)), draws, q)
 
     @pytest.mark.parametrize(
         "weights,components",

@@ -252,6 +252,17 @@ class TestValidateExpansion:
         with pytest.raises(ValueError, match="Ito"):
             validate_expansion("pair_distinct", cfg, workers=1)
 
+    @pytest.mark.parametrize("max_doublings", [-1, -5])
+    def test_negative_doublings_rejected_before_drawing(self, monkeypatch, max_doublings):
+        # -1 once ran no grid and then raised UnboundLocalError on the unset bias.
+        def no_draw(*args):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(oracle, "_chunk_stream", no_draw)
+        cfg = SimConfig(steps=8, paths=10, seed=0, dt=DT)
+        with pytest.raises(ValueError, match="max_doublings must be nonnegative"):
+            validate_expansion("pair_distinct", cfg, max_doublings=max_doublings, workers=1)
+
     def test_small_deterministic_run(self):
         cfg = SimConfig(steps=256, paths=4000, seed=7, dt=DT)
         report = validate_expansion("pair_distinct", cfg)

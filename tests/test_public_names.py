@@ -1,0 +1,60 @@
+"""Every public name resolves, and the benchmark's span tracer installs on this tree.
+
+``perfbench/tracer.py``'s ``install`` calls ``getattr`` on each name in the
+``__all__`` of every stochint layer and wraps the functions it finds.  A
+name that is listed but gone would break every traced benchmark run, so
+this test resolves the names and installs the tracer in a fresh
+interpreter.  It reads ``perfbench/tracer.py`` and writes nothing under
+``perfbench/`` (``-B``: no bytecode).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import stochint
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+CODE = """
+import importlib, importlib.util, json, sys
+import stochint
+
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+missing = [name for name in stochint.__all__ if not hasattr(stochint, name)]
+for layer in tracer.LAYERS:
+    module = importlib.import_module(f"stochint.{layer}")
+    missing += [f"{layer}.{name}" for name in module.__all__ if not hasattr(module, name)]
+spans = tracer.Tracer()
+originals = tracer.install(spans)
+stochint.errors.series_error("pair_legendre", 2, 1.0)
+print(json.dumps({
+    "missing": missing,
+    "layers": sorted(tracer.LAYERS),
+    "wrapped": sorted(originals),
+    "calls": spans.calls["errors.series_error"],
+}))
+"""
+
+
+def test_public_names_resolve_and_tracer_installs():
+    env = dict(os.environ, PYTHONPATH=str(Path(stochint.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", CODE, str(TRACER)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["missing"] == []
+    modules = {p.stem for p in Path(stochint.__file__).parent.glob("*.py")} - {"__init__"}
+    assert result["layers"] == sorted(modules)
+    assert {"errors.exact_error", "expansion.ito_expansion", "oracle.validate_expansion"} <= set(
+        result["wrapped"]
+    )
+    assert result["calls"] == 1

@@ -19,6 +19,13 @@ Pinned so far: ``pair_trig`` (unweighted pair,
 and ``single_trig_weighted`` (single integral with weight ``(t-s)``,
 :math:`\tfrac{1}{2\pi^2}\sum_{n>q} 1/n^2 = \tfrac1{12} - H_2(q)/(2\pi^2)`):
 each is the full-grid tail of its kernel.
+
+:func:`triple_trig` is the exact form of the unweighted triple series,
+:math:`\tfrac5{36} - \tfrac{H_2}{2\pi^2} - \tfrac{79}{32}\tfrac{H_4}{\pi^4}
+- \tfrac{d}{4\pi^4}` with :math:`d = 5(H_2^2 - H_4) - S_b + 6 S_c` and the
+interaction sums :math:`S_b, S_c` of :func:`interaction_sums`.  It is not
+in :data:`SERIES`: its :math:`\pi^0` and :math:`\pi^{-2}` parts are the
+full-grid tail's, but its :math:`\pi^{-4}` part lies below it.
 """
 
 from __future__ import annotations
@@ -38,9 +45,18 @@ def _trimmed(coeffs) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def harmonic2(q: int) -> Fraction:
-    """``H2(q) = sum(1/n**2 for n in 1..q)``."""
-    return sum((Fraction(1, n * n) for n in range(1, q + 1)), Fraction(0))
+def harmonic(q: int, p: int) -> Fraction:
+    """``H_p(q) = sum(1/n**p for n in 1..q)``."""
+    return sum((Fraction(1, n**p) for n in range(1, q + 1)), Fraction(0))
+
+
+def interaction_sums(q: int) -> tuple[Fraction, Fraction]:
+    """``(S_b, S_c)``: the sums of ``1/(l²(r² − l²))`` and ``1/(r² − l²)²`` over
+    ``1 <= r, l <= q``, ``r != l``, term by term."""
+    pairs = [(r, l) for r in range(1, q + 1) for l in range(1, q + 1) if r != l]
+    s_b = sum((Fraction(1, l * l * (r * r - l * l)) for r, l in pairs), Fraction(0))
+    s_c = sum((Fraction(1, (r * r - l * l) ** 2) for r, l in pairs), Fraction(0))
+    return s_b, s_c
 
 
 def full_grid_tail(spec: KernelSpec, q: int) -> tuple[Fraction, ...]:
@@ -60,11 +76,19 @@ def full_grid_tail(spec: KernelSpec, q: int) -> tuple[Fraction, ...]:
 
 
 def pair_trig(q: int) -> tuple[Fraction, ...]:
-    return _trimmed((Fraction(1, 4), Fraction(0), -Fraction(3, 2) * harmonic2(q)))
+    return _trimmed((Fraction(1, 4), Fraction(0), -Fraction(3, 2) * harmonic(q, 2)))
 
 
 def single_trig_weighted(q: int) -> tuple[Fraction, ...]:
-    return _trimmed((Fraction(1, 12), Fraction(0), -harmonic2(q) / 2))
+    return _trimmed((Fraction(1, 12), Fraction(0), -harmonic(q, 2) / 2))
+
+
+def triple_trig(q: int) -> tuple[Fraction, ...]:
+    h2, h4 = harmonic(q, 2), harmonic(q, 4)
+    s_b, s_c = interaction_sums(q)
+    d = 5 * (h2 * h2 - h4) - s_b + 6 * s_c
+    pi4 = -Fraction(79, 32) * h4 - d / 4
+    return _trimmed((Fraction(5, 36), Fraction(0), -h2 / 2, Fraction(0), pi4))
 
 
 #: Series kind of ``series_error`` -> (its kernel, its exact form at ``dt = 1``).
