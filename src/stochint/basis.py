@@ -33,17 +33,12 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 __all__ = [
-    "Rational",
     "RatPoly",
     "legendre_poly",
     "product_expand",
     "antiderivative",
     "definite_integral",
 ]
-
-# Exact rational scalar used throughout: arbitrary-precision numerator,
-# positive denominator, always in lowest terms.
-Rational = Fraction
 
 
 def _as_rational(value: int | Fraction) -> Fraction:

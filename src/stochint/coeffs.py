@@ -379,6 +379,13 @@ def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
     return _outer_coeffs(h, j[-1:])[0]
 
 
+def _check_shape(tensor) -> None:
+    """Refuse ``values`` whose shape is not ``(q+1,)*k``."""
+    expected = (tensor.q + 1,) * tensor.spec.k
+    if tensor.values.shape != expected:
+        raise ValueError(f"tensor shape {tensor.values.shape} != {expected}")
+
+
 @dataclass(frozen=True, eq=False)
 class CoeffTensor:
     r"""Dense tensor of exact coefficients :math:`\bar C` on ``{0..q}^k``.
@@ -392,9 +399,7 @@ class CoeffTensor:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        expected = (self.q + 1,) * self.spec.k
-        if self.values.shape != expected:
-            raise ValueError(f"tensor shape {self.values.shape} != {expected}")
+        _check_shape(self)
 
     def float_values(self) -> np.ndarray:
         return self.values.astype(np.float64)
@@ -425,6 +430,9 @@ class ScaledTensor:
     q: int
     dt: float
     values: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        _check_shape(self)
 
     def truncated(self, q: int | None = None) -> np.ndarray:
         """The coefficients on ``{0..q}^k``; ``q`` defaults to the tensor's own order."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,18 +82,32 @@ def kernel_norm(spec: KernelSpec, dt: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _label(c) -> int:
+    """One component label as an ``int``: a ``bool`` or a non-integer is refused."""
+    if not isinstance(c, bool):
+        try:
+            return operator.index(c)
+        except TypeError:
+            pass
+    raise ValueError(f"component label {c!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class IndexPattern:
-    """Wiener component labels ``(i_1, ..., i_k)``, innermost first."""
+    """Wiener component labels ``(i_1, ..., i_k)``, innermost first.
+
+    Each label is an integer from 1, kept as ``int``; a ``bool`` is not a label.
+    """
 
     components: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.components:
+        labels = tuple(map(_label, self.components))
+        if not labels:
             raise ValueError("at least one component required")
-        if any(c < 1 for c in self.components):
+        if any(c < 1 for c in labels):
             raise ValueError("component labels are 1-based")
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", labels)
 
     @property
     def k(self) -> int:

@@ -52,9 +52,7 @@ __all__ = [
     "TRIPLE_EXACT_CAP",
     "TRIPLE_FLOAT_CAP",
     "TRIPLE_REL_TOL",
-    "condition_lhs",
     "min_q",
-    "min_q_many",
     "scan_detail",
     "triple_legendre_error_constant",
 ]
@@ -194,13 +192,6 @@ def _probe(cond_id: str, q: int, dt: float) -> tuple[float, str]:
     return exact(q, dt), "exact"
 
 
-def condition_lhs(cond_id: str, q: int, dt: float) -> float:
-    """Error value compared against the threshold for one condition id."""
-    if cond_id not in _CONDITIONS:
-        raise ValueError(f"unknown condition id {cond_id!r}; known: {CONDITION_IDS}")
-    return _probe(cond_id, q, dt)[0]
-
-
 def scan_detail(cond: Condition) -> QScanResult:
     """Smallest admissible truncation order, by galloping and bisection.
 
@@ -241,8 +232,3 @@ def scan_detail(cond: Condition) -> QScanResult:
 def min_q(cond: Condition) -> int:
     """Reported minimal number for one condition (see module docstring)."""
     return scan_detail(cond).reported_q
-
-
-def min_q_many(conds: list[Condition]) -> list[int]:
-    """Reported minimal numbers of conditions, in order."""
-    return [min_q(c) for c in conds]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .coeffs import KernelSpec, _outer_coeffs, _outer_series
 from .errors import series_error
-from .qselect import Condition, min_q_many
+from .qselect import Condition, min_q
 
 __all__ = [
     "CoeffTableSpec",
@@ -192,8 +192,7 @@ def compute_q_table(number: int, dts: Sequence[float] | None = None) -> dict[str
         dts = table.dts
     out: dict[str, list[int]] = {}
     for name, cond_id in table.columns:
-        conds = [Condition(cond_id, dt) for dt in dts]
-        out[name] = min_q_many(conds)
+        out[name] = [min_q(Condition(cond_id, dt)) for dt in dts]
     return out
 
 

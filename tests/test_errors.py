@@ -104,6 +104,17 @@ class TestEqualityPattern:
         assert _position_permutations((7, 2, 7)) == _position_permutations((1, 2, 1))
         assert _position_permutations((2, 1, 2, 1)) == _position_permutations((1, 2, 1, 2))
 
+    @pytest.mark.parametrize("label", [1.5, True, "1"])
+    def test_labels_are_integers(self, label):
+        # A float label once built, and ito_expansion then failed inside numpy.
+        with pytest.raises(ValueError, match=f"component label {label!r} is not an integer"):
+            IndexPattern((label, 2))
+
+    def test_integer_labels_are_stored_as_int(self):
+        pattern = IndexPattern((np.int64(1), 2))
+        assert pattern == IndexPattern((1, 2))
+        assert all(type(c) is int for c in pattern.components)
+
     def test_all_set_partitions(self):
         assert [len(list(_set_partitions(k))) for k in range(1, 6)] == [1, 2, 5, 15, 52]
 
@@ -187,6 +198,16 @@ class TestExactError:
             exact_error(tensor, IndexPattern((1, 2)), q=q)
         with pytest.raises(ValueError, match=f"truncation order {q} is outside 0..4"):
             error_bound(tensor, q=q)
+
+    def test_tensor_shape_is_checked(self):
+        # A 3x3 grid labelled q = 5 once gave exact_error(..., q=4) == -8.875.
+        with pytest.raises(ValueError, match=r"tensor shape \(3, 3\) != \(6, 6\)"):
+            ScaledTensor(KernelSpec.unweighted(2), 5, 0.5, np.ones((3, 3)))
+        for weights in DOUBLE_SERIES_WEIGHTS:
+            coefficients = scaled_tensor(coeff_tensor(KernelSpec(2, weights), 4), 0.5)
+            assert coefficients.values.shape == (5, 5)
+            tensor = pair_series_tensor(weights, 4, 0.5)
+            assert tensor.values.shape == (tensor.q + 1,) * 2
 
 
 class TestErrorBound:

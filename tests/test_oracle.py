@@ -24,12 +24,10 @@ from stochint.oracle import (
     VALIDATION_CASES,
     NORMALS_BUDGET,
     GridTooCoarseError,
-    MomentEstimate,
     OracleBudgetError,
     SimConfig,
     ValidationReport,
     coupled_zeta,
-    moment_estimate,
     simulate_iterated,
     validate_expansion,
     worker_count,
@@ -79,13 +77,6 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(steps=8, paths=10, seed=0, dt=DT, calculus="both")
 
-    def test_moment_estimate(self):
-        est = moment_estimate(np.array([1.0, -1.0, 3.0, -3.0]))
-        assert isinstance(est, MomentEstimate)
-        assert est.mean == 0.0
-        assert est.second_moment == 5.0
-        assert est.stderr_mean == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-14)
-
 
 class TestSimulation:
     def test_plain_single_is_terminal_wiener_value(self):
@@ -102,11 +93,11 @@ class TestSimulation:
         for weights in [(0,), (1,)]:
             spec = KernelSpec(1, weights)
             vals = simulate_iterated(spec, IndexPattern((1,)), cfg)
-            est = moment_estimate(vals)
+            sq = vals * vals
             target = kernel_norm(spec, DT)
             bias_allowance = 3.0 * target / cfg.steps
-            assert abs(est.second_moment - target) < (
-                3.0 * est.stderr_second + bias_allowance
+            assert abs(np.mean(sq) - target) < (
+                3.0 * np.std(sq) / math.sqrt(sq.size) + bias_allowance
             )
 
     @pytest.mark.parametrize(
@@ -116,11 +107,11 @@ class TestSimulation:
         cfg = SimConfig(steps=256, paths=6000, seed=9, dt=DT)
         spec = KernelSpec.unweighted(k)
         vals = simulate_iterated(spec, IndexPattern(components), cfg)
-        est = moment_estimate(vals)
+        sq = vals * vals
         target = kernel_norm(spec, DT)
         bias_allowance = 3.0 * target / cfg.steps
-        assert abs(est.second_moment - target) < (
-            3.0 * est.stderr_second + bias_allowance
+        assert abs(np.mean(sq) - target) < (
+            3.0 * np.std(sq) / math.sqrt(sq.size) + bias_allowance
         )
 
     def test_equal_pair_pathwise_identities(self):
@@ -222,6 +213,27 @@ class TestCoupledZeta:
         cov = zeta.T @ zeta / cfg.paths
         tol = 5.0 / math.sqrt(cfg.paths)
         assert np.allclose(cov, np.eye(4), atol=tol)
+
+    @pytest.mark.parametrize("jmax", [40, 13, -1])
+    def test_index_outside_the_range_is_refused_before_drawing(self, jmax, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew normals")
+
+        monkeypatch.setattr(oracle, "_wiener_blocks", no_draws)
+        cfg = SimConfig(steps=64, paths=8, seed=0, dt=DT)
+        message = f"basis index {jmax} is outside the oracle's range 0..12"
+        with pytest.raises(ValueError, match=message):
+            coupled_zeta(cfg, 1, jmax)
+
+    @pytest.mark.parametrize("steps", [4096, 65536])
+    def test_rows_match_legval_up_to_the_cap(self, steps):
+        assert oracle.BASIS_INDEX_CAP == 12
+        phi = oracle._basis_matrix(12, DT, steps)
+        x = 2.0 * np.linspace(0.0, DT, steps + 1)[:steps] / DT - 1.0
+        for j in range(13):
+            scale = math.sqrt((2 * j + 1) / DT)
+            ref = scale * np.polynomial.legendre.legval(x, [0.0] * j + [1.0])
+            assert np.max(np.abs(phi[j] - ref)) <= 1e-12 * scale
 
 
 class TestValidateExpansion:

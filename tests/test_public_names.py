@@ -1,4 +1,7 @@
-"""Every public name resolves, and the benchmark's span tracer installs on this tree.
+"""One list of public names per layer, every name resolves, and the span tracer installs.
+
+``stochint`` re-exports each layer's ``__all__`` and lists no name of its
+own but ``__version__``, so a name is added or removed in one place.
 
 ``perfbench/tracer.py``'s ``install`` calls ``getattr`` on each name in the
 ``__all__`` of every stochint layer and wraps the functions it finds.  A
@@ -10,6 +13,7 @@ interpreter.  It reads ``perfbench/tracer.py`` and writes nothing under
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -17,6 +21,16 @@ import sys
 from pathlib import Path
 
 import stochint
+
+#: The layers the package re-exports, in the order of its ``__all__``.
+LAYERS = ("basis", "coeffs", "errors", "expansion", "oracle", "qselect", "tables")
+
+#: Public names that left the package because nothing ran them.
+DELETED = {
+    "basis": ("Rational",),
+    "oracle": ("moment_estimate", "MomentEstimate"),
+    "qselect": ("condition_lhs", "min_q_many"),
+}
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -58,3 +72,27 @@ def test_public_names_resolve_and_tracer_installs():
         result["wrapped"]
     )
     assert result["calls"] == 1
+
+
+def test_package_names_are_the_layers_names():
+    modules = [importlib.import_module(f"stochint.{layer}") for layer in LAYERS]
+    union = dict.fromkeys(name for module in modules for name in module.__all__)
+    assert stochint.__all__ == ["__version__", *union]
+    assert len(set(stochint.__all__)) == len(stochint.__all__)
+    for module in modules:
+        assert len(set(module.__all__)) == len(module.__all__)
+        for name in module.__all__:
+            assert getattr(stochint, name) is getattr(module, name), name
+    assert "cli" not in stochint.__all__
+
+
+def test_deleted_names_are_gone():
+    lists = [stochint.__all__] + [
+        importlib.import_module(f"stochint.{layer}").__all__ for layer in (*LAYERS, "cli")
+    ]
+    for layer, names in DELETED.items():
+        module = importlib.import_module(f"stochint.{layer}")
+        for name in names:
+            assert not hasattr(module, name), f"{layer}.{name}"
+            assert not hasattr(stochint, name), name
+            assert not any(name in listed for listed in lists), name

@@ -13,9 +13,7 @@ from stochint.qselect import (
     TRIPLE_EXACT_CAP,
     TRIPLE_FLOAT_CAP,
     TRIPLE_REL_TOL,
-    condition_lhs,
     min_q,
-    min_q_many,
     scan_detail,
     triple_legendre_error_constant,
     _probe,
@@ -88,13 +86,6 @@ class TestCondition:
         assert Condition("pair_legendre_dt3", 0.25).rhs == pytest.approx(0.25**3)
         assert Condition("pair_legendre_dt4", 0.25).rhs == pytest.approx(0.25**4)
 
-    def test_condition_lhs_matches_scan(self):
-        cond = Condition("pair_legendre_dt3", 2**-6)
-        detail = scan_detail(cond)
-        assert condition_lhs(cond.id, detail.minimal_q, cond.dt) == pytest.approx(
-            detail.lhs_at_minimal
-        )
-
 
 class TestScan:
     @pytest.mark.parametrize(
@@ -114,7 +105,7 @@ class TestScan:
         threshold = detail.rhs * (1.0 + detail.tolerance)
         assert detail.lhs_at_minimal <= threshold
         if detail.minimal_q > 0:
-            assert condition_lhs(cond_id, detail.minimal_q - 1, dt) > threshold
+            assert _probe(cond_id, detail.minimal_q - 1, dt)[0] > threshold
 
     def test_pair_conditions_report_one_above_minimal(self):
         detail = scan_detail(Condition("pair_legendre_dt3", 2**-5))
@@ -142,7 +133,7 @@ class TestScan:
     def test_cap_error_carries_lhs_at_cap(self, cond):
         with pytest.raises(QSelectCapError) as raised:
             scan_detail(cond)
-        assert raised.value.lhs_at_cap == condition_lhs(cond.id, cond.cap, cond.dt)
+        assert raised.value.lhs_at_cap == _probe(cond.id, cond.cap, cond.dt)[0]
         assert raised.value.rhs == cond.rhs
 
     def test_cap_itself_admissible(self):
@@ -220,9 +211,7 @@ class TestTripleFloatCap:
             scan_detail(Condition("triple_legendre_dt4", 4e-4))
         assert raised.value.cap == TRIPLE_FLOAT_CAP
         assert f"q={TRIPLE_FLOAT_CAP}:" in str(raised.value)
-        assert raised.value.lhs_at_cap == condition_lhs(
-            "triple_legendre_dt4", TRIPLE_FLOAT_CAP, 4e-4
-        )
+        assert raised.value.lhs_at_cap == _probe("triple_legendre_dt4", TRIPLE_FLOAT_CAP, 4e-4)[0]
 
     def test_lower_condition_cap_still_binds(self):
         with pytest.raises(QSelectCapError) as raised:
@@ -247,28 +236,26 @@ class TestReferenceColumns:
 
     def test_pair_legendre_powers_of_two(self, printed):
         frozen = printed["q_tables"]["37"]
-        qs = min_q_many(
-            [Condition("pair_legendre_dt3", 2.0**e) for e in frozen["dt_log2"]]
-        )
+        qs = [min_q(Condition("pair_legendre_dt3", 2.0**e)) for e in frozen["dt_log2"]]
         assert qs == frozen["pol"]
 
     def test_trig_columns_powers_of_two(self, printed):
         frozen = printed["q_tables"]["37"]
         dts = [2.0**e for e in frozen["dt_log2"]]
         assert (
-            min_q_many([Condition("pair_trig_tail_dt3", dt) for dt in dts])
+            [min_q(Condition("pair_trig_tail_dt3", dt)) for dt in dts]
             == frozen["trig"]
         )
         assert (
-            min_q_many([Condition("pair_trig_dt3", dt) for dt in dts])
+            [min_q(Condition("pair_trig_dt3", dt)) for dt in dts]
             == frozen["trig_star"]
         )
 
     def test_pair_to_trig_ratio_list(self, printed):
         frozen = printed["q_tables"]["37"]
         dts = [2.0**e for e in frozen["dt_log2"]]
-        pol = min_q_many([Condition("pair_legendre_dt3", dt) for dt in dts])
-        trig = min_q_many([Condition("pair_trig_tail_dt3", dt) for dt in dts])
+        pol = [min_q(Condition("pair_legendre_dt3", dt)) for dt in dts]
+        trig = [min_q(Condition("pair_trig_tail_dt3", dt)) for dt in dts]
         ratios = [round(p / t, 2) for p, t in zip(pol, trig)]
         assert ratios == [1.67, 2.25, 2.43, 2.36, 2.41, 2.43, 2.45, 2.45]
 
@@ -276,10 +263,10 @@ class TestReferenceColumns:
         frozen = printed["q_tables"]["39"]
         dts = [float(d) for d in frozen["dt"]]
         assert (
-            min_q_many([Condition("pair_legendre_dt4", dt) for dt in dts])
+            [min_q(Condition("pair_legendre_dt4", dt)) for dt in dts]
             == frozen["q"]
         )
         assert (
-            min_q_many([Condition("triple_legendre_dt4", dt) for dt in dts])
+            [min_q(Condition("triple_legendre_dt4", dt)) for dt in dts]
             == frozen["q1"]
         )
