@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -163,6 +164,22 @@ def _check_interval(dt: float) -> None:
     """Reject an interval length that is not a positive finite float (NaN too)."""
     if not 0 < dt < math.inf:
         raise ValueError("interval length must be positive and finite")
+
+
+def _checked_order(q, top: int | None = None, name: str = "truncation order") -> int:
+    """``q`` as an ``int`` order in ``0..top`` (no upper end if ``top`` is None).
+
+    A ``bool``, a non-integer such as ``1.5`` and an order out of range raise
+    ``ValueError``, so no order is read from the end of an array or rounded.
+    """
+    if isinstance(q, bool) or not hasattr(type(q), "__index__"):
+        raise ValueError(f"{name} {q!r} is not an integer")
+    q = operator.index(q)
+    if top is not None and not 0 <= q <= top:
+        raise ValueError(f"{name} {q} is outside 0..{top}")
+    if q < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return q
 
 
 def _dt_power(dt: float, exponent: float) -> float:
@@ -436,10 +453,7 @@ class ScaledTensor:
 
     def truncated(self, q: int | None = None) -> np.ndarray:
         """The coefficients on ``{0..q}^k``; ``q`` defaults to the tensor's own order."""
-        if q is None:
-            q = self.q
-        if not 0 <= q <= self.q:
-            raise ValueError(f"truncation order {q} is outside 0..{self.q}")
+        q = self.q if q is None else _checked_order(q, self.q)
         return self.values[(slice(0, q + 1),) * self.spec.k]
 
 
@@ -465,8 +479,7 @@ def coeff_tensor(spec: KernelSpec, q: int) -> CoeffTensor:
         TensorBudgetError: before any work, if the work exceeds
             :data:`TENSOR_WORK_BUDGET`, or if ``L + k`` exceeds 1023.
     """
-    if q < 0:
-        raise ValueError("truncation order must be nonnegative")
+    q = _checked_order(q)
     n, total = q + 1, spec.total_weight
     if total + spec.k > 1023:  # |bar| <= 2**(L + k) / k!, so every float field stays finite
         raise TensorBudgetError(
@@ -511,9 +524,7 @@ def _band_table(weights, q: int) -> _BandTable:
     weights = tuple(weights)
     if weights not in DOUBLE_SERIES_WEIGHTS:
         raise ValueError(f"unsupported weight pair {weights}; supported: {DOUBLE_SERIES_WEIGHTS}")
-    if q < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return _pair_bands(weights, q)
+    return _pair_bands(weights, _checked_order(q))
 
 
 @lru_cache(maxsize=128)

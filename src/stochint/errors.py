@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import KernelSpec, ScaledTensor, _check_interval, _dt_power
+from .coeffs import KernelSpec, ScaledTensor, _check_interval, _checked_order, _dt_power
 
 __all__ = [
     "IndexPattern",
@@ -394,9 +394,10 @@ def series_error(kind: str, q: int, dt: float) -> float:
     ``triple_trig_tail``.
 
     Raises:
-        ValueError: unknown kind, negative ``q``, an interval length that is
-            not positive and finite, or an order or interval length at which
-            the error has no finite float value (such as ``q = 10**400``).
+        ValueError: unknown kind, ``q`` not a nonnegative integer, an
+            interval length that is not positive and finite, or an order or
+            interval length at which the error has no finite float value
+            (such as ``q = 10**400``).
         SeriesCapError: ``triple_trig``, ``triple_trig_tail`` or
             ``pair_trig_weighted`` above :data:`TRIG_SERIES_CAP`, before any work.
     """
@@ -404,8 +405,7 @@ def series_error(kind: str, q: int, dt: float) -> float:
         fn = _SERIES[kind]
     except KeyError:
         raise ValueError(f"unknown series kind {kind!r}; known: {', '.join(SERIES_KINDS)}")
-    if q < 0:
-        raise ValueError("truncation order must be nonnegative")
+    q = _checked_order(q)
     _check_interval(dt)
     try:
         value = fn(q, dt)

@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coeffs import (
-    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _check_interval, _dt_power,
-    bar_coeff, scale_coeff,
+    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _check_interval, _checked_order,
+    _dt_power, bar_coeff, scale_coeff,
 )
 from .errors import IndexPattern, _tail_sum_fourths, _tail_sum_squares
 
@@ -88,22 +88,19 @@ class NoiseDraws:
         return self.zeta[component - 1]
 
 
-def draw_noise(q_max: int, m: int, seed: int, tails: bool = True) -> NoiseDraws:
+def draw_noise(q_max: int, m: int, seed: int) -> NoiseDraws:
     """Reproducible i.i.d. standard normals from a counter-based stream.
 
-    The ``zeta`` table is drawn first, so it is identical for the same
-    ``(q_max, m, seed)`` whether or not tail variables are requested.
+    The ``zeta`` table is drawn first, then the tail variables ``xi`` and
+    ``mu``, so ``zeta`` depends on ``(q_max, m, seed)`` only.
     """
     if m < 1:
         raise ValueError("component count must be >= 1")
-    if q_max < 0:
-        raise ValueError("q_max must be nonnegative")
+    q_max = _checked_order(q_max, name="q_max")
     gen = np.random.Generator(np.random.Philox(key=seed))
     zeta = gen.standard_normal((m, q_max + 1))
-    xi = mu = None
-    if tails:
-        xi = gen.standard_normal(m)
-        mu = gen.standard_normal(m)
+    xi = gen.standard_normal(m)
+    mu = gen.standard_normal(m)
     return NoiseDraws(zeta=zeta, xi=xi, mu=mu, seed=seed)
 
 
@@ -154,26 +151,6 @@ def _matching_term(
     return np.einsum(expr, *operands)
 
 
-def _expansion_core(
-    values: np.ndarray,
-    components: tuple[int, ...],
-    rows: list[np.ndarray],
-    corrections: bool,
-):
-    k = len(components)
-    if values.ndim != k:
-        raise ValueError("tensor rank does not match component count")
-    matchings = _matchings(tuple(range(1, k + 1))) if corrections else ((),)
-    total = None
-    for matching in matchings:
-        term = _matching_term(values, rows, components, matching)
-        if term is None:
-            continue
-        signed = term if len(matching) % 2 == 0 else -term
-        total = signed if total is None else total + signed
-    return total
-
-
 def _tensor_expansion(
     tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int, corrections: bool
 ):
@@ -182,8 +159,15 @@ def _tensor_expansion(
         raise ValueError("tensor multiplicity does not match index pattern")
     values = tensor.truncated(q)  # checks q before any draw is read
     rows = [draws.row(c, q + 1)[..., : q + 1] for c in pattern.components]
-    value = _expansion_core(values, pattern.components, rows, corrections)
-    return value if np.ndim(value) else float(value)
+    matchings = _matchings(tuple(range(1, pattern.k + 1))) if corrections else ((),)
+    total = None
+    for matching in matchings:
+        term = _matching_term(values, rows, pattern.components, matching)
+        if term is None:
+            continue
+        signed = term if len(matching) % 2 == 0 else -term
+        total = signed if total is None else total + signed
+    return total if np.ndim(total) else float(total)
 
 
 def ito_expansion(tensor: ScaledTensor, pattern: IndexPattern, draws: NoiseDraws, q: int):
@@ -427,12 +411,16 @@ def hermite_diagonal(
 # ---------------------------------------------------------------------------
 
 
-def _tail_values(draws: NoiseDraws, component: int, need_mu: bool):
-    if draws.xi is None or (need_mu and draws.mu is None):
-        raise ValueError("tail-augmented form requested but draws carry no tail variables")
-    xi = draws.xi[component - 1]
-    mu = draws.mu[component - 1] if need_mu else None
-    return xi, mu
+#: Kernel weights of each form, innermost first; their count is the pattern's.
+_TRIG_KINDS = {"I1": (1,), "I2": (2,), "I00": (0, 0), "I00_tail": (0, 0)}
+
+
+def _sine_sum(z: np.ndarray, q: int, xi=None):
+    r""":math:`\sum_{r \le q} \zeta_{2r-1}/r`, plus the tail
+    :math:`\sqrt{\sum_{n>q} n^{-2}}\,\xi` if ``xi`` is given."""
+    r = np.arange(1, q + 1)
+    total = np.sum(z[..., 2 * r - 1] / r, axis=-1)
+    return total if xi is None else total + math.sqrt(_tail_sum_squares(q)) * xi
 
 
 def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, dt: float):
@@ -448,61 +436,42 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
     * ``"I00_tail"`` — pair series plus the Gaussian tail term.
 
     Basis index ``2r-1`` is the sine and ``2r`` the cosine of frequency
-    ``r``; tail variables come from :attr:`NoiseDraws.xi` / ``mu``.
+    ``r``; tail variables come from :attr:`NoiseDraws.xi` / ``mu``.  Each
+    form is its value on the unit interval times ``dt`` to the
+    ``scale_exponent`` of its kernel, the law of
+    :func:`~stochint.coeffs.trig_coeff`.
     """
-    if q < 0:
-        raise ValueError("truncation order must be nonnegative")
+    q = _checked_order(q)
     _check_interval(dt)
+    if kind not in _TRIG_KINDS:
+        raise ValueError(f"unknown kind {kind!r}; known: I1, I2, I00, I00_tail")
+    weights = _TRIG_KINDS[kind]
+    if pattern.k != len(weights):
+        raise ValueError(f"the {kind} form takes {len(weights)} component(s), not {pattern.k}")
+    if kind != "I00" and (draws.xi is None or (kind == "I2" and draws.mu is None)):
+        raise ValueError("tail-augmented form requested but draws carry no tail variables")
     sqrt2 = math.sqrt(2.0)
+    r = np.arange(1, q + 1)
 
     if kind == "I1":
         c = pattern.components[0]
         z = draws.row(c, max(1, 2 * q))
-        xi, _ = _tail_values(draws, c, need_mu=False)
-        r = np.arange(1, q + 1)
-        sine_sum = np.sum(z[..., 2 * r - 1] / r, axis=-1) if q >= 1 else 0.0
-        return -_dt_power(dt, KernelSpec(1, (1,)).scale_exponent) / 2.0 * (
-            z[..., 0] - sqrt2 / math.pi * (sine_sum + math.sqrt(_tail_sum_squares(q)) * xi)
-        )
-
-    if kind == "I2":
+        unit = -(z[..., 0] - sqrt2 / math.pi * _sine_sum(z, q, draws.xi[c - 1])) / 2.0
+    elif kind == "I2":
         c = pattern.components[0]
         z = draws.row(c, 2 * q + 1)
-        xi, mu = _tail_values(draws, c, need_mu=True)
-        r = np.arange(1, q + 1)
-        sine_sum = np.sum(z[..., 2 * r - 1] / r, axis=-1) if q >= 1 else 0.0
-        cos_sum = np.sum(z[..., 2 * r] / r**2, axis=-1) if q >= 1 else 0.0
-        return _dt_power(dt, KernelSpec(1, (2,)).scale_exponent) * (
+        cos_sum = np.sum(z[..., 2 * r] / r**2, axis=-1)
+        unit = (
             z[..., 0] / 3.0
-            + (cos_sum + math.sqrt(_tail_sum_fourths(q)) * mu) / (sqrt2 * math.pi**2)
-            - (sine_sum + math.sqrt(_tail_sum_squares(q)) * xi) / (sqrt2 * math.pi)
+            + (cos_sum + math.sqrt(_tail_sum_fourths(q)) * draws.mu[c - 1]) / (sqrt2 * math.pi**2)
+            - _sine_sum(z, q, draws.xi[c - 1]) / (sqrt2 * math.pi)
         )
-
-    if kind in ("I00", "I00_tail"):
-        if pattern.k != 2:
-            raise ValueError("pair form requires two components")
+    else:
         c1, c2 = pattern.components
-        z1 = draws.row(c1, 2 * q + 1)
-        z2 = draws.row(c2, 2 * q + 1)
-        total = z1[..., 0] * z2[..., 0]
-        if q >= 1:
-            r = np.arange(1, q + 1)
-            total = total + np.sum(
-                (
-                    z1[..., 2 * r] * z2[..., 2 * r - 1]
-                    - z1[..., 2 * r - 1] * z2[..., 2 * r]
-                    + sqrt2 * (z1[..., 2 * r - 1] * z2[..., 0] - z1[..., 0] * z2[..., 2 * r - 1])
-                )
-                / r,
-                axis=-1,
-            ) / math.pi
-        value = dt / 2.0 * total
-        if kind == "I00_tail":
-            xi1, _ = _tail_values(draws, c1, need_mu=False)
-            xi2, _ = _tail_values(draws, c2, need_mu=False)
-            value = value + dt / 2.0 * (sqrt2 / math.pi) * math.sqrt(_tail_sum_squares(q)) * (
-                xi1 * z2[..., 0] - z1[..., 0] * xi2
-            )
-        return value
-
-    raise ValueError(f"unknown kind {kind!r}; known: I1, I2, I00, I00_tail")
+        z1, z2 = draws.row(c1, 2 * q + 1), draws.row(c2, 2 * q + 1)
+        xi1, xi2 = (draws.xi[c1 - 1], draws.xi[c2 - 1]) if kind == "I00_tail" else (None, None)
+        sine, cosine = 2 * r - 1, 2 * r
+        cross = np.sum((z1[..., cosine] * z2[..., sine] - z1[..., sine] * z2[..., cosine]) / r, -1)
+        sines = _sine_sum(z1, q, xi1) * z2[..., 0] - z1[..., 0] * _sine_sum(z2, q, xi2)
+        unit = (z1[..., 0] * z2[..., 0] + (cross + sqrt2 * sines) / math.pi) / 2.0
+    return _dt_power(dt, KernelSpec(len(weights), weights).scale_exponent) * unit

@@ -50,7 +50,7 @@ import numpy as np
 from .basis import legendre_poly
 from .coeffs import KernelSpec, _band_table, _check_interval, coeff_tensor, scaled_tensor
 from .errors import series_error
-from .expansion import IndexPattern, NoiseDraws, _expansion_core, legendre_double_series
+from .expansion import IndexPattern, NoiseDraws, ito_expansion, legendre_double_series
 from .qselect import triple_legendre_error_constant
 
 __all__ = [
@@ -241,9 +241,12 @@ def coupled_zeta(cfg: SimConfig, m: int, jmax: int) -> np.ndarray:
     r"""Basis projections :math:`\zeta_j^{(i)}` of the simulated paths.
 
     Returns shape ``(m, paths, jmax + 1)``; entry ``[i-1, p, j]`` is the
-    discretized :math:`\int \varphi_j\, dW^{(i)}` of path ``p``.  A ``jmax``
-    outside ``0..``:data:`BASIS_INDEX_CAP` raises ``ValueError`` before anything is drawn.
+    discretized :math:`\int \varphi_j\, dW^{(i)}` of path ``p``.  An ``m``
+    below 1 or a ``jmax`` outside ``0..``:data:`BASIS_INDEX_CAP` raises
+    ``ValueError`` before anything is drawn.
     """
+    if m < 1:
+        raise ValueError("component count must be >= 1")
     phi = _basis_matrix(jmax, cfg.dt, cfg.steps)
     out = np.empty((m, cfg.paths, jmax + 1))
     for rows, dw in _wiener_blocks(cfg, m, range(_chunk_count(cfg.paths))):
@@ -282,16 +285,13 @@ class _Case:
 def _evaluator(case_name: str, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """Build the case's coefficients once; return its expansion of one chunk's ``zeta``."""
     case = VALIDATION_CASES[case_name]
+    pattern = IndexPattern(case.components)
     if case.banded:
-        pattern = IndexPattern(case.components)
         return lambda zeta: legendre_double_series(
             case.spec.weights, pattern, NoiseDraws(zeta, None, None, 0), case.q, dt, "ito"
         )
-    values = scaled_tensor(coeff_tensor(case.spec, case.q), dt).values
-    return lambda zeta: _expansion_core(
-        values, case.components, [zeta[c - 1][:, : case.q + 1] for c in case.components],
-        corrections=True,
-    )
+    tensor = scaled_tensor(coeff_tensor(case.spec, case.q), dt)
+    return lambda zeta: ito_expansion(tensor, pattern, NoiseDraws(zeta, None, None, 0), case.q)
 
 
 VALIDATION_CASES: dict[str, _Case] = {

@@ -18,7 +18,9 @@ from stochint.coeffs import (
     coeff_tensor,
     scale_coeff,
     scaled_tensor,
+    trig_coeff,
 )
+from stochint.errors import SERIES_KINDS, exact_error, series_error
 from stochint.expansion import (
     DOUBLE_SERIES_WEIGHTS,
     IndexPattern,
@@ -38,6 +40,7 @@ from stochint.expansion import (
 from conversion_reference import hermite_ito, pair_shift, quadruple_shift, triple_shift
 from pair_series_reference import HAND_FORMS, pair_series_support
 from single_form_reference import single_form
+import trig_milstein_reference
 
 DT = 0.6
 
@@ -78,11 +81,14 @@ class TestNoiseDraws:
     def test_determinism_and_tail_invariance(self):
         a = draw_noise(q_max=6, m=2, seed=7)
         b = draw_noise(q_max=6, m=2, seed=7)
-        c = draw_noise(q_max=6, m=2, seed=7, tails=False)
         assert np.array_equal(a.zeta, b.zeta)
         assert np.array_equal(a.xi, b.xi)
-        assert np.array_equal(a.zeta, c.zeta)
-        assert c.xi is None and c.mu is None
+        assert np.array_equal(a.mu, b.mu)
+        # zeta is the stream's first draw, so the tail variables after it leave it as it was.
+        gen = np.random.Generator(np.random.Philox(key=7))
+        assert np.array_equal(a.zeta, gen.standard_normal((2, 7)))
+        assert np.array_equal(a.xi, gen.standard_normal(2))
+        assert np.array_equal(a.mu, gen.standard_normal(2))
         assert not np.array_equal(a.zeta, draw_noise(q_max=6, m=2, seed=8).zeta)
 
     def test_moments(self):
@@ -804,7 +810,7 @@ class TestTrigForms:
             trig_milstein("I00", IndexPattern((1,)), draws, 1, DT)
         with pytest.raises(ValueError):
             trig_milstein("I00", IndexPattern((1, 2)), draws, -1, DT)
-        tailless = draw_noise(q_max=8, m=1, seed=0, tails=False)
+        tailless = NoiseDraws(zeta=draws.zeta, xi=None, mu=None, seed=0)
         with pytest.raises(ValueError):
             trig_milstein("I1", IndexPattern((1,)), tailless, 1, DT)
 
@@ -869,3 +875,94 @@ class TestTrigForms:
         a = trig_milstein("I00", IndexPattern((1, 2)), draws, 2, DT)
         b = trig_milstein("I00_tail", IndexPattern((1, 2)), draws, 2, DT)
         assert a != b
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.37, 1.0])
+    @pytest.mark.parametrize("q", [0, 1, 2, 5, 29, 624])
+    def test_matches_the_former_forms(self, q, dt):
+        # Within 4 rounding units of the sum of absolute terms: the pair
+        # forms now sum the sine series before they multiply it.  The former
+        # pair forms failed on batched draws, so each batch entry is checked
+        # against the former form of its own draw.
+        eps = np.finfo(float).eps
+        singles = [draw_noise(2 * q + 1, 3, seed) for seed in (4, 5, 6)]
+        stacked = {name: np.stack([getattr(d, name) for d in singles], axis=1)
+                   for name in ("zeta", "xi", "mu")}
+        batch = NoiseDraws(**stacked, seed=4)
+        for kind, comps in (("I1", (2,)), ("I2", (3,)), ("I00", (1, 3)), ("I00_tail", (2, 1)),
+                            ("I00", (2, 2)), ("I00_tail", (3, 3))):
+            pattern = IndexPattern(comps)
+            values = trig_milstein(kind, pattern, batch, q, dt)
+            for b, draws in enumerate(singles):
+                former = trig_milstein_reference.trig_milstein(kind, pattern, draws, q, dt)
+                tolerance = 4 * eps * trig_milstein_reference.magnitude(kind, pattern, draws, q, dt)
+                assert abs(trig_milstein(kind, pattern, draws, q, dt) - former) <= tolerance
+                assert abs(values[b] - former) <= tolerance
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.37, 1.0])
+    @pytest.mark.parametrize("q", [0, 1, 2, 5])
+    @pytest.mark.parametrize("kind,l", [("I1", 1), ("I2", 2)])
+    def test_single_forms_are_trig_coefficients(self, kind, l, q, dt):
+        # With zero tails a unit vector at index j reads the coefficient of
+        # basis function j; the cosines of I1 read zero.
+        spec = KernelSpec(1, (l,))
+        for j in range(2 * q + 1):
+            zeta = np.zeros((1, 2 * q + 1))
+            zeta[0, j] = 1.0
+            draws = NoiseDraws(zeta=zeta, xi=np.zeros(1), mu=np.zeros(1), seed=0)
+            assert trig_milstein(kind, IndexPattern((1,)), draws, q, dt) == pytest.approx(
+                trig_coeff(spec, (j,), dt), rel=1e-14, abs=1e-14 * dt ** spec.scale_exponent
+            )
+
+    @pytest.mark.parametrize("kind,comps", [("I1", (1, 2)), ("I2", (1, 1)), ("I00", (1,)),
+                                            ("I00_tail", (1, 2, 1))])
+    def test_multiplicity_checked(self, kind, comps):
+        # "I1" with a pair pattern once read its first component without an error.
+        draws = draw_noise(q_max=8, m=2, seed=0)
+        with pytest.raises(ValueError, match=f"the {kind} form takes"):
+            trig_milstein(kind, IndexPattern(comps), draws, 2, DT)
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["I1", "I2", "I00", "I00_tail"])
+    def test_gaussians_read(self, kind, q):
+        # I1 reads max(1, 2q) Gaussians per component, every other kind 2q + 1.
+        needed = max(1, 2 * q) if kind == "I1" else 2 * q + 1
+        pattern = IndexPattern((1,) if kind in ("I1", "I2") else (1, 2))
+        base = draw_noise(q_max=needed, m=2, seed=1)
+        exact = NoiseDraws(base.zeta[:, :needed], base.xi, base.mu, 1)
+        assert math.isfinite(trig_milstein(kind, pattern, exact, q, DT))
+        short = NoiseDraws(base.zeta[:, : needed - 1], base.xi, base.mu, 1)
+        with pytest.raises(ValueError, match=f"need {needed}"):
+            trig_milstein(kind, pattern, short, q, DT)
+
+
+class TestTruncationOrderChecks:
+    @pytest.mark.parametrize("q", [1.5, True, -1])
+    def test_every_entry_point_refuses_the_order(self, q):
+        # Each once read a float or bool order as an integer order, or failed inside numpy.
+        match = "nonnegative|outside" if q == -1 else "is not an integer"
+        tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 2), DT)
+        draws = draw_noise(q_max=8, m=2, seed=0)
+        calls = [
+            lambda: coeff_tensor(KernelSpec.unweighted(2), q),
+            lambda: tensor.truncated(q),
+            lambda: exact_error(tensor, IndexPattern((1, 2)), q),
+            lambda: ito_expansion(tensor, IndexPattern((1, 2)), draws, q),
+            lambda: strat_expansion(tensor, IndexPattern((1, 2)), draws, q),
+            lambda: legendre_double_series((1, 0), IndexPattern((1, 2)), draws, q, DT),
+            lambda: diagonal_trace((0, 0), q, DT),
+            lambda: pair_series_tensor((0, 0), q, DT),
+            lambda: draw_noise(q, 1, 0),
+        ]
+        calls += [lambda kind=kind: series_error(kind, q, DT) for kind in SERIES_KINDS]
+        calls += [
+            lambda kind=kind: trig_milstein(kind, IndexPattern(comps), draws, q, DT)
+            for kind, comps in (("I1", (1,)), ("I2", (1,)), ("I00", (1, 2)), ("I00_tail", (1, 2)))
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_integer_like_orders_are_read_as_int(self):
+        assert series_error("pair_trig", np.int64(3), DT) == series_error("pair_trig", 3, DT)
+        tensor = scaled_tensor(coeff_tensor(KernelSpec.unweighted(2), 3), DT)
+        assert tensor.truncated(np.int64(2)).shape == (3, 3)

@@ -225,6 +225,18 @@ class TestCoupledZeta:
         with pytest.raises(ValueError, match=message):
             coupled_zeta(cfg, 1, jmax)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_component_count_below_one_is_refused_before_drawing(self, m, monkeypatch):
+        # m = 0 once returned an empty array, and m = -1 failed inside numpy.
+        def no_work(*args):
+            raise AssertionError("built the basis or drew normals")
+
+        monkeypatch.setattr(oracle, "_wiener_blocks", no_work)
+        monkeypatch.setattr(oracle, "_basis_matrix", no_work)
+        cfg = SimConfig(steps=64, paths=8, seed=0, dt=DT)
+        with pytest.raises(ValueError, match="component count must be >= 1"):
+            coupled_zeta(cfg, m, 3)
+
     @pytest.mark.parametrize("steps", [4096, 65536])
     def test_rows_match_legval_up_to_the_cap(self, steps):
         assert oracle.BASIS_INDEX_CAP == 12
