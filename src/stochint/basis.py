@@ -27,6 +27,7 @@ the kernel norms, the oracle and independent cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +40,25 @@ __all__ = [
     "antiderivative",
     "definite_integral",
 ]
+
+
+def _checked_int(value, name: str, low: int | None = 0, high: int | None = None) -> int:
+    """``value`` as an ``int`` in ``low..high``, with no end where a bound is None.
+
+    The one integer rule of every library boundary: a ``bool``, anything
+    ``operator.index`` refuses (``1.5``, ``"1"``) and a value out of range
+    raise ``ValueError`` naming ``name``, so no integer is rounded, read
+    from the end of an array or left for numpy to refuse.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    value = operator.index(value)
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} {value} is outside {low}..{high}")
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f">= {low}"
+        raise ValueError(f"{name} must be {bound}, not {value}")
+    return value
 
 
 def _as_rational(value: int | Fraction) -> Fraction:
@@ -147,13 +167,14 @@ def definite_integral(p: RatPoly, a: int | Fraction, b: int | Fraction) -> Fract
     return anti(b) - anti(a)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def legendre_poly(n: int) -> RatPoly:
     r"""Legendre polynomial :math:`P_n` with exact rational coefficients.
 
     Built from the explicit sum in the module docstring, with no recursion
     and no lower :math:`P_j`; normalized so :math:`P_n(1) = 1`.  The cache
-    keeps the 128 polynomials used last.
+    keeps the 128 polynomials used last, keyed by type too: ``True`` and
+    ``1.0`` equal a cached ``np.int64(1)`` and would skip the index check.
 
     Args:
         n: polynomial index, ``n >= 0``.
@@ -161,8 +182,7 @@ def legendre_poly(n: int) -> RatPoly:
     Returns:
         The exact polynomial :math:`P_n`.
     """
-    if n < 0:
-        raise ValueError("Legendre index must be nonnegative")
+    n = _checked_int(n, "Legendre index")
     coeffs = [0] * (n + 1)
     for k in range(n // 2 + 1):
         term = math.comb(n, k) * math.comb(2 * n - 2 * k, n)
@@ -223,7 +243,6 @@ def product_expand(m: int, n: int) -> tuple[tuple[int, Fraction], ...]:
     Returns:
         Tuple of ``(index, K)`` pairs: :math:`P_m P_n = \sum K\, P_{index}`.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Legendre indices must be nonnegative")
+    m, n = (_checked_int(i, "Legendre index") for i in (m, n))
     den, terms = _linearization(m, n, [math.comb(2 * i, i) for i in range(m + n + 1)])
     return tuple((idx, Fraction(a, den)) for idx, a in terms)

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -91,7 +90,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .basis import _common_multiple, _product_rows
+from .basis import _checked_int, _common_multiple, _product_rows
 
 __all__ = [
     "KernelSpec",
@@ -132,19 +131,19 @@ class KernelSpec:
     Args:
         k: multiplicity, 1 to 5.
         weights: exponents :math:`(l_1, \ldots, l_k)` of the factors
-            :math:`(t-s)^{l}`, innermost integration variable first.
+            :math:`(t-s)^{l}`, innermost integration variable first, each
+            ``>= 0``.  Both are stored as ``int``.
     """
 
     k: int
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= 5:
-            raise ValueError(f"multiplicity must be 1..5, got {self.k}")
-        if len(self.weights) != self.k:
+        object.__setattr__(self, "k", _checked_int(self.k, "multiplicity", 1, 5))
+        weights = tuple(_checked_int(l, "weight exponent") for l in self.weights)
+        if len(weights) != self.k:
             raise ValueError("weights length must equal multiplicity")
-        if any(l < 0 for l in self.weights):
-            raise ValueError("weight exponents must be nonnegative")
+        object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def unweighted(k: int) -> KernelSpec:
@@ -164,22 +163,6 @@ def _check_interval(dt: float) -> None:
     """Reject an interval length that is not a positive finite float (NaN too)."""
     if not 0 < dt < math.inf:
         raise ValueError("interval length must be positive and finite")
-
-
-def _checked_order(q, top: int | None = None, name: str = "truncation order") -> int:
-    """``q`` as an ``int`` order in ``0..top`` (no upper end if ``top`` is None).
-
-    A ``bool``, a non-integer such as ``1.5`` and an order out of range raise
-    ``ValueError``, so no order is read from the end of an array or rounded.
-    """
-    if isinstance(q, bool) or not hasattr(type(q), "__index__"):
-        raise ValueError(f"{name} {q!r} is not an integer")
-    q = operator.index(q)
-    if top is not None and not 0 <= q <= top:
-        raise ValueError(f"{name} {q} is outside 0..{top}")
-    if q < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return q
 
 
 def _dt_power(dt: float, exponent: float) -> float:
@@ -372,12 +355,10 @@ def _triple_square_sum_float(q: int) -> float:
 
 
 def _checked_index(spec: KernelSpec, j) -> tuple[int, ...]:
-    """``j`` as a tuple, after checking that it is a multi-index of ``spec``."""
-    j = tuple(j)
+    """``j`` as a tuple of ``int``, after checking that it is a multi-index of ``spec``."""
+    j = tuple(_checked_int(x, "basis index") for x in j)
     if len(j) != spec.k:
         raise ValueError("multi-index length must equal multiplicity")
-    if any(x < 0 for x in j):
-        raise ValueError("basis indices must be nonnegative")
     return j
 
 
@@ -397,7 +378,8 @@ def bar_coeff(spec: KernelSpec, j: tuple[int, ...]) -> Fraction:
 
 
 def _check_shape(tensor) -> None:
-    """Refuse ``values`` whose shape is not ``(q+1,)*k``."""
+    """Store ``q`` as an ``int`` order and refuse ``values`` whose shape is not ``(q+1,)*k``."""
+    object.__setattr__(tensor, "q", _checked_int(tensor.q, "truncation order"))
     expected = (tensor.q + 1,) * tensor.spec.k
     if tensor.values.shape != expected:
         raise ValueError(f"tensor shape {tensor.values.shape} != {expected}")
@@ -453,7 +435,7 @@ class ScaledTensor:
 
     def truncated(self, q: int | None = None) -> np.ndarray:
         """The coefficients on ``{0..q}^k``; ``q`` defaults to the tensor's own order."""
-        q = self.q if q is None else _checked_order(q, self.q)
+        q = self.q if q is None else _checked_int(q, "truncation order", 0, self.q)
         return self.values[(slice(0, q + 1),) * self.spec.k]
 
 
@@ -479,7 +461,7 @@ def coeff_tensor(spec: KernelSpec, q: int) -> CoeffTensor:
         TensorBudgetError: before any work, if the work exceeds
             :data:`TENSOR_WORK_BUDGET`, or if ``L + k`` exceeds 1023.
     """
-    q = _checked_order(q)
+    q = _checked_int(q, "truncation order")
     n, total = q + 1, spec.total_weight
     if total + spec.k > 1023:  # |bar| <= 2**(L + k) / k!, so every float field stays finite
         raise TensorBudgetError(
@@ -521,10 +503,10 @@ class _BandTable(NamedTuple):
 
 def _band_table(weights, q: int) -> _BandTable:
     """:func:`_pair_bands` for a supported weight pair and order; every reader goes through it."""
-    weights = tuple(weights)
+    weights = tuple(_checked_int(l, "weight exponent") for l in weights)
     if weights not in DOUBLE_SERIES_WEIGHTS:
         raise ValueError(f"unsupported weight pair {weights}; supported: {DOUBLE_SERIES_WEIGHTS}")
-    return _pair_bands(weights, _checked_order(q))
+    return _pair_bands(weights, _checked_int(q, "truncation order"))
 
 
 @lru_cache(maxsize=128)

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import KernelSpec, ScaledTensor, _check_interval, _checked_order, _dt_power
+from .basis import _checked_int
+from .coeffs import KernelSpec, ScaledTensor, _check_interval, _dt_power
 
 __all__ = [
     "IndexPattern",
@@ -82,16 +82,6 @@ def kernel_norm(spec: KernelSpec, dt: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _label(c) -> int:
-    """One component label as an ``int``: a ``bool`` or a non-integer is refused."""
-    if not isinstance(c, bool):
-        try:
-            return operator.index(c)
-        except TypeError:
-            pass
-    raise ValueError(f"component label {c!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class IndexPattern:
     """Wiener component labels ``(i_1, ..., i_k)``, innermost first.
@@ -102,11 +92,9 @@ class IndexPattern:
     components: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(map(_label, self.components))
+        labels = tuple(_checked_int(c, "component label", 1) for c in self.components)
         if not labels:
             raise ValueError("at least one component required")
-        if any(c < 1 for c in labels):
-            raise ValueError("component labels are 1-based")
         object.__setattr__(self, "components", labels)
 
     @property
@@ -296,8 +284,7 @@ def _series_pair_legendre(q: int, dt: float) -> float:
 
 
 def _series_pair_legendre_weighted(q: int, dt: float) -> float:
-    if q < 1:
-        raise ValueError("weighted pair series requires q >= 1")
+    _checked_int(q, "weighted pair series order", 1)
     a = 1.0 / (2 * q + 1)
     b = 1.0 / (2 * q + 3)
     c = 1.0 / (2 * q + 5)
@@ -306,8 +293,7 @@ def _series_pair_legendre_weighted(q: int, dt: float) -> float:
 
 
 def _series_pair_legendre_weighted_equal(q: int, dt: float) -> float:
-    if q < 1:
-        raise ValueError("weighted pair series requires q >= 1")
+    _checked_int(q, "weighted pair series order", 1)
     a = 1.0 / (2 * q + 1)
     b = 1.0 / (2 * q + 3)
     c = 1.0 / (2 * q + 5)
@@ -405,7 +391,7 @@ def series_error(kind: str, q: int, dt: float) -> float:
         fn = _SERIES[kind]
     except KeyError:
         raise ValueError(f"unknown series kind {kind!r}; known: {', '.join(SERIES_KINDS)}")
-    q = _checked_order(q)
+    q = _checked_int(q, "truncation order")
     _check_interval(dt)
     try:
         value = fn(q, dt)

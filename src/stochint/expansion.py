@@ -28,9 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .basis import _checked_int
 from .coeffs import (
-    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _check_interval, _checked_order,
-    _dt_power, bar_coeff, scale_coeff,
+    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _check_interval, _dt_power,
+    bar_coeff, scale_coeff,
 )
 from .errors import IndexPattern, _tail_sum_fourths, _tail_sum_squares
 
@@ -79,8 +80,7 @@ class NoiseDraws:
         The returned row indexes Gaussians along its last axis; extra
         leading axes (for example a batch of realizations) pass through.
         """
-        if not 1 <= component <= self.m:
-            raise ValueError(f"component {component} outside 1..{self.m}")
+        component = _checked_int(component, "component", 1, self.m)
         if needed > self.zeta.shape[-1]:
             raise ValueError(
                 f"draws hold {self.zeta.shape[-1]} Gaussians per component, need {needed}"
@@ -94,9 +94,9 @@ def draw_noise(q_max: int, m: int, seed: int) -> NoiseDraws:
     The ``zeta`` table is drawn first, then the tail variables ``xi`` and
     ``mu``, so ``zeta`` depends on ``(q_max, m, seed)`` only.
     """
-    if m < 1:
-        raise ValueError("component count must be >= 1")
-    q_max = _checked_order(q_max, name="q_max")
+    m = _checked_int(m, "component count", 1)
+    q_max = _checked_int(q_max, "q_max")
+    seed = _checked_int(seed, "seed", 0, 2**128 - 1)  # the Philox key range
     gen = np.random.Generator(np.random.Philox(key=seed))
     zeta = gen.standard_normal((m, q_max + 1))
     xi = gen.standard_normal(m)
@@ -194,8 +194,7 @@ def legendre_closed_single(l: int, i1: int, draws: NoiseDraws, dt: float):
     The coefficients are :func:`~stochint.coeffs.scale_coeff` of the exact
     ones.
     """
-    if l not in range(4):
-        raise ValueError("closed single form implemented for l = 0..3")
+    l = _checked_int(l, "closed single form weight", 0, 3)
     return _exact_single(l, draws.row(i1, l + 1), dt)
 
 
@@ -396,11 +395,10 @@ def hermite_diagonal(
     :math:`I = \sum_{j \le l} C_j \zeta_j`, and Ito adds the exact
     :func:`ito_strat_convert` shift, in which the weighted pair terms cancel.
     """
-    if k not in (3, 4):
-        raise ValueError("Hermite diagonal forms implemented for k in {3, 4}")
+    k = _checked_int(k, "Hermite diagonal multiplicity", 3, 4)
     if calculus not in ("ito", "strat"):
         raise ValueError("calculus must be 'ito' or 'strat'")
-    strat = _exact_single(l, draws.row(i1, l + 1), dt) ** k / math.factorial(k)  # l < 0 raises
+    strat = _exact_single(l, draws.row(i1, l + 1), dt) ** k / math.factorial(k)  # KernelSpec checks l
     if calculus == "strat":
         return strat
     return ito_strat_convert(strat, IndexPattern((i1,) * k), (l,) * k, dt, "strat_to_ito", draws)
@@ -441,7 +439,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
     ``scale_exponent`` of its kernel, the law of
     :func:`~stochint.coeffs.trig_coeff`.
     """
-    q = _checked_order(q)
+    q = _checked_int(q, "truncation order")
     _check_interval(dt)
     if kind not in _TRIG_KINDS:
         raise ValueError(f"unknown kind {kind!r}; known: I1, I2, I00, I00_tail")

@@ -47,7 +47,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .basis import legendre_poly
+from .basis import _checked_int, legendre_poly
 from .coeffs import KernelSpec, _band_table, _check_interval, coeff_tensor, scaled_tensor
 from .errors import series_error
 from .expansion import IndexPattern, NoiseDraws, ito_expansion, legendre_double_series
@@ -101,7 +101,8 @@ class GridTooCoarseError(Exception):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fine-grid simulation parameters."""
+    """Fine-grid simulation parameters; ``steps >= 2``, ``paths >= 1`` and
+    ``seed >= 0`` are stored as ``int``."""
 
     steps: int
     paths: int
@@ -110,10 +111,8 @@ class SimConfig:
     calculus: str = "ito"
 
     def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ValueError("need at least 2 grid steps")
-        if self.paths < 1:
-            raise ValueError("need at least 1 path")
+        for name, low in (("steps", 2), ("paths", 1), ("seed", 0)):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
         _check_interval(self.dt)
         if self.calculus not in ("ito", "strat"):
             raise ValueError("calculus must be 'ito' or 'strat'")
@@ -224,6 +223,7 @@ def _basis_matrix(jmax: int, dt: float, n: int) -> np.ndarray:
     ``n``-step grid over ``[0, dt]``.  Raises ``ValueError`` for ``jmax``
     outside ``0..``:data:`BASIS_INDEX_CAP`.
     """
+    jmax = _checked_int(jmax, "basis index", None)
     if not 0 <= jmax <= BASIS_INDEX_CAP:
         raise ValueError(f"basis index {jmax} is outside the oracle's range 0..{BASIS_INDEX_CAP}")
     tau = np.linspace(0.0, dt, n + 1)[:n]
@@ -241,12 +241,11 @@ def coupled_zeta(cfg: SimConfig, m: int, jmax: int) -> np.ndarray:
     r"""Basis projections :math:`\zeta_j^{(i)}` of the simulated paths.
 
     Returns shape ``(m, paths, jmax + 1)``; entry ``[i-1, p, j]`` is the
-    discretized :math:`\int \varphi_j\, dW^{(i)}` of path ``p``.  An ``m``
-    below 1 or a ``jmax`` outside ``0..``:data:`BASIS_INDEX_CAP` raises
-    ``ValueError`` before anything is drawn.
+    discretized :math:`\int \varphi_j\, dW^{(i)}` of path ``p``.  A non-integer
+    ``m`` or ``jmax``, an ``m`` below 1 or a ``jmax`` outside
+    ``0..``:data:`BASIS_INDEX_CAP` raises ``ValueError`` before anything is drawn.
     """
-    if m < 1:
-        raise ValueError("component count must be >= 1")
+    m = _checked_int(m, "component count", 1)
     phi = _basis_matrix(jmax, cfg.dt, cfg.steps)
     out = np.empty((m, cfg.paths, jmax + 1))
     for rows, dw in _wiener_blocks(cfg, m, range(_chunk_count(cfg.paths))):
@@ -410,8 +409,8 @@ def _usable_cpus() -> int:
 def worker_count(requested: int | None, chunks: int) -> int:
     """Worker processes for ``chunks`` path chunks: ``requested``, or the
     usable CPUs when it is ``None``, and never more than one per chunk."""
-    if requested is not None and requested < 1:
-        raise ValueError("need at least 1 worker")
+    if requested is not None:
+        requested = _checked_int(requested, "worker count", 1)
     return min(requested or _usable_cpus(), chunks)
 
 
@@ -517,8 +516,7 @@ def validate_expansion(
         raise ValueError(f"validation checks Ito expansions only, not calculus={cfg.calculus!r}")
     if cfg.steps % 2:
         raise ValueError("step count must be even for the half-grid bias check")
-    if max_doublings < 0:
-        raise ValueError(f"max_doublings must be nonnegative, not {max_doublings}")
+    max_doublings = _checked_int(max_doublings, "max_doublings")
     if not math.isfinite(math.sqrt((2 * case.jmax + 1) / cfg.dt)):
         raise ValueError(f"interval length dt={cfg.dt!r} is too small: sqrt((2j+1)/dt) is inf")
     normals = cfg.paths * max(case.components) * cfg.steps * (2 ** (max_doublings + 1) - 1)

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .basis import _checked_int
 from .coeffs import _triple_square_sum, _triple_square_sum_float
 from .errors import SeriesCapError, series_error
 
@@ -148,8 +149,7 @@ class Condition:
             raise ValueError(f"unknown condition id {self.id!r}; known: {CONDITION_IDS}")
         if not 0.0 < self.dt < 1.0:
             raise ValueError("step size must lie in (0, 1)")
-        if self.cap < 1:
-            raise ValueError("scan cap must be positive")
+        object.__setattr__(self, "cap", _checked_int(self.cap, "scan cap", 1))
 
     @property
     def rhs(self) -> float:

@@ -1,7 +1,9 @@
 """One list of public names per layer, every name resolves, and the span tracer installs.
 
 ``stochint`` re-exports each layer's ``__all__`` and lists no name of its
-own but ``__version__``, so a name is added or removed in one place.
+own but ``__version__``, so a name is added or removed in one place.  In
+the same way ``basis._checked_int`` is the one integer rule: no other
+module calls ``operator.index``.
 
 ``perfbench/tracer.py``'s ``install`` calls ``getattr`` on each name in the
 ``__all__`` of every stochint layer and wraps the functions it finds.  A
@@ -16,6 +18,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +99,14 @@ def test_deleted_names_are_gone():
             assert not hasattr(module, name), f"{layer}.{name}"
             assert not hasattr(stochint, name), name
             assert not any(name in listed for listed in lists), name
+
+
+def test_one_integer_rule():
+    # A second copy of the rule, as coeffs._checked_order and errors._label were, drifts from it.
+    sources = Path(stochint.__file__).parent
+    for path in sources.glob("*.py"):
+        if path.name != "basis.py":
+            assert not re.search(r"\boperator\b", path.read_text()), path.name
+    assert "operator.index(value)" in (sources / "basis.py").read_text()
+    assert not hasattr(stochint.coeffs, "_checked_order")
+    assert not hasattr(stochint.errors, "_label")
