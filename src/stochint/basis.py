@@ -21,12 +21,13 @@ by the central binomial :math:`\binom{2k}{k} = 2^k a_k` the powers of two
 cancel, so each :math:`K` is a ratio of integers; :func:`_product_rows`
 gives them over one denominator per product, and the coefficient engine
 works on Legendre-coefficient vectors through them.  The polynomials serve
-the kernel norms, the oracle and independent cross-checks.
+the oracle's basis functions and independent cross-checks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,40 @@ def _checked_int(value, name: str, low: int | None = 0, high: int | None = None)
         bound = "nonnegative" if low == 0 else f">= {low}"
         raise ValueError(f"{name} must be {bound}, not {value}")
     return value
+
+
+def _checked_float(value, name: str, low: float = 0.0, high: float = math.inf) -> float:
+    """``value`` as a ``float`` in ``(low, high)``: the one float rule.  A ``bool``, a
+    non-``numbers.Real`` (``"0.5"``, ``Decimal``), NaN and ±inf raise ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not low < value < high:
+        raise ValueError(f"{name} must lie in ({low:g}, {high:g}), not {value!r}")
+    return value
+
+
+def _listing(keys) -> str:
+    """A registry's keys, sorted; table numbers with no gap read ``first..last``."""
+    keys = sorted(keys)
+    if isinstance(keys[0], int) and keys == list(range(keys[0], keys[-1] + 1)):
+        return f"{keys[0]}..{keys[-1]}"
+    return ", ".join(map(str, keys))
+
+
+def _checked_name(value, names, what: str):
+    """``value`` if it is a key of ``names``: the one name rule.  A name is a ``str``; a
+    table number is an ``int`` by :func:`_checked_int`, so ``True`` and ``4.0`` name nothing."""
+    try:
+        key = value if isinstance(value, str) else _checked_int(value, what, None)
+    except ValueError:
+        key = None
+    if key not in names:
+        raise ValueError(f"unknown {what} {value!r}; known: {_listing(names)}")
+    return key
 
 
 def _as_rational(value: int | Fraction) -> Fraction:

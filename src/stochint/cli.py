@@ -56,9 +56,10 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
+from .basis import _checked_name, _listing
 from .coeffs import KernelSpec, TensorBudgetError, coeff_tensor, tensor_to_csv, tensor_to_json
 from .errors import SERIES_KINDS, SeriesCapError, series_error
 from .oracle import (
@@ -226,15 +227,14 @@ def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
     return parse
 
 
-def _known(what: str, names: Sequence[str]) -> Callable[[str], str]:
-    """Argument type: one of ``names``."""
+def _known(what: str, names: Iterable[str]) -> Callable[[str], str]:
+    """Argument type: one of ``names``, by the library's name rule and with its message."""
 
     def parse(text: str) -> str:
-        if text not in names:
-            raise argparse.ArgumentTypeError(
-                f"unknown {what} {text!r} (available {', '.join(names)})"
-            )
-        return text
+        try:
+            return _checked_name(text, names, what)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -409,7 +409,9 @@ def build_parser() -> _Parser:
         )
 
     p = sub.add_parser("coeffs", help="exact coefficient tensors and reference grids")
-    p.add_argument("--table", type=int, help="numbered coefficient grid (4..36)")
+    p.add_argument(
+        "--table", type=int, help=f"numbered coefficient grid ({_listing(COEFF_TABLES)})"
+    )
     p.add_argument("--k", type=_int_in(1, 5), help="multiplicity of the kernel (1..5)")
     p.add_argument("--weights", type=_ints, help="comma-separated weight exponents")
     p.add_argument("--q", type=_int_in(0), default=2, help="truncation order per index")
@@ -417,7 +419,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("error-table", help="normalized truncation-error tables")
-    p.add_argument("--table", type=int, help="numbered error table (1,2,3,38,41,42)")
+    p.add_argument("--table", type=int, help=f"numbered error table ({_listing(ERROR_TABLES)})")
     p.add_argument(
         "--kind", type=_known("kind", SERIES_KINDS), help="error series kind (raw values at --dt)"
     )
@@ -427,14 +429,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_error_table)
 
     p = sub.add_parser("q-table", help="minimal truncation-order tables")
-    p.add_argument("--table", type=int, help="numbered order table (37, 39, 40)")
+    p.add_argument("--table", type=int, help=f"numbered order table ({_listing(Q_TABLES)})")
     p.add_argument("--dt", type=_floats, help="comma-separated interval lengths")
     common(p)
     p.set_defaults(func=_cmd_q_table)
 
     p = sub.add_parser("validate", help="coupled Monte Carlo validation")
     p.add_argument(
-        "--case", action="append", type=_known("case", sorted(VALIDATION_CASES)),
+        "--case", action="append", type=_known("case", VALIDATION_CASES),
         help="named validation case (repeatable; default all)",
     )
     p.add_argument("--paths", type=_int_in(1), default=20000)

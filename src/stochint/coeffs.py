@@ -90,7 +90,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .basis import _checked_int, _common_multiple, _product_rows
+from .basis import _checked_float, _checked_int, _common_multiple, _product_rows
 
 __all__ = [
     "KernelSpec",
@@ -159,15 +159,9 @@ class KernelSpec:
         return self.total_weight + self.k / 2
 
 
-def _check_interval(dt: float) -> None:
-    """Reject an interval length that is not a positive finite float (NaN too)."""
-    if not 0 < dt < math.inf:
-        raise ValueError("interval length must be positive and finite")
-
-
 def _dt_power(dt: float, exponent: float) -> float:
     """``dt ** exponent`` after checking ``dt``; a power that overflows raises ``ValueError``."""
-    _check_interval(dt)
+    dt = _checked_float(dt, "interval length")
     try:
         return dt**exponent
     except OverflowError:
@@ -432,6 +426,7 @@ class ScaledTensor:
 
     def __post_init__(self) -> None:
         _check_shape(self)
+        object.__setattr__(self, "dt", _checked_float(self.dt, "interval length"))
 
     def truncated(self, q: int | None = None) -> np.ndarray:
         """The coefficients on ``{0..q}^k``; ``q`` defaults to the tensor's own order."""

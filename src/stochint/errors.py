@@ -36,8 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import _checked_int
-from .coeffs import KernelSpec, ScaledTensor, _check_interval, _dt_power
+from .basis import _checked_float, _checked_int, _checked_name
+from .coeffs import KernelSpec, ScaledTensor, _dt_power
 
 __all__ = [
     "IndexPattern",
@@ -387,12 +387,9 @@ def series_error(kind: str, q: int, dt: float) -> float:
         SeriesCapError: ``triple_trig``, ``triple_trig_tail`` or
             ``pair_trig_weighted`` above :data:`TRIG_SERIES_CAP`, before any work.
     """
-    try:
-        fn = _SERIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown series kind {kind!r}; known: {', '.join(SERIES_KINDS)}")
+    fn = _SERIES[_checked_name(kind, _SERIES, "series kind")]
     q = _checked_int(q, "truncation order")
-    _check_interval(dt)
+    dt = _checked_float(dt, "interval length")
     try:
         value = fn(q, dt)
     except OverflowError:

@@ -28,10 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _checked_int
+from .basis import _checked_float, _checked_int, _checked_name
 from .coeffs import (
-    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _check_interval, _dt_power,
-    bar_coeff, scale_coeff,
+    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, _band_table, _dt_power, bar_coeff, scale_coeff,
 )
 from .errors import IndexPattern, _tail_sum_fourths, _tail_sum_squares
 
@@ -50,6 +49,8 @@ __all__ = [
     "ito_strat_convert",
     "trig_milstein",
 ]
+
+_CALCULI = ("ito", "strat")  # the calculi an expansion is read in
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,7 @@ def legendre_double_series(
     """
     if pattern.k != 2:
         raise ValueError("double series requires a pair pattern")
-    if calculus not in ("ito", "strat"):
-        raise ValueError("calculus must be 'ito' or 'strat'")
+    _checked_name(calculus, _CALCULI, "calculus")
     bands, _, needed = _band_table(weights, q)
     z1 = draws.row(pattern.components[0], needed)
     z2 = draws.row(pattern.components[1], needed)
@@ -364,9 +364,8 @@ def ito_strat_convert(
     :func:`legendre_double_series` at order ``q``.  Both read ``draws``; any
     other term raises ``ValueError``.
     """
-    if direction not in ("ito_to_strat", "strat_to_ito"):
-        raise ValueError("direction must be 'ito_to_strat' or 'strat_to_ito'")
-    _check_interval(dt)
+    _checked_name(direction, ("ito_to_strat", "strat_to_ito"), "direction")
+    dt = _checked_float(dt, "interval length")
     weights = KernelSpec(pattern.k, tuple(weights)).weights  # checks k, length and signs
     shift = 0.0
     for (levels, p), factor in _conversion_terms(pattern.components, weights):
@@ -396,8 +395,7 @@ def hermite_diagonal(
     :func:`ito_strat_convert` shift, in which the weighted pair terms cancel.
     """
     k = _checked_int(k, "Hermite diagonal multiplicity", 3, 4)
-    if calculus not in ("ito", "strat"):
-        raise ValueError("calculus must be 'ito' or 'strat'")
+    _checked_name(calculus, _CALCULI, "calculus")
     strat = _exact_single(l, draws.row(i1, l + 1), dt) ** k / math.factorial(k)  # KernelSpec checks l
     if calculus == "strat":
         return strat
@@ -440,10 +438,8 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
     :func:`~stochint.coeffs.trig_coeff`.
     """
     q = _checked_int(q, "truncation order")
-    _check_interval(dt)
-    if kind not in _TRIG_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; known: I1, I2, I00, I00_tail")
-    weights = _TRIG_KINDS[kind]
+    dt = _checked_float(dt, "interval length")
+    weights = _TRIG_KINDS[_checked_name(kind, _TRIG_KINDS, "kind")]
     if pattern.k != len(weights):
         raise ValueError(f"the {kind} form takes {len(weights)} component(s), not {pattern.k}")
     if kind != "I00" and (draws.xi is None or (kind == "I2" and draws.mu is None)):

@@ -47,10 +47,10 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .basis import _checked_int, legendre_poly
-from .coeffs import KernelSpec, _band_table, _check_interval, coeff_tensor, scaled_tensor
+from .basis import _checked_float, _checked_int, _checked_name, legendre_poly
+from .coeffs import KernelSpec, _band_table, coeff_tensor, scaled_tensor
 from .errors import series_error
-from .expansion import IndexPattern, NoiseDraws, ito_expansion, legendre_double_series
+from .expansion import _CALCULI, IndexPattern, NoiseDraws, ito_expansion, legendre_double_series
 from .qselect import triple_legendre_error_constant
 
 __all__ = [
@@ -102,7 +102,7 @@ class GridTooCoarseError(Exception):
 @dataclass(frozen=True)
 class SimConfig:
     """Fine-grid simulation parameters; ``steps >= 2``, ``paths >= 1`` and
-    ``seed >= 0`` are stored as ``int``."""
+    ``seed >= 0`` are stored as ``int``, and the interval length as ``float``."""
 
     steps: int
     paths: int
@@ -113,9 +113,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name, low in (("steps", 2), ("paths", 1), ("seed", 0)):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
-        _check_interval(self.dt)
-        if self.calculus not in ("ito", "strat"):
-            raise ValueError("calculus must be 'ito' or 'strat'")
+        object.__setattr__(self, "dt", _checked_float(self.dt, "interval length"))
+        _checked_name(self.calculus, _CALCULI, "calculus")
 
 
 def _chunk_count(paths: int) -> int:
@@ -506,12 +505,7 @@ def validate_expansion(
             ``cfg.dt``), or a standard error of zero at the grid that ends
             the run.
     """
-    try:
-        case = VALIDATION_CASES[case_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown case {case_name!r}; known: {', '.join(sorted(VALIDATION_CASES))}"
-        )
+    case = VALIDATION_CASES[_checked_name(case_name, VALIDATION_CASES, "case")]
     if cfg.calculus != "ito":
         raise ValueError(f"validation checks Ito expansions only, not calculus={cfg.calculus!r}")
     if cfg.steps % 2:

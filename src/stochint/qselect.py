@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import _checked_int
+from .basis import _checked_float, _checked_int, _checked_name
 from .coeffs import _triple_square_sum, _triple_square_sum_float
 from .errors import SeriesCapError, series_error
 
@@ -138,17 +138,15 @@ _SCAN_CAPS = {"triple_legendre_dt4": TRIPLE_FLOAT_CAP}
 
 @dataclass(frozen=True)
 class Condition:
-    """One accuracy condition: scheme id, step size, and scan cap."""
+    """One accuracy condition: scheme id, step size in (0, 1) stored as ``float``, and scan cap."""
 
     id: str
     dt: float
     cap: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.id not in _CONDITIONS:
-            raise ValueError(f"unknown condition id {self.id!r}; known: {CONDITION_IDS}")
-        if not 0.0 < self.dt < 1.0:
-            raise ValueError("step size must lie in (0, 1)")
+        _checked_name(self.id, _CONDITIONS, "condition id")
+        object.__setattr__(self, "dt", _checked_float(self.dt, "step size", 0.0, 1.0))
         object.__setattr__(self, "cap", _checked_int(self.cap, "scan cap", 1))
 
     @property

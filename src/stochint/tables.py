@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .basis import _checked_name
 from .coeffs import KernelSpec, _outer_coeffs, _outer_series
 from .errors import series_error
 from .qselect import Condition, min_q
@@ -86,12 +87,7 @@ COEFF_TABLES: dict[int, CoeffTableSpec] = {
 
 def compute_coeff_table(number: int) -> list[list[Fraction]]:
     """Exact rational grid of one coefficient table."""
-    try:
-        layout = COEFF_TABLES[number]
-    except KeyError:
-        raise ValueError(
-            f"no coefficient table {number}; available: 4..36"
-        ) from None
+    layout = COEFF_TABLES[_checked_name(number, COEFF_TABLES, "coefficient table")]
     grid = [[layout.js(r, c) for c in range(layout.cols)] for r in range(layout.rows)]
     series = dict(_outer_series(layout.spec, sorted({j[:-1] for row in grid for j in row})))
     return [[_outer_coeffs(series[j[:-1]], j[-1:])[0] for j in row] for row in grid]
@@ -129,14 +125,8 @@ ERROR_TABLES: dict[int, ErrorTableSpec] = {
 
 def compute_error_table(number: int, qs: Sequence[int] | None = None) -> list[float]:
     """Normalized error values of one error table at the given orders."""
-    try:
-        table = ERROR_TABLES[number]
-    except KeyError:
-        raise ValueError(
-            f"no error table {number}; available: {sorted(ERROR_TABLES)}"
-        ) from None
-    if qs is None:
-        qs = DEFAULT_ERROR_QS
+    table = ERROR_TABLES[_checked_name(number, ERROR_TABLES, "error table")]
+    qs = DEFAULT_ERROR_QS if qs is None else qs
     return [table.factor * series_error(table.series, q, 1.0) for q in qs]
 
 
@@ -182,18 +172,9 @@ Q_TABLES: dict[int, QTableSpec] = {
 
 def compute_q_table(number: int, dts: Sequence[float] | None = None) -> dict[str, list[int]]:
     """Minimal-order columns of one truncation-order table."""
-    try:
-        table = Q_TABLES[number]
-    except KeyError:
-        raise ValueError(
-            f"no truncation-order table {number}; available: {sorted(Q_TABLES)}"
-        ) from None
-    if dts is None:
-        dts = table.dts
-    out: dict[str, list[int]] = {}
-    for name, cond_id in table.columns:
-        out[name] = [min_q(Condition(cond_id, dt)) for dt in dts]
-    return out
+    table = Q_TABLES[_checked_name(number, Q_TABLES, "truncation-order table")]
+    dts = table.dts if dts is None else dts
+    return {name: [min_q(Condition(cond_id, dt)) for dt in dts] for name, cond_id in table.columns}
 
 
 def pol_over_trig_ratios() -> list[float]:

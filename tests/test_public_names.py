@@ -2,8 +2,9 @@
 
 ``stochint`` re-exports each layer's ``__all__`` and lists no name of its
 own but ``__version__``, so a name is added or removed in one place.  In
-the same way ``basis._checked_int`` is the one integer rule: no other
-module calls ``operator.index``.
+the same way ``basis._checked_int``, ``_checked_float`` and ``_checked_name``
+are the one integer, float and name rule: no other module calls
+``operator.index``, imports ``numbers`` or writes a ``"; known: "`` message.
 
 ``perfbench/tracer.py``'s ``install`` calls ``getattr`` on each name in the
 ``__all__`` of every stochint layer and wraps the functions it finds.  A
@@ -23,7 +24,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stochint
+from stochint.expansion import _TRIG_KINDS, IndexPattern, draw_noise, trig_milstein
 
 #: The layers the package re-exports, in the order of its ``__all__``.
 LAYERS = ("basis", "coeffs", "errors", "expansion", "oracle", "qselect", "tables")
@@ -110,3 +114,18 @@ def test_one_integer_rule():
     assert "operator.index(value)" in (sources / "basis.py").read_text()
     assert not hasattr(stochint.coeffs, "_checked_order")
     assert not hasattr(stochint.errors, "_label")
+
+
+def test_one_float_and_name_rule():
+    # coeffs._check_interval let a bool, a str or a Decimal through, and each
+    # module listed the known names of its registry in its own words.
+    sources = Path(stochint.__file__).parent
+    for path in sources.glob("*.py"):
+        if path.name != "basis.py":
+            text = path.read_text()
+            assert "; known: " not in text, path.name
+            assert not re.search(r"^\s*(import|from) numbers\b", text, re.M), path.name
+    assert not hasattr(stochint.coeffs, "_check_interval")
+    with pytest.raises(ValueError, match="^unknown kind 'nope'; known: ") as info:
+        trig_milstein("nope", IndexPattern((1,)), draw_noise(2, 1, 0), 1, 0.5)
+    assert str(info.value).split("; known: ")[1].split(", ") == sorted(_TRIG_KINDS)

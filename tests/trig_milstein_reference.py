@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from stochint.coeffs import KernelSpec, _check_interval, _dt_power
+from stochint.basis import _checked_float
+from stochint.coeffs import KernelSpec, _dt_power
 from stochint.errors import _tail_sum_fourths, _tail_sum_squares
 from stochint.expansion import IndexPattern, NoiseDraws
 
@@ -69,7 +70,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
     """
     if q < 0:
         raise ValueError("truncation order must be nonnegative")
-    _check_interval(dt)
+    _checked_float(dt, "interval length")
     sqrt2 = math.sqrt(2.0)
 
     if kind == "I1":
