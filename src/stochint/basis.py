@@ -1,9 +1,10 @@
 r"""Exact rational polynomial arithmetic and Legendre polynomials.
 
-Everything in this module is computed over arbitrary-precision rationals;
-floating point appears nowhere.  The module supplies dense rational
-polynomials, antiderivatives with zero constant term, exact definite
-integrals, Legendre polynomials :math:`P_n` from their explicit sum
+Everything in this module is computed over arbitrary-precision integers
+and rationals; floats appear only in the boundary rule ``_checked_float``.
+The module supplies dense rational polynomials, antiderivatives with zero
+constant term, exact definite integrals, Legendre polynomials :math:`P_n`
+from their explicit sum
 
 .. math:: P_n(x) = 2^{-n} \sum_{k \le n/2} (-1)^k \binom{n}{k}
           \binom{2n - 2k}{n}\, x^{n - 2k},
@@ -20,8 +21,10 @@ with :math:`(-1)!! = 1` so that :math:`a_0 = 1`.  With :math:`a_k` replaced
 by the central binomial :math:`\binom{2k}{k} = 2^k a_k` the powers of two
 cancel, so each :math:`K` is a ratio of integers; :func:`_product_rows`
 gives them over one denominator per product, and the coefficient engine
-works on Legendre-coefficient vectors through them.  The polynomials serve
-the oracle's basis functions and independent cross-checks.
+works on Legendre-coefficient vectors through them.  The oracle's basis
+rows read the explicit sum as integers (``_legendre_terms``); the rational
+polynomial layer (``RatPoly``, ``legendre_poly``, ``product_expand``,
+``antiderivative``, ``definite_integral``) serves cross-checks only.
 """
 
 from __future__ import annotations
@@ -218,11 +221,16 @@ def legendre_poly(n: int) -> RatPoly:
         The exact polynomial :math:`P_n`.
     """
     n = _checked_int(n, "Legendre index")
-    coeffs = [0] * (n + 1)
+    return RatPoly.from_coeffs([Fraction(c, 2**n) for c in _legendre_terms(n)])
+
+
+def _legendre_terms(n: int) -> list[int]:
+    """``2**n`` times the coefficients of :math:`P_n`, lowest power first, by the explicit sum."""
+    terms = [0] * (n + 1)
     for k in range(n // 2 + 1):
         term = math.comb(n, k) * math.comb(2 * n - 2 * k, n)
-        coeffs[n - 2 * k] = Fraction(-term if k % 2 else term, 2**n)
-    return RatPoly.from_coeffs(coeffs)
+        terms[n - 2 * k] = -term if k % 2 else term
+    return terms
 
 
 def _common_multiple(pairs) -> int:

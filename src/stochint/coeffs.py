@@ -49,20 +49,10 @@ By orthogonality the outermost level is a lookup: with
 :math:`h = w_{l_k} F_{k-1} = \sum_n h_n P_n`,
 :math:`\bar C_{j_k \ldots j_1} = 2 h_{j_k} / (2 j_k + 1)`.
 
-One depth-first walk, ``_outer_series``, builds the prefix series in both
-bases and reuses the levels a prefix shares with the one before it.
-``bar_coeff``, ``coeff_tensor`` (each prefix fills its :math:`j_k` fiber),
-the coefficient tables, the triple sum and the pair-series band table read
-its Legendre rule above.  ``trig_coeff`` walks the whole index with the
-trigonometric rule, exact in :math:`\mathbb{Q}[1/\pi]`: a level is a dict
-from ``(f, s, n, p)`` to the rational coefficient of :math:`u^n \cos(2\pi f u)`
-(``s = 0``) or :math:`u^n \sin(2\pi f u)` (``s = 1``) times :math:`\pi^{-p}`.
-A basis function multiplies by the product-to-sum rules (frequencies
-:math:`f \pm r`), :math:`\int_0^u` integrates by parts, each
-:math:`1/(2\pi f)` adding one power of :math:`1/\pi`, and a weight shifts
-:math:`n`.  Its :math:`\bar C` is :math:`(-1)^L 2^{L+k}` times the value at
-:math:`u = 1`, and its norm is :math:`\sqrt2` per nonzero index, so it
-takes the same scaling law.
+One depth-first walk, ``_outer_series``, builds the prefix series and
+reuses the levels a prefix shares with the one before it.  ``bar_coeff``,
+``coeff_tensor`` (each prefix fills its :math:`j_k` fiber), the coefficient
+tables, the triple sum and the pair-series band table read it.
 
 ``scale_coeff`` is the one route from :math:`\bar C` to a float: it
 evaluates the scaling law above as
@@ -81,11 +71,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -102,7 +91,6 @@ __all__ = [
     "coeff_tensor",
     "scale_coeff",
     "scaled_tensor",
-    "trig_coeff",
     "tensor_to_json",
     "tensor_to_csv",
 ]
@@ -238,27 +226,22 @@ def _integral(series: _Series) -> _Series:
     return _reduced(out, series.den * scale)
 
 
-def _legendre_step(rows: Callable, h: _Series, j: int, l: int) -> _Series:
-    """The Legendre level rule of :func:`_outer_series`: ``P_j``, ``int_{-1}^x``, ``w_l``."""
-    return _times_weight(_integral(_times_legendre(h, j, rows)), l)
-
-
-def _outer_series(spec: KernelSpec, prefixes: Iterable, start=None, step=None) -> Iterator:
+def _outer_series(spec: KernelSpec, prefixes: Iterable) -> Iterator:
     """Yield ``(prefix, h)`` with ``h = w_{l_{r+1}} F_r`` for each prefix ``(j_1..j_r)``.
 
-    The one prefix walk of both bases: ``start`` is ``w_{l_1}`` and
-    ``step(h, j, l)`` the next level (``l = 0`` past the last), by default
-    the Legendre rule.  Depth first, so sorted prefixes build each level once.
+    Each level multiplies by ``P_j``, integrates from -1 and applies the
+    next weight (``l = 0`` past the last).  Depth first, so sorted prefixes
+    build each level once.
     """
-    if step is None:
-        start, step = _times_weight(_ONE, spec.weights[0]), partial(_legendre_step, _product_rows())
+    rows = _product_rows()
     weights = (*spec.weights, 0)
-    path = [((), start)]  # (prefix[:r], w_{l_{r+1}} F_r)
+    path = [((), _times_weight(_ONE, weights[0]))]  # (prefix[:r], w_{l_{r+1}} F_r)
     for prefix in prefixes:
         while path[-1][0] != prefix[: len(path) - 1]:
             path.pop()
         for r in range(len(path), len(prefix) + 1):
-            path.append((prefix[:r], step(path[-1][1], prefix[r - 1], weights[r])))
+            h = _integral(_times_legendre(path[-1][1], prefix[r - 1], rows))
+            path.append((prefix[:r], _times_weight(h, weights[r])))
         yield prefix, path[-1][1]
 
 
@@ -551,90 +534,6 @@ def _pair_bands(weights: tuple[int, int], q: int) -> _BandTable:
     trace = sum(((2 * a + 1) * c for a, c in enumerate(bands[0].exact[0], bands[0].start)), _ZERO)
     needed = max(b.start + b.unit.shape[1] + b.offset for b in bands)
     return _BandTable(tuple(bands), trace / 2 ** (total + 2), needed)
-
-
-# ---------------------------------------------------------------------------
-# Trigonometric coefficients, exact in Q[1/pi]
-# ---------------------------------------------------------------------------
-
-def _trig_times_basis(terms: dict, j: int) -> dict:
-    """Multiply by basis function ``j`` without its sqrt(2), product to sum."""
-    r, b = (j + 1) // 2, j % 2
-    out = defaultdict(Fraction)
-    for (f, s, n, p), c in terms.items():
-        kind = s ^ b
-        for g, sign in ((f + r, -1 if s & b else 1), (f - r, -1 if b > s else 1)):
-            if g < 0:
-                g, sign = -g, -sign if kind else sign
-            if g or not kind:
-                out[g, kind, n, p] += sign * c / 2
-    return out
-
-
-def _trig_integral(terms: dict) -> dict:
-    """``int_0^u`` of each term, by parts; each ``1/(2 pi f)`` adds one power of ``1/pi``."""
-    out = defaultdict(Fraction)
-    for (f, s, n, p), c in terms.items():
-        if not f:
-            out[0, 0, n + 1, p] += c / (n + 1)
-            continue
-        while True:
-            c, p = c / (2 * f), p + 1
-            sign = -1 if s else 1  # the antiderivative of cos is sin, of sin is -cos
-            out[f, 1 - s, n, p] += sign * c
-            if not n:
-                if s:
-                    out[0, 0, 0, p] += c  # cos(0) at the lower limit
-                break
-            c, s, n = -sign * n * c, 1 - s, n - 1
-    return out
-
-
-def _trig_step(terms: dict, j: int, l: int) -> dict:
-    """The trigonometric level rule of :func:`_outer_series`: basis ``j``, ``int_0^u``, ``u**l``."""
-    terms = _trig_integral(_trig_times_basis(terms, j))
-    return {(f, s, n + l, p): c for (f, s, n, p), c in terms.items()} if l else terms
-
-
-def _trig_bars(spec: KernelSpec, cells: Iterable[tuple[int, ...]]) -> Iterator:
-    r"""Yield ``(j, bar)`` per cell: ``bar[p]`` multiplies :math:`\pi^{-p}` in :math:`\bar C_j`.
-
-    The basis functions of :func:`trig_coeff` lose their :math:`\sqrt2`.  At
-    :math:`u = 1` only the cosine terms remain, as :math:`\sin 2\pi f = 0`.
-    """
-    scale = (-2) ** spec.total_weight * 2**spec.k
-    start = {(0, 0, spec.weights[0], 0): Fraction(1)}
-    for j, terms in _outer_series(spec, cells, start, _trig_step):
-        at_one = defaultdict(Fraction)
-        for (_, s, _, p), c in terms.items():
-            if not s:
-                at_one[p] += c
-        yield j, tuple(scale * at_one[p] for p in range(max(at_one, default=0) + 1))
-
-
-def _trig_bar(spec: KernelSpec, j: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """:func:`_trig_bars` of the one cell ``j``."""
-    [(_, bar)] = _trig_bars(spec, [j])
-    return bar
-
-
-def trig_coeff(spec: KernelSpec, j: tuple[int, ...], dt: float) -> float:
-    r"""Scaled coefficient ``C`` for the trigonometric basis.
-
-    The basis on an interval of length ``dt`` is
-    :math:`\{1, \sqrt2 \sin(2\pi r u), \sqrt2 \cos(2\pi r u)\}/\sqrt{dt}`
-    with ``u`` the normalized coordinate; index ``2r-1`` is the sine and
-    ``2r`` the cosine of frequency ``r``.  The exact :func:`_trig_bar` is
-    summed in floats and scaled by the law of :func:`scale_coeff`.
-
-    Args:
-        spec: kernel description (weights innermost first).
-        j: basis multi-index, innermost first.
-        dt: interval length.
-    """
-    j = _checked_index(spec, j)
-    bar = math.fsum(float(c) / math.pi**p for p, c in enumerate(_trig_bar(spec, j)))
-    return _scale(bar, spec, math.sqrt(2 ** sum(map(bool, j))), dt)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def _series_single_trig_weighted(q: int, dt: float) -> float:
     return dt**3 / (2.0 * math.pi**2) * _tail_sum_squares(q)
 
 
-def _trig_partial_sums(q: int) -> tuple[float, float, float, float]:
+def _weighted_trig_sums(q: int) -> tuple[float, float, float, float]:
     """``(h2, h4, s_b, s_c)``: the sums of ``1/r²`` and ``1/r⁴`` over ``r = 1..q``
     and :func:`_frequency_interaction_sums`, shared by the weighted trig series."""
     s_b, s_c = _frequency_interaction_sums(q)  # first: its cap is checked before any work
@@ -323,7 +323,7 @@ def _trig_partial_sums(q: int) -> tuple[float, float, float, float]:
 
 
 def _triple_trig_common(q: int) -> tuple[float, float, float]:
-    h2, h4, s_b, s_c = _trig_partial_sums(q)
+    h2, h4, s_b, s_c = _weighted_trig_sums(q)
     return h2, h4, 5.0 * (h2 * h2 - h4) - s_b + 6.0 * s_c
 
 
@@ -344,7 +344,7 @@ def _series_triple_trig(q: int, dt: float) -> float:
 
 
 def _series_pair_trig_weighted(q: int, dt: float) -> float:
-    h2, h4, s_b, s_c = _trig_partial_sums(q)
+    h2, h4, s_b, s_c = _weighted_trig_sums(q)
     d2 = 2.0 * s_c + s_b
     pi2 = math.pi**2
     pi4 = pi2 * pi2
@@ -370,14 +370,10 @@ SERIES_KINDS = tuple(sorted(_SERIES))
 def series_error(kind: str, q: int, dt: float) -> float:
     """Closed-form mean-square error of one named approximation scheme.
 
-    Kinds (``pair``/``triple`` = multiplicity 2/3, ``weighted`` = one
-    time-weight factor, ``_tail`` = scheme that models the discarded tail
-    with extra Gaussian variables, ``_equal`` = both components equal):
-
-    ``pair_legendre``, ``pair_legendre_weighted``,
-    ``pair_legendre_weighted_equal``, ``pair_trig``, ``pair_trig_tail``,
-    ``pair_trig_weighted``, ``single_trig_weighted``, ``triple_trig``,
-    ``triple_trig_tail``.
+    ``kind`` is one of :data:`SERIES_KINDS`, the keys of ``_SERIES``
+    (``pair``/``triple`` = multiplicity 2/3, ``weighted`` = one time-weight
+    factor, ``_tail`` = scheme that models the discarded tail with extra
+    Gaussian variables, ``_equal`` = both components equal).
 
     Raises:
         ValueError: unknown kind, ``q`` not a nonnegative integer, an

@@ -434,8 +434,8 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
     Basis index ``2r-1`` is the sine and ``2r`` the cosine of frequency
     ``r``; tail variables come from :attr:`NoiseDraws.xi` / ``mu``.  Each
     form is its value on the unit interval times ``dt`` to the
-    ``scale_exponent`` of its kernel, the law of
-    :func:`~stochint.coeffs.trig_coeff`.
+    ``scale_exponent`` of its kernel, the scaling law of the exact
+    coefficients in ``tests/trig_coeff_reference.py``.
     """
     q = _checked_int(q, "truncation order")
     dt = _checked_float(dt, "interval length")

@@ -47,7 +47,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .basis import _checked_float, _checked_int, _checked_name, legendre_poly
+from .basis import _checked_float, _checked_int, _checked_name, _legendre_terms
 from .coeffs import KernelSpec, _band_table, coeff_tensor, scaled_tensor
 from .errors import series_error
 from .expansion import _CALCULI, IndexPattern, NoiseDraws, ito_expansion, legendre_double_series
@@ -229,9 +229,7 @@ def _basis_matrix(jmax: int, dt: float, n: int) -> np.ndarray:
     x = 2.0 * tau / dt - 1.0
     rows = []
     for j in range(jmax + 1):
-        p = legendre_poly(j)
-        coeffs = [float(c) for c in p.coeffs] or [0.0]
-        vals = np.polynomial.polynomial.polyval(x, coeffs)
+        vals = np.polynomial.polynomial.polyval(x, [c / 2**j for c in _legendre_terms(j)])
         rows.append(math.sqrt((2 * j + 1) / dt) * vals)
     return np.stack(rows)
 

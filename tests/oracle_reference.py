@@ -12,6 +12,10 @@ as the library functions of the same names once did.
 :func:`nested_values_stepwise` is the nested-integral kernel before the
 outermost level became a per-path dot product: it copies the block's
 components and keeps every level, the outermost too, on the whole grid.
+
+:func:`basis_matrix_rational` builds the basis rows as the library once
+did, from the rational coefficients of ``legendre_poly(j)``; the library
+now reads the same explicit sum as integers.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 
 import numpy as np
 
+from stochint.basis import legendre_poly
 from stochint.oracle import (
     PATH_CHUNK,
     VALIDATION_CASES,
@@ -64,6 +69,19 @@ def nested_values_stepwise(spec, components, dw: np.ndarray, dt: float, calculus
             w_cell[None, :] * (dw[:, 0, :] ** 2 - h), axis=1
         )
     return values
+
+
+def basis_matrix_rational(jmax: int, dt: float, n: int) -> np.ndarray:
+    """The basis rows of ``_basis_matrix``, from ``legendre_poly(j).coeffs`` as floats."""
+    tau = np.linspace(0.0, dt, n + 1)[:n]
+    x = 2.0 * tau / dt - 1.0
+    rows = []
+    for j in range(jmax + 1):
+        p = legendre_poly(j)
+        coeffs = [float(c) for c in p.coeffs] or [0.0]
+        vals = np.polynomial.polynomial.polyval(x, coeffs)
+        rows.append(math.sqrt((2 * j + 1) / dt) * vals)
+    return np.stack(rows)
 
 
 def wiener_chunk(cfg: SimConfig, m: int, idx: int) -> np.ndarray:

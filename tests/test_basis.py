@@ -16,6 +16,7 @@ from stochint.basis import (
     definite_integral,
     legendre_poly,
     product_expand,
+    _legendre_terms,
 )
 
 import fraction_reference
@@ -105,6 +106,10 @@ class TestLegendreFamily:
         p = legendre_poly(n)
         padded = list(p.coeffs) + [Fraction(0)] * (n + 1 - len(p.coeffs))
         assert padded == [Fraction(c) for c in KNOWN_COEFFS[n]]
+
+    def test_integer_terms(self):
+        for n in range(41):
+            assert _legendre_terms(n) == [c * 2**n for c in legendre_poly(n).coeffs]
 
     @pytest.mark.parametrize("n", range(13))
     def test_orthogonality_and_norm(self, n):

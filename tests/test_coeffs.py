@@ -26,13 +26,9 @@ from stochint.coeffs import (
     scaled_tensor,
     tensor_to_csv,
     tensor_to_json,
-    trig_coeff,
     _fiber_square_sum,
     _outer_series,
     _pair_bands,
-    _trig_bar,
-    _trig_bars,
-    _trig_step,
     _triple_square_sum,
 )
 from stochint import coeffs as coeffs_module
@@ -40,9 +36,10 @@ from stochint.errors import kernel_norm
 from stochint.tables import compute_coeff_table
 
 import fraction_reference
-import trig_bar_reference
+import trig_coeff_reference
 import trig_quadrature_reference
 from monomial_reference import monomial_bar
+from trig_coeff_reference import _trig_bar, _trig_bars, trig_bar_levelwise, trig_coeff
 
 # ---------------------------------------------------------------------------
 # Independent oracle: nested Gauss-Legendre quadrature on the ordered
@@ -314,14 +311,14 @@ class TestPrefixWalk:
     )
     def test_any_order_matches_one_prefix_walks(self, weights, data):
         spec = KernelSpec(len(weights), tuple(weights))
-        trig = ({(0, 0, spec.weights[0], 0): Fraction(1)}, _trig_step)
-        for rule, longest in (((), spec.k - 1), (trig, spec.k)):
+        walks = ((_outer_series, spec.k - 1), (trig_coeff_reference._trig_walk, spec.k))
+        for walk, longest in walks:
             prefix = st.lists(st.integers(0, 4), max_size=longest).map(tuple)
             prefixes = data.draw(st.lists(prefix, max_size=12))
-            walked = list(_outer_series(spec, prefixes, *rule))
+            walked = list(walk(spec, prefixes))
             assert [p for p, _ in walked] == prefixes
             for p, h in walked:
-                [(_, alone)] = _outer_series(spec, [p], *rule)
+                [(_, alone)] = walk(spec, [p])
                 assert h == alone
 
     def test_series_steps(self, monkeypatch):
@@ -348,21 +345,22 @@ class TestPrefixWalk:
     @pytest.mark.parametrize("k, n", [(1, 9), (2, 7), (3, 5), (4, 3)])
     def test_trig_series_steps(self, k, n, monkeypatch):
         # A dense trig grid builds each shared level once; the levelwise route builds k per cell.
-        calls = {coeffs_module: 0, trig_bar_reference: 0}
-        for module in calls:
-            integral = module._trig_integral
+        calls = 0
+        integral = trig_coeff_reference._trig_integral
 
-            def counted(terms, module=module, integral=integral):
-                calls[module] += 1
-                return integral(terms)
+        def counted(terms):
+            nonlocal calls
+            calls += 1
+            return integral(terms)
 
-            monkeypatch.setattr(module, "_trig_integral", counted)
+        monkeypatch.setattr(trig_coeff_reference, "_trig_integral", counted)
         spec = KernelSpec.unweighted(k)
         cells = list(itertools.product(range(n), repeat=k))
         bars = [bar for _, bar in _trig_bars(spec, cells)]
-        assert calls[coeffs_module] == sum(n**r for r in range(1, k + 1))
-        assert bars == [trig_bar_reference.trig_bar_levelwise(spec, j) for j in cells]
-        assert calls[trig_bar_reference] == k * n**k
+        assert calls == sum(n**r for r in range(1, k + 1))
+        calls = 0
+        assert bars == [trig_bar_levelwise(spec, j) for j in cells]
+        assert calls == k * n**k
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -371,7 +369,7 @@ class TestPrefixWalk:
         spec = KernelSpec(k, tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))))
         cell = st.lists(st.integers(0, 8), min_size=k, max_size=k).map(tuple)
         cells = data.draw(st.lists(cell, min_size=1, max_size=6))
-        expected = [trig_bar_reference.trig_bar_levelwise(spec, j) for j in cells]
+        expected = [trig_bar_levelwise(spec, j) for j in cells]
         assert [bar for _, bar in _trig_bars(spec, cells)] == expected
         assert [_trig_bar(spec, j) for j in cells] == expected
 

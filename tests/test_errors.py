@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stochint.coeffs import (
-    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, coeff_tensor, scaled_tensor, trig_coeff,
+    DOUBLE_SERIES_WEIGHTS, KernelSpec, ScaledTensor, coeff_tensor, scaled_tensor,
 )
 from stochint.errors import (
     SERIES_KINDS,
@@ -27,13 +27,16 @@ from stochint.errors import (
     kernel_norm_exact,
     series_error,
 )
-from stochint.errors import _polygamma, _position_permutations, _tail_sum_fourths, _tail_sum_squares
+from stochint.errors import (
+    _SERIES, _polygamma, _position_permutations, _tail_sum_fourths, _tail_sum_squares,
+)
 from stochint.expansion import pair_series_tensor
 
 import error_pattern_reference
 import trig_interaction_reference
 import trig_series_reference
 from monomial_reference import kernel_norm_simplex
+from trig_coeff_reference import trig_coeff
 
 
 class TestKernelNorm:
@@ -271,6 +274,12 @@ class TestClosedSeries:
             "triple_trig",
             "triple_trig_tail",
         }
+
+    def test_kinds_are_the_registry(self):
+        assert SERIES_KINDS == tuple(sorted(_SERIES))
+        with pytest.raises(ValueError, match="^unknown series kind 'nope'; known: ") as info:
+            series_error("nope", 1, 0.5)
+        assert str(info.value).split("; known: ")[1].split(", ") == list(SERIES_KINDS)
 
     def test_validation(self):
         with pytest.raises(ValueError):

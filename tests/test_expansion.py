@@ -18,7 +18,6 @@ from stochint.coeffs import (
     coeff_tensor,
     scale_coeff,
     scaled_tensor,
-    trig_coeff,
 )
 from stochint.errors import SERIES_KINDS, exact_error, series_error
 from stochint.expansion import (
@@ -40,6 +39,7 @@ from stochint.expansion import (
 from conversion_reference import hermite_ito, pair_shift, quadruple_shift, triple_shift
 from pair_series_reference import HAND_FORMS, pair_series_support
 from single_form_reference import single_form
+from trig_coeff_reference import trig_coeff
 import trig_milstein_reference
 
 DT = 0.6
@@ -819,8 +819,6 @@ class TestTrigForms:
         # The closed pair form equals the contraction of the numerically
         # integrated sine/cosine coefficient grid.
         import itertools
-
-        from stochint.coeffs import trig_coeff
 
         draws = draw_noise(q_max=8, m=2, seed=3)
         direct = trig_milstein("I00", IndexPattern((1, 2)), draws, q, DT)

@@ -247,6 +247,14 @@ class TestCoupledZeta:
             ref = scale * np.polynomial.legendre.legval(x, [0.0] * j + [1.0])
             assert np.max(np.abs(phi[j] - ref)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("dt", [0.5, 0.37, 1e-3])
+    @pytest.mark.parametrize("steps", [2, 1024, 2048, 4096, 65536])
+    def test_rows_match_the_rational_route_bit_for_bit(self, steps, dt):
+        # The integer sum gives the same floats as the rational coefficients it replaced.
+        for jmax in range(oracle.BASIS_INDEX_CAP + 1):
+            former = oracle_reference.basis_matrix_rational(jmax, dt, steps)
+            assert oracle._basis_matrix(jmax, dt, steps).tobytes() == former.tobytes()
+
 
 class TestValidateExpansion:
     def test_known_cases(self):

@@ -17,6 +17,7 @@ interpreter.  It reads ``perfbench/tracer.py`` and writes nothing under
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import re
@@ -35,6 +36,7 @@ LAYERS = ("basis", "coeffs", "errors", "expansion", "oracle", "qselect", "tables
 #: Public names that left the package because nothing ran them.
 DELETED = {
     "basis": ("Rational",),
+    "coeffs": ("trig_coeff",),
     "oracle": ("moment_estimate", "MomentEstimate"),
     "qselect": ("condition_lhs", "min_q_many"),
 }
@@ -129,3 +131,16 @@ def test_one_float_and_name_rule():
     with pytest.raises(ValueError, match="^unknown kind 'nope'; known: ") as info:
         trig_milstein("nope", IndexPattern((1,)), draw_noise(2, 1, 0), 1, 0.5)
     assert str(info.value).split("; known: ")[1].split(", ") == sorted(_TRIG_KINDS)
+
+
+def test_src_computes_only_what_it_runs():
+    # The exact trigonometric engine and the rational polynomials that built
+    # the oracle's basis rows are test references now; a copy left in src/
+    # would be a second code path that nothing runs.
+    for layer in (*LAYERS, "cli"):
+        module = importlib.import_module(f"stochint.{layer}")
+        assert not [name for name in vars(module) if name.startswith("_trig_")], layer
+    oracle = (Path(stochint.__file__).parent / "oracle.py").read_text()
+    for name in stochint.basis.__all__:
+        assert not re.search(rf"\b{name}\b", oracle), name
+    assert list(inspect.signature(stochint.coeffs._outer_series).parameters) == ["spec", "prefixes"]

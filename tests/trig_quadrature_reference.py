@@ -1,10 +1,10 @@
 """Trigonometric coefficients by nested Gauss-Legendre quadrature.
 
-The library computes :func:`stochint.coeffs.trig_coeff` exactly, as a
-polynomial in ``1/pi`` with rational coefficients.  This module keeps the
-route it replaced as a cross-check: nested panelwise Gauss-Legendre
-quadrature on the unit interval, doubling the panel count until two
-successive refinements agree to within a quarter of ``tol``.
+:func:`trig_coeff_reference.trig_coeff` computes the coefficients exactly,
+as a polynomial in ``1/pi`` with rational coefficients.  This module keeps
+the route that exact engine replaced as an independent cross-check: nested
+panelwise Gauss-Legendre quadrature on the unit interval, doubling the panel
+count until two successive refinements agree to within a quarter of ``tol``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _nested_trig_integral(spec: KernelSpec, j: tuple[int, ...], panels: int) -> 
 
 
 def trig_coeff(spec: KernelSpec, j: tuple[int, ...], dt: float, tol: float = 1e-12) -> float:
-    """Scaled trigonometric coefficient ``C``, as :func:`stochint.coeffs.trig_coeff`.
+    """Scaled trigonometric coefficient ``C``, as :func:`trig_coeff_reference.trig_coeff`.
 
     ``tol`` is an absolute tolerance in units of ``dt**(L + k/2)``; a
     refinement that stalls above it raises :class:`ArithmeticError`.

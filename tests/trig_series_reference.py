@@ -34,8 +34,10 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from stochint.coeffs import KernelSpec, _trig_bars
+from stochint.coeffs import KernelSpec
 from stochint.errors import kernel_norm_exact
+
+from trig_coeff_reference import _trig_bars
 
 
 def _trimmed(coeffs) -> tuple[Fraction, ...]:
