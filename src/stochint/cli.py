@@ -30,17 +30,20 @@ cached there, each entry with its payload's SHA-256; an entry that fails it
 is a miss.  Cache entries, which processes share, are written to a unique
 name and renamed into place, so a reader sees a whole entry or none.
 
-The parser rejects out-of-range flags (``--paths`` below 1, ``--steps``
-below 2, ``--threads`` below 1, a ``--k`` outside 1..5, a negative ``--q``,
-``--seed`` or ``--weights`` entry, a ``--dt`` that is not positive and
-finite) and unknown ``--case`` or ``--kind`` names before any work starts,
-naming the value; a token such as ``-1,0``, ``-inf`` or ``-nan`` is read as
-a value, not as a flag.  The library rejects unknown table numbers.  Each
-subcommand answers a document, its CSV rows and the manifest parameters, and
-one renderer writes the payload.
+The parser checks every numeric and named flag by the library's own
+integer, float and name rules (``basis._checked_int``, ``_checked_float``
+and ``_checked_name``) before any work starts, so a flag has the range and
+the message of the argument it becomes: ``--k`` is a multiplicity (1..5),
+``--paths`` at least 1, ``--steps`` at least 2, ``--threads`` a worker count
+of at least 1, a ``--dt`` an interval length, or for ``q-table`` a step size
+in (0, 1).  The error quotes the flag's text; a token such as ``-1,0``,
+``-inf`` or ``-nan`` is read as a value, not as a flag.  The library rejects
+unknown table numbers.  Each subcommand answers a document, its CSV rows and
+the manifest parameters, and one renderer writes the payload.
 
-Exit codes: 0 success; 1 usage error; 2 validation failure; 3 resource
-cap exceeded.
+Exit codes: 0 success; 1 usage error, or a file that cannot be written (an
+``OSError``, reported in one line); 2 validation failure; 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import re
 import stat
@@ -59,7 +61,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
-from .basis import _checked_name, _listing
+from .basis import _checked_float, _checked_int, _checked_name, _listing
 from .coeffs import KernelSpec, TensorBudgetError, coeff_tensor, tensor_to_csv, tensor_to_json
 from .errors import SERIES_KINDS, SeriesCapError, series_error
 from .oracle import (
@@ -195,46 +197,18 @@ def _emit(
     _write_over(args.output + ".manifest.json", manifest.to_json().encode())
 
 
-def _ints(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part != ""]
-    if any(value < 0 for value in values):
-        raise argparse.ArgumentTypeError(f"{text!r} has a negative entry")
-    return values
+def _flag(rule: Callable, convert: Callable[[str], object], *args, each: bool = False):
+    """Argument type: ``rule(convert(text), *args)`` with ``rule`` one of the library's
+    boundary rules, or with ``each`` a list of that per comma-separated part (empty
+    parts skipped).  A refused value is a usage error that quotes the flag's text."""
 
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
-    return value
-
-
-def _floats(text: str) -> list[float]:
-    return [_positive(part) for part in text.split(",") if part != ""]
-
-
-def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
-    """Argument type: an integer from ``low`` to ``high``."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if not low <= value <= high:
-            bound = f"at least {low}" if high == math.inf else f"{low} to {high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, not {text}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
-
-
-def _known(what: str, names: Iterable[str]) -> Callable[[str], str]:
-    """Argument type: one of ``names``, by the library's name rule and with its message."""
-
-    def parse(text: str) -> str:
+    def parse(text: str):
         try:
-            return _checked_name(text, names, what)
+            if each:
+                return [rule(convert(part), *args) for part in text.split(",") if part != ""]
+            return rule(convert(text), *args)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
     return parse
 
@@ -244,8 +218,15 @@ def _known(what: str, names: Iterable[str]) -> Callable[[str], str]:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_text(args: argparse.Namespace, weights: tuple[int, ...]) -> str:
-    tensor = coeff_tensor(KernelSpec(args.k, weights), args.q)
+def _spec(args: argparse.Namespace) -> KernelSpec:
+    """The kernel of ``--k`` and ``--weights``, unweighted when no weights are given."""
+    if args.weights is None:
+        return KernelSpec.unweighted(args.k)
+    return KernelSpec(args.k, tuple(args.weights))
+
+
+def _tensor_text(args: argparse.Namespace, spec: KernelSpec) -> str:
+    tensor = coeff_tensor(spec, args.q)
     return tensor_to_json(tensor) if args.format == "json" else tensor_to_csv(tensor)
 
 
@@ -270,9 +251,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Reply:
         return _Reply(doc, rows, {"table": args.table, "format": args.format})
     if args.k is None:
         raise ValueError("provide --table or --k")
-    weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
     parameters = {"k": args.k, "weights": args.weights, "q": args.q, "format": args.format}
-    return _Reply(_tensor_text(args, weights), [], parameters)
+    return _Reply(_tensor_text(args, _spec(args)), [], parameters)
 
 
 def _cache_path(key: str) -> Path | None:
@@ -306,19 +286,19 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _cmd_export(args: argparse.Namespace) -> _Reply:
-    weights = tuple(args.weights) if args.weights is not None else (0,) * args.k
-    key = f"{__version__}:export:{args.k}:{weights}:{args.q}:{args.format}"
+    spec = _spec(args)
+    key = f"{__version__}:export:{args.k}:{spec.weights}:{args.q}:{args.format}"
     cached = _cache_path(key)
     entry = _read_entry(cached) if cached is not None else None
     if entry is not None:
         payload, digest = entry
     else:
-        payload = _tensor_text(args, weights)
+        payload = _tensor_text(args, spec)
         digest = hashlib.sha256(payload.encode()).hexdigest()
         if cached is not None:
             cached.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(cached, f"{digest}\n{payload}")
-    parameters = {"k": args.k, "weights": list(weights), "q": args.q, "format": args.format}
+    parameters = {"k": args.k, "weights": list(spec.weights), "q": args.q, "format": args.format}
     return _Reply(payload, [], parameters, digest=digest)
 
 
@@ -400,6 +380,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="stochint", description=__doc__.split("\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"stochint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    multiplicity = _flag(_checked_int, int, "multiplicity", 1, 5)
+    weights = _flag(_checked_int, int, "weight exponent", each=True)
+    order = _flag(_checked_int, int, "truncation order")
+    interval = _flag(_checked_float, float, "interval length")
 
     def common(p: _Parser, output_required: bool = False) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -412,48 +396,55 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--table", type=int, help=f"numbered coefficient grid ({_listing(COEFF_TABLES)})"
     )
-    p.add_argument("--k", type=_int_in(1, 5), help="multiplicity of the kernel (1..5)")
-    p.add_argument("--weights", type=_ints, help="comma-separated weight exponents")
-    p.add_argument("--q", type=_int_in(0), default=2, help="truncation order per index")
+    p.add_argument("--k", type=multiplicity, help="multiplicity of the kernel (1..5)")
+    p.add_argument("--weights", type=weights, help="comma-separated weight exponents")
+    p.add_argument("--q", type=order, default=2, help="truncation order per index")
     common(p)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("error-table", help="normalized truncation-error tables")
     p.add_argument("--table", type=int, help=f"numbered error table ({_listing(ERROR_TABLES)})")
     p.add_argument(
-        "--kind", type=_known("kind", SERIES_KINDS), help="error series kind (raw values at --dt)"
+        "--kind", type=_flag(_checked_name, str, SERIES_KINDS, "kind"),
+        help="error series kind (raw values at --dt)",
     )
-    p.add_argument("--q", type=_ints, help="comma-separated truncation orders")
-    p.add_argument("--dt", type=_positive, default=1.0, help="interval length for --kind mode")
+    p.add_argument(
+        "--q", type=_flag(_checked_int, int, "truncation order", each=True),
+        help="comma-separated truncation orders",
+    )
+    p.add_argument("--dt", type=interval, default=1.0, help="interval length for --kind mode")
     common(p)
     p.set_defaults(func=_cmd_error_table)
 
     p = sub.add_parser("q-table", help="minimal truncation-order tables")
     p.add_argument("--table", type=int, help=f"numbered order table ({_listing(Q_TABLES)})")
-    p.add_argument("--dt", type=_floats, help="comma-separated interval lengths")
+    p.add_argument(
+        "--dt", type=_flag(_checked_float, float, "step size", 0.0, 1.0, each=True),
+        help="comma-separated interval lengths",
+    )
     common(p)
     p.set_defaults(func=_cmd_q_table)
 
     p = sub.add_parser("validate", help="coupled Monte Carlo validation")
     p.add_argument(
-        "--case", action="append", type=_known("case", VALIDATION_CASES),
+        "--case", action="append", type=_flag(_checked_name, str, VALIDATION_CASES, "case"),
         help="named validation case (repeatable; default all)",
     )
-    p.add_argument("--paths", type=_int_in(1), default=20000)
-    p.add_argument("--steps", type=_int_in(2), default=1024)
-    p.add_argument("--seed", type=_int_in(0), default=42)
-    p.add_argument("--dt", type=_positive, default=0.5)
+    p.add_argument("--paths", type=_flag(_checked_int, int, "paths", 1), default=20000)
+    p.add_argument("--steps", type=_flag(_checked_int, int, "steps", 2), default=1024)
+    p.add_argument("--seed", type=_flag(_checked_int, int, "seed"), default=42)
+    p.add_argument("--dt", type=interval, default=0.5)
     p.add_argument(
-        "--threads", type=_int_in(1),
+        "--threads", type=_flag(_checked_int, int, "worker count", 1),
         help="oracle worker processes (default: usable CPUs); outputs do not depend on it",
     )
     common(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("export", help="write a coefficient tensor with manifest")
-    p.add_argument("--k", type=_int_in(1, 5), required=True, help="multiplicity (1..5)")
-    p.add_argument("--weights", type=_ints)
-    p.add_argument("--q", type=_int_in(0), required=True)
+    p.add_argument("--k", type=multiplicity, required=True, help="multiplicity (1..5)")
+    p.add_argument("--weights", type=weights)
+    p.add_argument("--q", type=order, required=True)
     common(p, output_required=True)
     p.set_defaults(func=_cmd_export)
     return parser
@@ -477,16 +468,16 @@ def main(argv: list[str] | None = None) -> int:
     prog = f"stochint {args.command}"
     try:
         reply = args.func(args)
+        _emit(_payload(args.format, reply.doc, reply.rows), args, reply.parameters, reply.digest)
     except (TensorBudgetError, QSelectCapError, OracleBudgetError, SeriesCapError) as exc:
         sys.stderr.write(f"{prog}: resource cap: {exc}\n")
         return EXIT_RESOURCE
     except GridTooCoarseError as exc:
         sys.stderr.write(f"{prog}: {exc}\n")
         return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"{prog}: {exc}\n")
         return EXIT_USAGE
-    _emit(_payload(args.format, reply.doc, reply.rows), args, reply.parameters, reply.digest)
     return reply.code
 
 

@@ -135,6 +135,7 @@ class KernelSpec:
 
     @staticmethod
     def unweighted(k: int) -> KernelSpec:
+        k = _checked_int(k, "multiplicity", 1, 5)  # before (0,) * k is built
         return KernelSpec(k, (0,) * k)
 
     @property

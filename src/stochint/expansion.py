@@ -444,16 +444,16 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
         raise ValueError(f"the {kind} form takes {len(weights)} component(s), not {pattern.k}")
     if kind != "I00" and (draws.xi is None or (kind == "I2" and draws.mu is None)):
         raise ValueError("tail-augmented form requested but draws carry no tail variables")
+    # Checked before any length-q array: I1 reads sines to index 2q - 1, the rest cosines to 2q.
+    rows = [draws.row(c, max(1, 2 * q) if kind == "I1" else 2 * q + 1) for c in pattern.components]
     sqrt2 = math.sqrt(2.0)
     r = np.arange(1, q + 1)
 
     if kind == "I1":
-        c = pattern.components[0]
-        z = draws.row(c, max(1, 2 * q))
+        (c,), (z,) = pattern.components, rows
         unit = -(z[..., 0] - sqrt2 / math.pi * _sine_sum(z, q, draws.xi[c - 1])) / 2.0
     elif kind == "I2":
-        c = pattern.components[0]
-        z = draws.row(c, 2 * q + 1)
+        (c,), (z,) = pattern.components, rows
         cos_sum = np.sum(z[..., 2 * r] / r**2, axis=-1)
         unit = (
             z[..., 0] / 3.0
@@ -461,8 +461,7 @@ def trig_milstein(kind: str, pattern: IndexPattern, draws: NoiseDraws, q: int, d
             - _sine_sum(z, q, draws.xi[c - 1]) / (sqrt2 * math.pi)
         )
     else:
-        c1, c2 = pattern.components
-        z1, z2 = draws.row(c1, 2 * q + 1), draws.row(c2, 2 * q + 1)
+        (c1, c2), (z1, z2) = pattern.components, rows
         xi1, xi2 = (draws.xi[c1 - 1], draws.xi[c2 - 1]) if kind == "I00_tail" else (None, None)
         sine, cosine = 2 * r - 1, 2 * r
         cross = np.sum((z1[..., cosine] * z2[..., sine] - z1[..., sine] * z2[..., cosine]) / r, -1)

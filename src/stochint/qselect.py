@@ -20,6 +20,13 @@ of a percent of the threshold at the printed step sizes, so they accept
 with a small relative tolerance (:data:`TRIPLE_REL_TOL`); the pair
 conditions compare exactly.
 
+Each condition is one row of data: the closed series of
+:mod:`stochint.errors` its left-hand side reads, or ``None`` for the triple
+Legendre constant below; the exponent ``e``; the reported offset; and the
+tolerance.  A series row probes ``series_error(kind, q, dt)`` up to the
+condition's cap.  The ``None`` row probes the constant times ``dt**3`` and
+stops at ``min(cap, TRIPLE_FLOAT_CAP)``, since its float sum costs O(q³).
+
 The unweighted triple Legendre error per :math:`dt^3` is
 :math:`1/6 - \tfrac{1}{64} \sum_{j \in \{0..q\}^3} \prod_r (2 j_r + 1)\,
 \bar C_j^2`.  By orthogonality :math:`\bar C_{j_3 j_2 j_1} = 2 h_{j_3} /
@@ -29,9 +36,7 @@ to :math:`\sum_{j_3 \le q} 4 h_{j_3}^2 / (2 j_3 + 1)`: the constant takes
 :math:`(q+1)^2` series instead of :math:`(q+1)^3` coefficients.  The scan
 evaluates this sum in floats (relative error about 1e-14 up to ``q = 30``)
 and recomputes it exactly only when the float left-hand side lies within
-:data:`TIE_REL_TOL` of the threshold.  The float sum costs O(q³), so its
-scan stops at :data:`TRIPLE_FLOAT_CAP` whatever the condition's own cap.
-The exact sum grows about eightfold per doubling of ``q``, so a near-tie
+:data:`TIE_REL_TOL` of the threshold.  The exact sum grows about eightfold per doubling of ``q``, so a near-tie
 above :data:`TRIPLE_EXACT_CAP` raises :class:`~stochint.errors.SeriesCapError`.
 """
 
@@ -105,35 +110,20 @@ def _triple_constant_float(q: int) -> float:
     return 1.0 / 6.0 - _triple_square_sum_float(q) / 64.0
 
 
-def _series_lhs(kind: str):
-    """Left-hand side read from one closed error series of :mod:`stochint.errors`."""
-    return lambda q, dt: series_error(kind, q, dt)
-
-
-# id -> (lhs, rhs exponent, reported offset, relative tolerance, exact lhs for
-# a near-tie or None when lhs is already a closed series)
+# id -> (series kind or None, rhs exponent, reported offset, relative tolerance)
 _CONDITIONS = {
-    "pair_legendre_dt4": (_series_lhs("pair_legendre"), 4, 1, 0.0, None),
-    "pair_legendre_dt3": (_series_lhs("pair_legendre"), 3, 1, 0.0, None),
-    "pair_trig_tail_dt4": (_series_lhs("pair_trig_tail"), 4, 1, 0.0, None),
-    "pair_trig_tail_dt3": (_series_lhs("pair_trig_tail"), 3, 1, 0.0, None),
-    "pair_trig_dt4": (_series_lhs("pair_trig"), 4, 1, 0.0, None),
-    "pair_trig_dt3": (_series_lhs("pair_trig"), 3, 1, 0.0, None),
-    "triple_legendre_dt4": (
-        lambda q, dt: _triple_constant_float(q) * dt**3,
-        4,
-        0,
-        TRIPLE_REL_TOL,
-        lambda q, dt: triple_legendre_error_constant(q) * dt**3,
-    ),
-    "triple_trig_tail_dt4": (_series_lhs("triple_trig_tail"), 4, 0, TRIPLE_REL_TOL, None),
-    "triple_trig_dt4": (_series_lhs("triple_trig"), 4, 0, TRIPLE_REL_TOL, None),
+    "pair_legendre_dt4": ("pair_legendre", 4, 1, 0.0),
+    "pair_legendre_dt3": ("pair_legendre", 3, 1, 0.0),
+    "pair_trig_tail_dt4": ("pair_trig_tail", 4, 1, 0.0),
+    "pair_trig_tail_dt3": ("pair_trig_tail", 3, 1, 0.0),
+    "pair_trig_dt4": ("pair_trig", 4, 1, 0.0),
+    "pair_trig_dt3": ("pair_trig", 3, 1, 0.0),
+    "triple_legendre_dt4": (None, 4, 0, TRIPLE_REL_TOL),
+    "triple_trig_tail_dt4": ("triple_trig_tail", 4, 0, TRIPLE_REL_TOL),
+    "triple_trig_dt4": ("triple_trig", 4, 0, TRIPLE_REL_TOL),
 }
 
 CONDITION_IDS = tuple(sorted(_CONDITIONS))
-
-#: Scan caps that hold whatever ``Condition.cap`` says, where one probe grows costly.
-_SCAN_CAPS = {"triple_legendre_dt4": TRIPLE_FLOAT_CAP}
 
 
 @dataclass(frozen=True)
@@ -175,10 +165,10 @@ class QScanResult:
 
 def _probe(cond_id: str, q: int, dt: float) -> tuple[float, str]:
     """Left-hand side at order ``q`` and the route that produced it."""
-    lhs, exponent, _, tol, exact = _CONDITIONS[cond_id]
-    value = lhs(q, dt)
-    if exact is None:
-        return value, "series"
+    kind, exponent, _, tol = _CONDITIONS[cond_id]
+    if kind is not None:
+        return series_error(kind, q, dt), "series"
+    value = _triple_constant_float(q) * dt**3
     threshold = dt**exponent * (1.0 + tol)
     if abs(value - threshold) > TIE_REL_TOL * threshold:
         return value, "float_parseval"
@@ -187,7 +177,7 @@ def _probe(cond_id: str, q: int, dt: float) -> tuple[float, str]:
             f"{cond_id} at q={q} is a near-tie, and the exact check is capped at "
             f"q <= {TRIPLE_EXACT_CAP}"
         )
-    return exact(q, dt), "exact"
+    return triple_legendre_error_constant(q) * dt**3, "exact"
 
 
 def scan_detail(cond: Condition) -> QScanResult:
@@ -198,8 +188,8 @@ def scan_detail(cond: Condition) -> QScanResult:
             or :data:`TRIPLE_FLOAT_CAP` for ``triple_legendre_dt4`` if lower.
         SeriesCapError: a probe above :data:`TRIPLE_EXACT_CAP` is a near-tie.
     """
-    _, exponent, offset, tol, _ = _CONDITIONS[cond.id]
-    cap = min(cond.cap, _SCAN_CAPS.get(cond.id, cond.cap))
+    kind, exponent, offset, tol = _CONDITIONS[cond.id]
+    cap = cond.cap if kind is not None else min(cond.cap, TRIPLE_FLOAT_CAP)
     rhs = cond.dt**exponent
     threshold = rhs * (1.0 + tol)
     lo, hi = -1, 0  # after the gallop: lo is not admissible (or is -1), hi is

@@ -8,13 +8,21 @@ with the exact triple constant (``triple_legendre_error_constant``).
 
 from __future__ import annotations
 
-from stochint.qselect import _CONDITIONS, Condition, QSelectCapError
+from stochint.errors import series_error
+from stochint.qselect import (
+    _CONDITIONS, Condition, QSelectCapError, triple_legendre_error_constant,
+)
 
 
 def linear_scan(cond: Condition) -> tuple[int, int, float]:
     """``(minimal_q, reported_q, lhs_at_minimal)``; raises ``QSelectCapError`` past the cap."""
-    series, exponent, offset, tol, exact = _CONDITIONS[cond.id]
-    lhs_fn = exact if exact is not None else series
+    kind, exponent, offset, tol = _CONDITIONS[cond.id]
+
+    def lhs_fn(q: int, dt: float) -> float:
+        if kind is None:
+            return triple_legendre_error_constant(q) * dt**3
+        return series_error(kind, q, dt)
+
     rhs = cond.dt**exponent
     threshold = rhs * (1.0 + tol)
     lhs = lhs_fn(0, cond.dt)

@@ -82,6 +82,7 @@ ENTRIES = {
     "product_expand_n": Entry("Legendre index", lambda v: product_expand(1, v), 2, (-1,)),
     "KernelSpec_k": Entry("multiplicity", lambda v: KernelSpec(v, (0,)), 1, (0, 6)),
     "KernelSpec_weight": Entry("weight exponent", lambda v: KernelSpec(2, (v, 0)), 1, (-1,)),
+    "KernelSpec_unweighted": Entry("multiplicity", KernelSpec.unweighted, 3, (0, 6, 10**20)),
     "bar_coeff_index": Entry(
         "basis index", lambda v: bar_coeff(KernelSpec.unweighted(2), (v, 0)), 1, (-1,)
     ),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import hashlib
+import math
 import os
 import re
 import stat
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochint.basis import _checked_float, _checked_int, _checked_name
 from stochint.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -244,7 +246,10 @@ class TestFloatInputs:
         code, out, err = run_cli(capsys, *argv, value)
         assert code == EXIT_USAGE
         assert "NaN" not in out and "Infinity" not in out
-        assert "positive finite" in err
+        name, high = ("step size", 1.0) if argv[0] == "q-table" else ("interval length", math.inf)
+        with pytest.raises(ValueError) as refused:
+            _checked_float(float(value), name, 0.0, high)
+        assert str(refused.value) in err
 
     def test_bad_entry_in_dt_list(self, capsys):
         code, out, _ = run_cli(capsys, "q-table", "--table", "39", "--dt", "0.01,nan")
@@ -303,6 +308,46 @@ class TestBadFlags:
         assert out == ""
         assert all(word in err for word in named.split())
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+#: Each numeric flag with a value just outside its range, and the library rule
+#: that refuses that value: the flag is checked by that rule, not a copy of it.
+FLAG_RULES = [
+    (("coeffs", "--k"), "0", lambda: _checked_int(0, "multiplicity", 1, 5)),
+    (("coeffs", "--k"), "6", lambda: _checked_int(6, "multiplicity", 1, 5)),
+    (("coeffs", "--k", "2", "--weights"), "0,-1", lambda: _checked_int(-1, "weight exponent")),
+    (("coeffs", "--k", "2", "--q"), "-1", lambda: _checked_int(-1, "truncation order")),
+    (("export", "--k"), "6", lambda: _checked_int(6, "multiplicity", 1, 5)),
+    (("export", "--k", "2", "--weights"), "-1", lambda: _checked_int(-1, "weight exponent")),
+    (("export", "--k", "2", "--q"), "-1", lambda: _checked_int(-1, "truncation order")),
+    (("error-table", "--q"), "1,-1", lambda: _checked_int(-1, "truncation order")),
+    (("error-table", "--dt"), "0", lambda: _checked_float(0.0, "interval length")),
+    (("q-table", "--dt"), "0.5,1", lambda: _checked_float(1.0, "step size", 0.0, 1.0)),
+    (("q-table", "--dt"), "0", lambda: _checked_float(0.0, "step size", 0.0, 1.0)),
+    (("validate", "--paths"), "0", lambda: _checked_int(0, "paths", 1)),
+    (("validate", "--steps"), "1", lambda: _checked_int(1, "steps", 2)),
+    (("validate", "--seed"), "-1", lambda: _checked_int(-1, "seed")),
+    (("validate", "--dt"), "0", lambda: _checked_float(0.0, "interval length")),
+    (("validate", "--threads"), "0", lambda: _checked_int(0, "worker count", 1)),
+    (("error-table", "--kind"), "nope", lambda: _checked_name("nope", SERIES_KINDS, "kind")),
+    (("validate", "--case"), "nope", lambda: _checked_name("nope", VALIDATION_CASES, "case")),
+]
+
+
+class TestFlagRules:
+    @pytest.mark.parametrize(
+        "argv, text, refusal", FLAG_RULES, ids=[f"{a[0]}{a[-1]}={t}" for a, t, _ in FLAG_RULES]
+    )
+    def test_refused_with_the_library_sentence(
+        self, capsys, tmp_path, monkeypatch, argv, text, refusal
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as refused:
+            refusal()
+        code, out, err = run_cli(capsys, *argv, text, "--output", "out")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: argument {argv[-1]}: {text!r}: {refused.value}\n" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -736,11 +781,13 @@ class TestExport:
             raise OSError("disk full")
 
         monkeypatch.setattr(Path, "write_text", broken_write)
-        with pytest.raises(OSError, match="disk full"):
-            main(["export", "--k", "2", "--q", "3", "--output", str(tmp_path / "one.json")])
+        code, _, err = run_cli(
+            capsys, "export", "--k", "2", "--q", "3", "--output", str(tmp_path / "one.json")
+        )
+        assert (code, err) == (EXIT_USAGE, "stochint export: disk full\n")
         assert list(cache.iterdir()) == []
 
-    def test_cache_writes_leave_only_the_entry(self, tmp_path, monkeypatch):
+    def test_cache_writes_leave_only_the_entry(self, capsys, tmp_path, monkeypatch):
         # One write, a write that fails before its rename, and two writes of
         # one key in one process: the entry alone is left, never a *.tmp file.
         cache = tmp_path / "cache"
@@ -761,8 +808,8 @@ class TestExport:
             raise OSError("rename refused")
 
         monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="rename refused"):
-            main(argv)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_USAGE, "stochint export: rename refused\n")
         assert list(cache.iterdir()) == []
 
         def recording_replace(src, dst):
@@ -849,6 +896,21 @@ class TestOutputWrite:
             os.umask(old)
         for name in ("o", "o.manifest.json"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "cache-under-file"])
+    def test_unwritable_path_is_one_line(self, capsys, tmp_path, monkeypatch, where):
+        # An OSError is a usage error, reported as one line, like a ValueError.
+        target = tmp_path / "one.json"
+        if where == "missing-directory":
+            target = tmp_path / "missing" / "one.json"
+        elif where == "directory":
+            target.mkdir()
+        else:
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("STOCHINT_CACHE_DIR", str(tmp_path / "file" / "cache"))
+        code, out, err = run_cli(capsys, "export", "--k", "2", "--q", "1", "--output", str(target))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("stochint export: [Errno ") and err.count("\n") == 1
 
     def test_device_output(self, capsys, tmp_path):
         # A path to the null device (by a link, so the manifest lands in

@@ -814,6 +814,17 @@ class TestTrigForms:
         with pytest.raises(ValueError):
             trig_milstein("I1", IndexPattern((1,)), tailless, 1, DT)
 
+    @pytest.mark.parametrize(
+        "kind, pattern, needed",
+        [("I1", (1,), 2 * 10**12), ("I2", (1,), 2 * 10**12 + 1),
+         ("I00", (1, 2), 2 * 10**12 + 1), ("I00_tail", (1, 2), 2 * 10**12 + 1)],
+    )
+    def test_short_draws_refused_before_any_length_q_array(self, kind, pattern, needed):
+        # At q = 10**12, np.arange(1, q + 1) alone would ask for 7.28 TiB.
+        message = f"draws hold 3 Gaussians per component, need {needed}$"
+        with pytest.raises(ValueError, match=message):
+            trig_milstein(kind, IndexPattern(pattern), draw_noise(2, 2, 0), 10**12, DT)
+
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_pair_resummation(self, q):
         # The closed pair form equals the contraction of the numerically

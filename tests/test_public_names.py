@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import stochint
+import stochint.cli
 from stochint.expansion import _TRIG_KINDS, IndexPattern, draw_noise, trig_milstein
 
 #: The layers the package re-exports, in the order of its ``__all__``.
@@ -144,3 +145,16 @@ def test_src_computes_only_what_it_runs():
     for name in stochint.basis.__all__:
         assert not re.search(rf"\b{name}\b", oracle), name
     assert list(inspect.signature(stochint.coeffs._outer_series).parameters) == ["spec", "prefixes"]
+
+
+def test_each_rule_and_condition_written_once():
+    # The CLI kept its own integer and float range checks beside the library's
+    # rules, and each q-scan condition named its series through a callable.
+    cli = stochint.cli
+    for name in ("_ints", "_positive", "_floats", "_int_in", "_known"):
+        assert not hasattr(cli, name), name
+    assert not re.search(r"^\s*(import|from) math\b", Path(cli.__file__).read_text(), re.M)
+    for name in ("_series_lhs", "_SCAN_CAPS"):
+        assert not hasattr(stochint.qselect, name), name
+    for row in stochint.qselect._CONDITIONS.values():
+        assert not any(callable(field) for field in row), row
