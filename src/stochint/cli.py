@@ -122,10 +122,7 @@ class RunManifest:
 
     def as_dict(self) -> dict:
         """The fields by name; ``parameters`` and ``outputs`` are this manifest's own dicts."""
-        return {
-            "command": self.command, "parameters": self.parameters, "seed": self.seed,
-            "version": self.version, "outputs": self.outputs,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
@@ -361,7 +358,7 @@ def _cmd_validate(args: argparse.Namespace) -> _Reply:
         except GridTooCoarseError as exc:
             raise GridTooCoarseError(f"{case}: {exc}", exc.bias, exc.stat_err, exc.steps)
     passed = all(abs(r["z"]) < 3.0 for r in reports)
-    cols = ["case", "q", "dt", "N", "P", "empirical", "theoretical", "z", "stat_err", "bias"]
+    cols = list(reports[0])
     return _Reply(
         {"reports": reports, "passed": passed},
         [cols] + [[r[c] for c in cols] for r in reports],
@@ -420,7 +417,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", type=int, help=f"numbered order table ({_listing(Q_TABLES)})")
     p.add_argument(
         "--dt", type=_flag(_checked_float, float, "step size", 0.0, 1.0, each=True),
-        help="comma-separated interval lengths",
+        help="comma-separated step sizes in (0, 1)",
     )
     common(p)
     p.set_defaults(func=_cmd_q_table)

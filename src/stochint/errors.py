@@ -24,7 +24,13 @@ This module provides
 * :func:`error_bound` — the :math:`k!` bound,
 * :func:`series_error` — the closed-form error expressions for the pair,
   triple and weighted kernels in both the Legendre and trigonometric
-  bases, evaluated stably for large ``q``.
+  bases.  ``pair_legendre``, ``pair_legendre_weighted`` and the tail-sum
+  kinds ``pair_trig``, ``pair_trig_tail`` and ``single_trig_weighted`` are
+  stable for large ``q``.  ``pair_legendre_weighted_equal`` cancels: against
+  exact rationals it is off by 2.6e-10 (relative) at ``q = 10**4``, 6.5e-5
+  at ``10**6`` and 0.55 at ``10**8`` (ROADMAP item 2).  The frequency-pair
+  kinds ``triple_trig``, ``triple_trig_tail`` and ``pair_trig_weighted``
+  lose about ``q·ε`` (ROADMAP item 7).
 """
 
 from __future__ import annotations

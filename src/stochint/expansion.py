@@ -258,6 +258,8 @@ def legendre_double_series(
     if pattern.k != 2:
         raise ValueError("double series requires a pair pattern")
     _checked_name(calculus, _CALCULI, "calculus")
+    # Every band table reads at least q + 1 Gaussians: refuse short draws before building one.
+    draws.row(pattern.components[0], _checked_int(q, "truncation order") + 1)
     bands, _, needed = _band_table(weights, q)
     z1 = draws.row(pattern.components[0], needed)
     z2 = draws.row(pattern.components[1], needed)

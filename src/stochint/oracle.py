@@ -49,9 +49,8 @@ import numpy as np
 
 from .basis import _checked_float, _checked_int, _checked_name, _legendre_terms
 from .coeffs import KernelSpec, _band_table, coeff_tensor, scaled_tensor
-from .errors import series_error
 from .expansion import _CALCULI, IndexPattern, NoiseDraws, ito_expansion, legendre_double_series
-from .qselect import triple_legendre_error_constant
+from .qselect import _target_error
 
 __all__ = [
     "SimConfig",
@@ -262,14 +261,25 @@ def _project(dw: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Case:
-    """A named case: the Ito expansion it evaluates and the closed-form error it must match."""
+    """A named case: the Ito expansion it evaluates and the closed series it must match,
+    named as a q-scan condition of :mod:`stochint.qselect` names it: a key of
+    :data:`~stochint.errors.SERIES_KINDS`, or ``None`` for the triple Legendre constant."""
 
     spec: KernelSpec
     components: tuple[int, ...]
     q: int
-    theory: Callable[[int, float], float]
-    #: Evaluate with the banded pair series instead of the general tensor expansion.
-    banded: bool = False
+    series: str | None
+
+    def theory(self, q: int, dt: float) -> float:
+        """The closed mean-square error at order ``q`` and interval length ``dt``."""
+        return _target_error(self.series, q, dt)
+
+    @property
+    def banded(self) -> bool:
+        """Evaluate with the banded pair series, not the tensor expansion: a weighted pair's
+        closed series is the error of the banded series, which keeps off-square cells and
+        adjusted corners that the dense tensor does not hold (see ``pair_series_tensor``)."""
+        return self.spec.total_weight > 0
 
     @property
     def jmax(self) -> int:
@@ -291,32 +301,10 @@ def _evaluator(case_name: str, dt: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 VALIDATION_CASES: dict[str, _Case] = {
-    "pair_distinct": _Case(
-        spec=KernelSpec.unweighted(2),
-        components=(1, 2),
-        q=2,
-        theory=lambda q, dt: series_error("pair_legendre", q, dt),
-    ),
-    "pair_equal_weighted": _Case(
-        spec=KernelSpec(2, (1, 0)),
-        components=(1, 1),
-        q=2,
-        theory=lambda q, dt: series_error("pair_legendre_weighted_equal", q, dt),
-        banded=True,
-    ),
-    "pair_weighted_distinct": _Case(
-        spec=KernelSpec(2, (1, 0)),
-        components=(1, 2),
-        q=3,
-        theory=lambda q, dt: series_error("pair_legendre_weighted", q, dt),
-        banded=True,
-    ),
-    "triple_distinct": _Case(
-        spec=KernelSpec.unweighted(3),
-        components=(1, 2, 3),
-        q=6,
-        theory=lambda q, dt: triple_legendre_error_constant(q) * dt**3,
-    ),
+    "pair_distinct": _Case(KernelSpec.unweighted(2), (1, 2), 2, "pair_legendre"),
+    "pair_equal_weighted": _Case(KernelSpec(2, (1, 0)), (1, 1), 2, "pair_legendre_weighted_equal"),
+    "pair_weighted_distinct": _Case(KernelSpec(2, (1, 0)), (1, 2), 3, "pair_legendre_weighted"),
+    "triple_distinct": _Case(KernelSpec.unweighted(3), (1, 2, 3), 6, None),
 }
 
 
@@ -336,18 +324,9 @@ class ValidationReport:
     bias: float
 
     def as_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "q": self.q,
-            "dt": self.dt,
-            "N": self.steps,
-            "P": self.paths,
-            "empirical": self.empirical,
-            "theoretical": self.theoretical,
-            "z": self.z,
-            "stat_err": self.stat_err,
-            "bias": self.bias,
-        }
+        """The fields in declared order, ``steps`` and ``paths`` named ``N`` and ``P``."""
+        names = {"steps": "N", "paths": "P"}
+        return {names.get(name, name): value for name, value in vars(self).items()}
 
 
 def _chunk_sums(case_name: str, cfg: SimConfig, idx: int) -> tuple[float, float, float, int]:
@@ -541,16 +520,8 @@ def validate_expansion(
             theory = case.theory(case.q, cfg.dt)
             z = (mse - theory) / stderr
             return ValidationReport(
-                case=case_name,
-                q=case.q,
-                dt=cfg.dt,
-                steps=steps,
-                paths=cfg.paths,
-                empirical=float(mse),
-                theoretical=float(theory),
-                z=float(z),
-                stat_err=float(stderr),
-                bias=float(bias),
+                case_name, case.q, cfg.dt, steps, cfg.paths,
+                float(mse), float(theory), float(z), float(stderr), float(bias),
             )
         steps *= 2
     raise GridTooCoarseError(

@@ -23,9 +23,11 @@ conditions compare exactly.
 Each condition is one row of data: the closed series of
 :mod:`stochint.errors` its left-hand side reads, or ``None`` for the triple
 Legendre constant below; the exponent ``e``; the reported offset; and the
-tolerance.  A series row probes ``series_error(kind, q, dt)`` up to the
-condition's cap.  The ``None`` row probes the constant times ``dt**3`` and
-stops at ``min(cap, TRIPLE_FLOAT_CAP)``, since its float sum costs O(q³).
+tolerance.  :func:`_target_error` reads the name, here and for the
+oracle's validation cases: ``series_error(kind, q, dt)``, or for ``None`` the
+exact constant times ``dt**3``.  A series row probes it up to the cap; the
+``None`` row probes the float constant times ``dt**3`` and stops at
+``min(cap, TRIPLE_FLOAT_CAP)``, since its float sum costs O(q³).
 
 The unweighted triple Legendre error per :math:`dt^3` is
 :math:`1/6 - \tfrac{1}{64} \sum_{j \in \{0..q\}^3} \prod_r (2 j_r + 1)\,
@@ -163,11 +165,18 @@ class QScanResult:
     route: str
 
 
+def _target_error(kind: str | None, q: int, dt: float) -> float:
+    """``series_error(kind, q, dt)``; ``None`` is the exact triple constant times ``dt**3``."""
+    if kind is None:
+        return triple_legendre_error_constant(q) * dt**3
+    return series_error(kind, q, dt)
+
+
 def _probe(cond_id: str, q: int, dt: float) -> tuple[float, str]:
     """Left-hand side at order ``q`` and the route that produced it."""
     kind, exponent, _, tol = _CONDITIONS[cond_id]
     if kind is not None:
-        return series_error(kind, q, dt), "series"
+        return _target_error(kind, q, dt), "series"
     value = _triple_constant_float(q) * dt**3
     threshold = dt**exponent * (1.0 + tol)
     if abs(value - threshold) > TIE_REL_TOL * threshold:
@@ -177,7 +186,7 @@ def _probe(cond_id: str, q: int, dt: float) -> tuple[float, str]:
             f"{cond_id} at q={q} is a near-tie, and the exact check is capped at "
             f"q <= {TRIPLE_EXACT_CAP}"
         )
-    return triple_legendre_error_constant(q) * dt**3, "exact"
+    return _target_error(None, q, dt), "exact"
 
 
 def scan_detail(cond: Condition) -> QScanResult:

@@ -188,6 +188,14 @@ class TestQTable:
         code, _, _ = run_cli(capsys, "q-table", "--table", "38")
         assert code == EXIT_USAGE
 
+    def test_help_names_dt_a_step_size(self, capsys):
+        # --dt is checked as a step size in (0, 1); the help called it an interval length.
+        code, out, _ = run_cli(capsys, "q-table", "--help")
+        assert code == EXIT_OK
+        text = " ".join(out.split())
+        assert "comma-separated step sizes in (0, 1)" in text
+        assert "interval length" not in text
+
     def test_unreachable_order_exits_resource_promptly(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "q-table", "--table", "37", "--dt", "1e-9")

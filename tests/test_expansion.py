@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochint.coeffs
 from stochint.coeffs import (
     KernelSpec,
     _pair_bands,
@@ -343,6 +344,30 @@ class TestDoubleSeries:
             (2, 0),
             (0, 2),
         }
+
+    @staticmethod
+    def _no_band_table(monkeypatch):
+        def refuse(weights, q):
+            raise AssertionError(f"band table built for {weights} at q={q}")
+
+        monkeypatch.setattr(stochint.coeffs, "_pair_bands", refuse)
+
+    @pytest.mark.parametrize("weights", DOUBLE_SERIES_WEIGHTS)
+    def test_short_draws_refused_before_the_band_table(self, weights, monkeypatch):
+        # The O(q^2) table was built and cached first: 1.9 s at q = 3200.
+        self._no_band_table(monkeypatch)
+        draws = draw_noise(5, 2, 0)
+        with pytest.raises(ValueError, match="need 100001$"):
+            legendre_double_series(weights, IndexPattern((1, 2)), draws, 10**5, DT)
+
+    def test_conversion_refuses_short_draws_before_the_band_table(self, monkeypatch):
+        # (1, 1, 2, 3) contracts its first pair and reads the (1, 0) series on (2, 3).
+        self._no_band_table(monkeypatch)
+        draws = draw_noise(5, 3, 0)
+        with pytest.raises(ValueError, match="need 100001$"):
+            ito_strat_convert(
+                0.0, IndexPattern((1, 1, 2, 3)), (0, 0, 0, 0), DT, "strat_to_ito", draws, 10**5
+            )
 
     @pytest.mark.parametrize("q", [0, 1, 3, 6])
     def test_unweighted_equals_truncated_contraction(self, q):

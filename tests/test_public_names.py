@@ -16,6 +16,7 @@ interpreter.  It reads ``perfbench/tracer.py`` and writes nothing under
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -158,3 +159,21 @@ def test_each_rule_and_condition_written_once():
         assert not hasattr(stochint.qselect, name), name
     for row in stochint.qselect._CONDITIONS.values():
         assert not any(callable(field) for field in row), row
+
+
+def test_validation_cases_are_data():
+    # Each case carried a theory lambda and a hand-set banded flag, a second
+    # copy of the rule by which a q-scan condition names its closed series.
+    cases = stochint.oracle.VALIDATION_CASES
+    assert [f.name for f in dataclasses.fields(stochint.oracle._Case)] == [
+        "spec", "components", "q", "series",
+    ]
+    for name, case in cases.items():
+        assert not any(callable(value) for value in vars(case).values()), name
+    kinds = [case.series for case in cases.values()]
+    kinds += [row[0] for row in stochint.qselect._CONDITIONS.values()]
+    for kind in kinds:
+        assert kind is None or kind in stochint.errors.SERIES_KINDS, kind
+    oracle = (Path(stochint.__file__).parent / "oracle.py").read_text()
+    for name in ("series_error", "triple_legendre_error_constant"):
+        assert not re.search(rf"\b{name}\b", oracle), name
