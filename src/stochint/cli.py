@@ -19,16 +19,21 @@ Subcommands
     Writes a coefficient tensor to a file together with a run manifest.
 
 All output is deterministic for fixed flags and seed.  ``--format``
-switches between JSON and CSV renderings of the same data.  When
-``--output`` is given, a manifest with SHA-256 checksums is written next
-to the file.  Both are written in place, over any old bytes, and a regular
-file is then cut to the new length; the write is neither atomic nor synced
-to disk, so a reader that races it, or a crash, can leave a torn file,
-which the manifest's SHA-256 detects.  The only environment variable
-consulted is ``STOCHINT_CACHE_DIR``: when set, ``export`` payloads are
-cached there, each entry with its payload's SHA-256; an entry that fails it
-is a miss.  Cache entries, which processes share, are written to a unique
-name and renamed into place, so a reader sees a whole entry or none.
+switches between JSON and CSV renderings of the same data.  A tensor
+(``coeffs --k``, ``export``) is written one ``j_k`` fiber at a time as the
+coefficient walk yields it; any other payload is one chunk.  When
+``--output`` is given, the chunks are hashed as they are written, and a
+manifest with their SHA-256 is written next to the file.  Both are written
+in place, over any old bytes, and a regular file is then cut to the new
+length; the write is neither atomic nor synced to disk, so a reader that
+races it, or a crash, can leave a torn file, which the manifest's SHA-256
+detects.  The only environment variable consulted is
+``STOCHINT_CACHE_DIR``: when set, ``export`` payloads are cached there,
+each entry a line with its payload's SHA-256 and then the payload; an entry
+that fails it is a miss.  A miss writes its chunks to a unique name beside
+the entry as it writes them to ``--output``, then puts the SHA-256 over a
+placeholder line and renames the name into place, so a reader, in any
+process, sees a whole entry or none; any failure removes the name.
 
 The parser checks every numeric and named flag by the library's own
 integer, float and name rules (``basis._checked_int``, ``_checked_float``
@@ -38,8 +43,11 @@ the message of the argument it becomes: ``--k`` is a multiplicity (1..5),
 of at least 1, a ``--dt`` an interval length, or for ``q-table`` a step size
 in (0, 1).  The error quotes the flag's text; a token such as ``-1,0``,
 ``-inf`` or ``-nan`` is read as a value, not as a flag.  The library rejects
-unknown table numbers.  Each subcommand answers a document, its CSV rows and
-the manifest parameters, and one renderer writes the payload.
+unknown table numbers.  A mode flag refuses the flags of the other mode:
+``coeffs --table`` takes no ``--k``, ``--weights`` or ``--q``, and
+``error-table --table`` no ``--kind`` or ``--dt``.  Each subcommand answers
+a document, its CSV rows and the manifest parameters, and one writer writes
+the payload.
 
 Exit codes: 0 success; 1 usage error, or a file that cannot be written (an
 ``OSError``, reported in one line); 2 validation failure; 3 resource cap
@@ -55,14 +63,15 @@ import os
 import re
 import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .basis import _checked_float, _checked_int, _checked_name, _listing
-from .coeffs import KernelSpec, TensorBudgetError, coeff_tensor, tensor_to_csv, tensor_to_json
+from .coeffs import KernelSpec, TensorBudgetError, _tensor_chunks
 from .errors import SERIES_KINDS, SeriesCapError, series_error
 from .oracle import (
     GridTooCoarseError, OracleBudgetError, SimConfig, VALIDATION_CASES, validate_expansion,
@@ -133,29 +142,51 @@ class RunManifest:
 
 
 class _Reply(NamedTuple):
-    """A subcommand's answer: the JSON document (or the payload text a library
-    serializer or the export cache already rendered), its CSV rows, the
-    manifest parameters, the exit code and, when the export cache already
-    hashed the payload, its SHA-256."""
+    """A subcommand's answer: the JSON document (or the payload text, or the
+    chunks of it, that a library serializer or the export cache rendered), its
+    CSV rows, the manifest parameters, the exit code, the payload's SHA-256
+    when the export cache already hashed it, and the cache entry that a
+    missed export writes its chunks into."""
 
-    doc: dict | str
+    doc: dict | str | Iterable[str]
     rows: list[list]
     parameters: dict
     code: int = EXIT_OK
     digest: str | None = None
+    entry: Path | None = None
 
 
-def _payload(fmt: str, doc: dict | str, rows: Iterable[list]) -> str:
-    """``doc`` as JSON, or ``rows`` as CSV lines (an empty row is an empty line)."""
-    if isinstance(doc, str):
+def _payload(fmt: str, doc, rows: Iterable[list]) -> str | Iterable[str]:
+    """``doc`` as JSON, or ``rows`` as CSV lines (an empty row is an empty line);
+    text or chunks a serializer already rendered pass through."""
+    if not isinstance(doc, dict):
         return doc
     if fmt == "json":
         return _json(doc)
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _write_over(path: str, data: bytes) -> None:
-    """Write ``data`` over the file at ``path`` and cut a regular file to its length.
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` at the descriptor's offset; ``os.write`` may write less."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _encoded(chunks: Iterable[str], sha, tee: int | None) -> Iterator[bytes]:
+    """Each chunk as UTF-8, hashed into ``sha`` unless it is None and written to
+    ``tee`` first unless that is None."""
+    for chunk in chunks:
+        data = chunk.encode()
+        if sha is not None:
+            sha.update(data)
+        if tee is not None:
+            _write_all(tee, data)
+        yield data
+
+
+def _write_over(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` over the file at ``path`` and cut a regular file to their length.
 
     The old bytes are overwritten in place rather than truncated first: on
     ext4 a file truncated to zero is flushed when it is closed.  The write
@@ -163,35 +194,76 @@ def _write_over(path: str, data: bytes) -> None:
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        size = 0
+        for data in chunks:
+            _write_all(fd, data)
+            size += len(data)
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 
 
-def _emit(
-    payload: str, args: argparse.Namespace, parameters: dict, digest: str | None = None
-) -> None:
-    """Write payload to stdout or to ``--output`` plus a manifest.
+#: The first line of a cache entry while its payload is written; the
+#: payload's SHA-256, 64 hex digits, takes its place at the end.
+_PLACEHOLDER = b"0" * 64 + b"\n"
 
-    ``digest`` is the payload's SHA-256 when the caller already has it.
+
+@contextmanager
+def _new_entry(path: Path | None) -> Iterator[int | None]:
+    """A descriptor for cache entry ``path`` (None when there is no entry to write),
+    past :data:`_PLACEHOLDER`; the block writes the payload and then the digest.
+
+    It is a unique name beside ``path``, opened like a plain write, so the
+    entry keeps the umask mode, and renamed over ``path`` when the block ends;
+    any failure removes it, so no partial entry is left.
     """
-    if args.output is None:
-        sys.stdout.write(payload)
+    if path is None:
+        yield None
         return
-    data = payload.encode()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            _write_all(fd, _PLACEHOLDER)
+            yield fd
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _emit(
+    payload: str | Iterable[str], args: argparse.Namespace, parameters: dict,
+    digest: str | None = None, entry: Path | None = None,
+) -> None:
+    """Write the payload's chunks to stdout, or to ``--output`` plus a manifest.
+
+    A ``str`` payload is one chunk.  ``digest`` is the payload's SHA-256 when
+    the caller already has it; otherwise the chunks are hashed as they are
+    written.  A missed export also writes them into the cache ``entry``.
+    """
+    chunks = [payload] if isinstance(payload, str) else payload
+    if args.output is None:
+        sys.stdout.writelines(chunks)
+        return
+    sha = hashlib.sha256() if digest is None else None
+    with _new_entry(entry) as tee:
+        _write_over(args.output, _encoded(chunks, sha, tee))
+        digest = digest or sha.hexdigest()
+        if tee is not None:
+            os.lseek(tee, 0, os.SEEK_SET)
+            _write_all(tee, digest.encode())
     manifest = RunManifest(
         command=args.command,
         parameters=parameters,
         seed=getattr(args, "seed", None),
         version=__version__,
-        outputs={os.path.basename(args.output): digest or hashlib.sha256(data).hexdigest()},
+        outputs={os.path.basename(args.output): digest},
     )
-    _write_over(args.output, data)
-    _write_over(args.output + ".manifest.json", manifest.to_json().encode())
+    _write_over(args.output + ".manifest.json", [manifest.to_json().encode()])
 
 
 def _flag(rule: Callable, convert: Callable[[str], object], *args, each: bool = False):
@@ -222,13 +294,16 @@ def _spec(args: argparse.Namespace) -> KernelSpec:
     return KernelSpec(args.k, tuple(args.weights))
 
 
-def _tensor_text(args: argparse.Namespace, spec: KernelSpec) -> str:
-    tensor = coeff_tensor(spec, args.q)
-    return tensor_to_json(tensor) if args.format == "json" else tensor_to_csv(tensor)
+def _alone(args: argparse.Namespace, mode: str, **flags: str) -> None:
+    """Refuse each of ``flags`` (attribute: flag) set beside ``mode``, which ignores it."""
+    given = [flag for name, flag in flags.items() if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{mode} cannot be combined with {', '.join(given)}")
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> _Reply:
     if args.table is not None:
+        _alone(args, "--table", k="--k", weights="--weights", q="--q")
         grid = compute_coeff_table(args.table)
         layout = COEFF_TABLES[args.table]
         doc = {
@@ -248,8 +323,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Reply:
         return _Reply(doc, rows, {"table": args.table, "format": args.format})
     if args.k is None:
         raise ValueError("provide --table or --k")
-    parameters = {"k": args.k, "weights": args.weights, "q": args.q, "format": args.format}
-    return _Reply(_tensor_text(args, _spec(args)), [], parameters)
+    q = 2 if args.q is None else args.q
+    parameters = {"k": args.k, "weights": args.weights, "q": q, "format": args.format}
+    return _Reply(_tensor_chunks(_spec(args), q, args.format), [], parameters)
 
 
 def _cache_path(key: str) -> Path | None:
@@ -271,32 +347,16 @@ def _read_entry(path: Path) -> tuple[str, str] | None:
     return data.decode(), digest.decode()
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` beside ``path`` and rename it over ``path``; a failure leaves neither."""
-    # A unique name opened like ``path`` would be, so the entry keeps the umask mode.
-    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _cmd_export(args: argparse.Namespace) -> _Reply:
     spec = _spec(args)
     key = f"{__version__}:export:{args.k}:{spec.weights}:{args.q}:{args.format}"
     cached = _cache_path(key)
     entry = _read_entry(cached) if cached is not None else None
+    parameters = {"k": args.k, "weights": list(spec.weights), "q": args.q, "format": args.format}
     if entry is not None:
         payload, digest = entry
-    else:
-        payload = _tensor_text(args, spec)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        if cached is not None:
-            cached.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(cached, f"{digest}\n{payload}")
-    parameters = {"k": args.k, "weights": list(spec.weights), "q": args.q, "format": args.format}
-    return _Reply(payload, [], parameters, digest=digest)
+        return _Reply(payload, [], parameters, digest=digest)
+    return _Reply(_tensor_chunks(spec, args.q, args.format), [], parameters, entry=cached)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +367,7 @@ def _cmd_export(args: argparse.Namespace) -> _Reply:
 def _cmd_error_table(args: argparse.Namespace) -> _Reply:
     qs = args.q if args.q is not None else list(DEFAULT_ERROR_QS)
     if args.table is not None:
+        _alone(args, "--table", kind="--kind", dt="--dt")
         values = compute_error_table(args.table, qs)
         spec = ERROR_TABLES[args.table]
         doc = {
@@ -318,9 +379,10 @@ def _cmd_error_table(args: argparse.Namespace) -> _Reply:
         }
         parameters = {"table": args.table, "q": qs, "format": args.format}
     elif args.kind is not None:
-        values = [series_error(args.kind, q, args.dt) for q in qs]
-        doc = {"kind": args.kind, "dt": args.dt, "q": qs, "values": values}
-        parameters = {"kind": args.kind, "dt": args.dt, "q": qs, "format": args.format}
+        dt = 1.0 if args.dt is None else args.dt
+        values = [series_error(args.kind, q, dt) for q in qs]
+        doc = {"kind": args.kind, "dt": dt, "q": qs, "values": values}
+        parameters = {"kind": args.kind, "dt": dt, "q": qs, "format": args.format}
     else:
         raise ValueError("provide --table or --kind")
     return _Reply(doc, [["q", "value"], *zip(qs, values)], parameters)
@@ -395,7 +457,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--k", type=multiplicity, help="multiplicity of the kernel (1..5)")
     p.add_argument("--weights", type=weights, help="comma-separated weight exponents")
-    p.add_argument("--q", type=order, default=2, help="truncation order per index")
+    p.add_argument("--q", type=order, help="truncation order per index (default 2)")
     common(p)
     p.set_defaults(func=_cmd_coeffs)
 
@@ -409,7 +471,7 @@ def build_parser() -> _Parser:
         "--q", type=_flag(_checked_int, int, "truncation order", each=True),
         help="comma-separated truncation orders",
     )
-    p.add_argument("--dt", type=interval, default=1.0, help="interval length for --kind mode")
+    p.add_argument("--dt", type=interval, help="interval length for --kind mode (default 1.0)")
     common(p)
     p.set_defaults(func=_cmd_error_table)
 
@@ -465,7 +527,10 @@ def main(argv: list[str] | None = None) -> int:
     prog = f"stochint {args.command}"
     try:
         reply = args.func(args)
-        _emit(_payload(args.format, reply.doc, reply.rows), args, reply.parameters, reply.digest)
+        _emit(
+            _payload(args.format, reply.doc, reply.rows), args, reply.parameters,
+            reply.digest, reply.entry,
+        )
     except (TensorBudgetError, QSelectCapError, OracleBudgetError, SeriesCapError) as exc:
         sys.stderr.write(f"{prog}: resource cap: {exc}\n")
         return EXIT_RESOURCE

@@ -31,9 +31,10 @@ positive denominator, :math:`c_n = \mathrm{nums}_n / \mathrm{den}`.  A rule
 that divides term :math:`n` by :math:`d_n` first scales every numerator and
 the denominator by the least common multiple of
 :math:`d_n / \gcd(\mathrm{nums}_n, d_n)`, so each division is exact, and
-then divides all of them by their one common gcd.  A
-:class:`~fractions.Fraction` is built only for an output cell.  Each level
-is built from three rules:
+then divides all of them by their one common gcd.  An output cell is
+reduced by one gcd (``_outer_cells``), and a
+:class:`~fractions.Fraction` is built only where a caller asks for one.
+Each level is built from three rules:
 
 * multiplication by :math:`P_j` uses the product linearization of
   :mod:`stochint.basis` as integer rows over one denominator
@@ -53,6 +54,16 @@ One depth-first walk, ``_outer_series``, builds the prefix series and
 reuses the levels a prefix shares with the one before it.  ``bar_coeff``,
 ``coeff_tensor`` (each prefix fills its :math:`j_k` fiber), the coefficient
 tables, the triple sum and the pair-series band table read it.
+
+The text export has one formatter per format (``_json_chunks``,
+``_csv_chunks``), which turns a stream of :math:`j_k` fibers of
+``(num, den)`` cells into one chunk of text per fiber.  ``tensor_to_json``
+and ``tensor_to_csv`` feed it a tensor's values and join the chunks;
+``_tensor_chunks`` feeds it the walk, as each prefix is built, so the
+command line writes a tensor of any admitted size while holding one fiber.
+Both run in C order, the walk's order (the last index runs fastest), and
+``coeff_tensor`` and ``_tensor_chunks`` check the one work budget
+(``_checked_work``) before any work.
 
 ``scale_coeff`` is the one route from :math:`\bar C` to a float: it
 evaluates the scaling law above as
@@ -246,13 +257,25 @@ def _outer_series(spec: KernelSpec, prefixes: Iterable) -> Iterator:
         yield prefix, path[-1][1]
 
 
-def _outer_coeffs(h: _Series, js) -> list[Fraction]:
-    """Orthogonality lookups ``int_{-1}^{1} P_j h = 2 h_j / (2j+1)`` for each ``j`` in ``js``."""
+def _outer_cells(h: _Series, js) -> list[tuple[int, int]]:
+    """Orthogonality lookups ``int_{-1}^{1} P_j h = 2 h_j / (2j+1)`` for each ``j`` in ``js``,
+    each as its lowest terms ``(num, den)`` with ``den > 0`` (``(0, 1)`` for zero)."""
     nums, den = h
-    return [
-        Fraction(2 * nums[j], (2 * j + 1) * den) if j < len(nums) and nums[j] else _ZERO
-        for j in js
-    ]
+    cells = []
+    for j in js:
+        c = nums[j] if j < len(nums) else 0
+        if c:
+            num, d = 2 * c, (2 * j + 1) * den
+            g = math.gcd(num, d)
+            cells.append((num // g, d // g))
+        else:
+            cells.append((0, 1))
+    return cells
+
+
+def _outer_coeffs(h: _Series, js) -> list[Fraction]:
+    """:func:`_outer_cells` as :class:`~fractions.Fraction` values."""
+    return [Fraction(num, den) for num, den in _outer_cells(h, js)]
 
 
 def _fiber_square_sum(h: _Series, q: int) -> Fraction:
@@ -426,19 +449,15 @@ def scaled_tensor(tensor: CoeffTensor, dt: float) -> ScaledTensor:
     return ScaledTensor(spec=tensor.spec, q=tensor.q, dt=dt, values=values)
 
 
-def coeff_tensor(spec: KernelSpec, q: int) -> CoeffTensor:
-    r"""All exact coefficients :math:`\bar C` for ``j in {0..q}^k``.
+def _checked_work(spec: KernelSpec, q) -> int:
+    """``q`` as an ``int`` order, after refusing a dense tensor over the work budget.
 
-    The walk over the inner indices builds each prefix series once and
-    fills the whole :math:`j_k` fiber from it by orthogonality.
-
-    Args:
-        spec: kernel description.
-        q: truncation order (inclusive).
+    Every dense route (:func:`coeff_tensor` and the streamed text of
+    :func:`_tensor_chunks`) calls it before any work.
 
     Raises:
-        TensorBudgetError: before any work, if the work exceeds
-            :data:`TENSOR_WORK_BUDGET`, or if ``L + k`` exceeds 1023.
+        TensorBudgetError: if the work exceeds :data:`TENSOR_WORK_BUDGET`, or
+            if ``L + k`` exceeds 1023.
     """
     q = _checked_int(q, "truncation order")
     n, total = q + 1, spec.total_weight
@@ -453,9 +472,32 @@ def coeff_tensor(spec: KernelSpec, q: int) -> CoeffTensor:
             f"dense tensor of {Decimal(n**spec.k):.3e} entries at multiplicity {spec.k} has "
             f"work {Decimal(work):.3e}, over the budget {TENSOR_WORK_BUDGET}"
         )
-    values = np.empty((n,) * spec.k, dtype=object)
-    for prefix, h in _outer_series(spec, itertools.product(range(n), repeat=spec.k - 1)):
-        values[prefix] = _outer_coeffs(h, range(n))
+    return q
+
+
+def _walk(spec: KernelSpec, q: int) -> Iterator:
+    """``(prefix, h)`` for every inner prefix in ``{0..q}^(k-1)``, in C order."""
+    return _outer_series(spec, itertools.product(range(q + 1), repeat=spec.k - 1))
+
+
+def coeff_tensor(spec: KernelSpec, q: int) -> CoeffTensor:
+    r"""All exact coefficients :math:`\bar C` for ``j in {0..q}^k``.
+
+    The walk over the inner indices builds each prefix series once and
+    fills the whole :math:`j_k` fiber from it by orthogonality.
+
+    Args:
+        spec: kernel description.
+        q: truncation order (inclusive).
+
+    Raises:
+        TensorBudgetError: before any work, if the work exceeds
+            :data:`TENSOR_WORK_BUDGET`, or if ``L + k`` exceeds 1023.
+    """
+    q = _checked_work(spec, q)
+    values = np.empty((q + 1,) * spec.k, dtype=object)
+    for prefix, h in _walk(spec, q):
+        values[prefix] = _outer_coeffs(h, range(q + 1))
     return CoeffTensor(spec=spec, q=q, values=values)
 
 
@@ -542,6 +584,62 @@ def _pair_bands(weights: tuple[int, int], q: int) -> _BandTable:
 # ---------------------------------------------------------------------------
 
 
+def _json_chunks(spec: KernelSpec, q: int, fibers: Iterable) -> Iterator[str]:
+    """The JSON text of a tensor: an opening chunk, one chunk per ``j_k`` fiber, a closing chunk.
+
+    ``fibers`` yields each fiber's cells as ``(num, den)`` in lowest terms,
+    in C order (the last index runs fastest).  Joined, the chunks are
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` byte for byte: keys
+    in sorted order, ``repr`` floats, and ``num / den`` is correctly rounded,
+    as ``float(Fraction)`` is.
+    """
+    lines = [f"        {i}" for i in range(q + 1)]
+    yield '{\n  "entries": [\n'
+    sep = ""
+    for prefix, cells in zip(itertools.product(range(q + 1), repeat=spec.k - 1), fibers):
+        head = "".join(f"{lines[i]},\n" for i in prefix)
+        yield sep + ",\n".join(
+            f'    {{\n      "den": {den},\n      "float": {num / den!r},\n'
+            f'      "j": [\n{head}{lines[j]}\n      ],\n      "num": {num}\n    }}'
+            for j, (num, den) in enumerate(cells)
+        )
+        sep = ",\n"
+    weights = ",\n".join(f"    {w}" for w in spec.weights)
+    yield (
+        '\n  ],\n'
+        f'  "index_order": "innermost_first",\n  "k": {spec.k},\n'
+        f'  "q": {q},\n  "weights": [\n{weights}\n  ]\n}}\n'
+    )
+
+
+def _csv_chunks(spec: KernelSpec, q: int, fibers: Iterable) -> Iterator[str]:
+    """The CSV text of a tensor, fractions as ``p/q``: a header, then one chunk per fiber."""
+    yield ",".join(f"j{i + 1}" for i in range(spec.k)) + ",bar\n"
+    for prefix, cells in zip(itertools.product(range(q + 1), repeat=spec.k - 1), fibers):
+        head = "".join(f"{i}," for i in prefix)
+        yield "".join(f"{head}{j},{num}/{den}\n" for j, (num, den) in enumerate(cells))
+
+
+_CHUNKS = {"json": _json_chunks, "csv": _csv_chunks}
+
+
+def _tensor_chunks(spec: KernelSpec, q: int, fmt: str) -> Iterator[str]:
+    """The text of ``coeff_tensor(spec, q)`` in ``fmt`` ("json" or "csv"), streamed.
+
+    Each chunk is formatted as the walk yields its prefix, so no tensor,
+    :class:`~fractions.Fraction` or whole text is built.  The budget check
+    runs when this is called, before the first chunk is asked for.
+    """
+    q = _checked_work(spec, q)
+    return _CHUNKS[fmt](spec, q, (_outer_cells(h, range(q + 1)) for _, h in _walk(spec, q)))
+
+
+def _value_cells(tensor: CoeffTensor) -> Iterator[list[tuple[int, int]]]:
+    """The tensor's ``j_k`` fibers in C order, each cell as ``(num, den)``."""
+    for fiber in tensor.values.reshape(-1, tensor.q + 1):
+        yield [(v.numerator, v.denominator) for v in fiber]
+
+
 def tensor_to_json(tensor: CoeffTensor) -> str:
     """Serialize a tensor to JSON with exact and float fields.
 
@@ -549,30 +647,11 @@ def tensor_to_json(tensor: CoeffTensor) -> str:
     ``q``, ``index_order`` and ``entries``; each entry has the multi-index
     ``j`` (innermost first), exact ``num``/``den`` and a ``float`` field.
     The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` byte
-    for byte, written directly: keys in sorted order, ``repr`` floats.
+    for byte.
     """
-    lines = [f"        {i}" for i in range(tensor.q + 1)]
-    entries = []
-    for v, j in zip(tensor.values.ravel(), itertools.product(lines, repeat=tensor.spec.k)):
-        num, den = v.numerator, v.denominator
-        j = ",\n".join(j)
-        entries.append(
-            f'    {{\n      "den": {den},\n      "float": {num / den!r},\n'
-            f'      "j": [\n{j}\n      ],\n      "num": {num}\n    }}'
-        )
-    weights = ",\n".join(f"    {w}" for w in tensor.spec.weights)
-    return (
-        '{\n  "entries": [\n' + ",\n".join(entries) + '\n  ],\n'
-        f'  "index_order": "innermost_first",\n  "k": {tensor.spec.k},\n'
-        f'  "q": {tensor.q},\n  "weights": [\n{weights}\n  ]\n}}\n'
-    )
+    return "".join(_json_chunks(tensor.spec, tensor.q, _value_cells(tensor)))
 
 
 def tensor_to_csv(tensor: CoeffTensor) -> str:
     """Serialize a tensor to CSV with fractions as ``p/q`` strings."""
-    header = ",".join(f"j{i + 1}" for i in range(tensor.spec.k)) + ",bar\n"
-    cells = itertools.product(map(str, range(tensor.q + 1)), repeat=tensor.spec.k)
-    return header + "".join(
-        f"{','.join(j)},{v.numerator}/{v.denominator}\n"
-        for j, v in zip(cells, tensor.values.ravel())
-    )
+    return "".join(_csv_chunks(tensor.spec, tensor.q, _value_cells(tensor)))

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,6 @@ from stochint.cli import (
     EXIT_VALIDATION,
     RunManifest,
     _parser,
-    _write_atomic,
     main,
 )
 from stochint.errors import SERIES_KINDS, TRIG_SERIES_CAP, series_error
@@ -116,6 +116,19 @@ class TestCoeffs:
         code, _, _ = run_cli(capsys, "coeffs", "--k", "2", "--q", "-1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag,value", [("--k", "3"), ("--weights", "0,0,0"), ("--q", "9")])
+    def test_table_refuses_tensor_flags(self, capsys, flag, value):
+        # A grid ignores the tensor flags, so naming one beside --table is a usage error.
+        code, out, err = run_cli(capsys, "coeffs", "--table", "4", flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"stochint coeffs: --table cannot be combined with {flag}\n"
+
+    def test_tensor_order_defaults_to_two(self, capsys, tmp_path):
+        assert main(["coeffs", "--k", "2", "--output", str(tmp_path / "t.json")]) == EXIT_OK
+        assert json.loads((tmp_path / "t.json").read_text())["q"] == 2
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+        assert manifest["parameters"] == {"k": 2, "weights": None, "q": 2, "format": "json"}
+
 
 class TestErrorTable:
     def test_numbered_table_matches_reference(self, capsys, printed):
@@ -150,6 +163,20 @@ class TestErrorTable:
         q, value = lines[1].split(",")
         assert int(q) == 3
         assert float(value) == series_error("pair_trig", 3, 1.0)
+
+    @pytest.mark.parametrize("flags", [("--kind", "pair_trig"), ("--dt", "0.3")])
+    def test_table_refuses_kind_flags(self, capsys, flags):
+        # A numbered table fixes its kind and normalization: --kind and --dt would do nothing.
+        code, out, err = run_cli(capsys, "error-table", "--table", "1", *flags)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"stochint error-table: --table cannot be combined with {flags[0]}\n"
+
+    def test_kind_interval_defaults_to_one(self, capsys, tmp_path):
+        target = tmp_path / "e.json"
+        assert main(["error-table", "--kind", "pair_trig", "--output", str(target)]) == EXIT_OK
+        assert json.loads(target.read_text())["dt"] == 1.0
+        manifest = json.loads((tmp_path / "e.json.manifest.json").read_text())
+        assert manifest["parameters"]["dt"] == 1.0
 
     def test_unknown_kind(self, capsys):
         code, _, err = run_cli(capsys, "error-table", "--kind", "nope")
@@ -782,18 +809,64 @@ class TestExport:
         # that a later run would read back as a cache hit.
         cache = tmp_path / "cache"
         monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
-        real_write = Path.write_text
+        real_write = os.write
 
-        def broken_write(self, data, *args, **kwargs):
-            real_write(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        def broken_write(fd, data):
+            # the first payload write into the entry, after its placeholder line
+            into_entry = any(os.path.samestat(os.fstat(fd), p.stat()) for p in cache.glob("*.tmp"))
+            if into_entry and os.fstat(fd).st_size > 0:
+                real_write(fd, data[: len(data) // 2])
+                raise OSError("disk full")
+            return real_write(fd, data)
 
-        monkeypatch.setattr(Path, "write_text", broken_write)
+        monkeypatch.setattr(os, "write", broken_write)
         code, _, err = run_cli(
             capsys, "export", "--k", "2", "--q", "3", "--output", str(tmp_path / "one.json")
         )
         assert (code, err) == (EXIT_USAGE, "stochint export: disk full\n")
         assert list(cache.iterdir()) == []
+
+    def test_streamed_export_peaks_below_its_payload(self, tmp_path, monkeypatch):
+        # A miss writes one fiber at a time, to the output and the cache entry:
+        # its peak allocation stays below the 3.9 MB it writes, where building
+        # the whole payload first peaked at 15 MB.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        target = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            code = main(["export", "--k", "3", "--q", "30", "--output", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        payload = target.read_bytes()
+        assert peak < len(payload)
+        (entry,) = cache.iterdir()
+        assert entry.read_bytes() == hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
+
+    def test_failed_output_write_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
+        # An output write that fails mid-stream is one line, exit 1, and
+        # leaves neither a cache entry nor its temporary file, nor a manifest.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("STOCHINT_CACHE_DIR", str(cache))
+        target = tmp_path / "one.json"
+        real_write = os.write
+        writes = []
+
+        def failing_write(fd, data):
+            if target.exists() and os.path.samestat(os.fstat(fd), target.stat()):
+                writes.append(len(data))
+                if len(writes) == 3:
+                    raise OSError("disk full")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", failing_write)
+        code, out, err = run_cli(capsys, "export", "--k", "2", "--q", "3", "--output", str(target))
+        assert (code, out, err) == (EXIT_USAGE, "", "stochint export: disk full\n")
+        assert len(writes) == 3 and 0 < target.stat().st_size  # two chunks were written
+        assert list(cache.iterdir()) == []
+        assert not (tmp_path / "one.json.manifest.json").exists()
 
     def test_cache_writes_leave_only_the_entry(self, capsys, tmp_path, monkeypatch):
         # One write, a write that fails before its rename, and two writes of
@@ -826,7 +899,8 @@ class TestExport:
 
         monkeypatch.setattr(os, "replace", recording_replace)
         for _ in range(2):
-            _write_atomic(entry, good_entry.decode())
+            entry.write_bytes(b"stale")  # a miss, whose new entry replaces the old one
+            assert main(argv) == EXIT_OK
             assert list(cache.iterdir()) == [entry]
         assert entry.read_bytes() == good_entry
         # a fresh name per write: the entry's name, 32 hex digits, ".tmp"

@@ -29,6 +29,7 @@ from stochint.coeffs import (
     _fiber_square_sum,
     _outer_series,
     _pair_bands,
+    _tensor_chunks,
     _triple_square_sum,
 )
 from stochint import coeffs as coeffs_module
@@ -260,9 +261,9 @@ class TestSeriesRoute:
 
 
 @st.composite
-def spec_and_order(draw, max_entries: int = 400):
+def spec_and_order(draw, max_entries: int = 400, max_weight: int = 3):
     k = draw(st.integers(1, 5))
-    weights = tuple(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    weights = tuple(draw(st.lists(st.integers(0, max_weight), min_size=k, max_size=k)))
     q = draw(st.integers(0, int(round(max_entries ** (1 / k))) - 1))
     return KernelSpec(k, weights), q
 
@@ -401,6 +402,8 @@ class TestCoeffTensor:
         monkeypatch.setattr("stochint.coeffs._product_rows", no_work)
         with pytest.raises(TensorBudgetError):
             coeff_tensor(KernelSpec.unweighted(k), q)
+        with pytest.raises(TensorBudgetError):  # the streamed text refuses when it is asked for
+            _tensor_chunks(KernelSpec.unweighted(k), q, "csv")
 
     @pytest.mark.parametrize("k,q", [(1, 2000), (2, 400), (3, 60), (3, 100), (4, 15), (5, 10)])
     def test_budget_admits(self, k, q):
@@ -568,6 +571,15 @@ class TestSerialization:
         writer.writerow([f"j{i + 1}" for i in range(len(weights))] + ["bar"])
         writer.writerows(j + [f"{v.numerator}/{v.denominator}"] for j, v in cells)
         assert tensor_to_csv(tensor) == buf.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_and_order(max_weight=2))
+    def test_streamed_text_matches_serializers(self, case):
+        # The text export streams from the walk, fiber by fiber, without a tensor.
+        spec, q = case
+        tensor = coeff_tensor(spec, q)
+        assert "".join(_tensor_chunks(spec, q, "json")) == tensor_to_json(tensor)
+        assert "".join(_tensor_chunks(spec, q, "csv")) == tensor_to_csv(tensor)
 
     def test_csv_cells(self):
         spec = KernelSpec.unweighted(2)

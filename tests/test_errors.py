@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -397,6 +398,19 @@ class TestClosedSeries:
             for dt in (1.0, 0.37):
                 reference = trig_interaction_reference.series_error_reference(kind, q, dt)
                 assert series_error(kind, q, dt) == reference
+
+    def test_interaction_sums_hold_under_eight_arrays(self):
+        # The sums reuse two buffers; the copying route held about ten arrays of q floats.
+        from stochint.errors import _frequency_interaction_sums
+
+        q = 10**5
+        tracemalloc.start()
+        try:
+            _frequency_interaction_sums(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * q * np.dtype(float).itemsize
 
     def test_triple_trig_reconstruction_from_brute_sums(self):
         # Rebuild the triple error bracket from scratch using the brute
